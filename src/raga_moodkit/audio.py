@@ -1,6 +1,7 @@
 """WAV ingestion and segment cutting.
 
-Decodes RIFF/WAVE files (PCM 16-bit, PCM 24-bit, IEEE float32), folds
+Decodes RIFF/WAVE files (PCM 16-bit, PCM 24-bit, IEEE float32, under a
+plain or a WAVE_FORMAT_EXTENSIBLE header), folds
 channels to mono, resamples to the canonical internal rate, and cuts the
 segment plans used throughout the pipeline, including the two-segment
 augmentation plan that doubles a corpus.
@@ -15,6 +16,7 @@ import numpy as np
 
 from .errors import (
     MalformedHeader,
+    NonFiniteSample,
     StartBeyondEnd,
     TruncatedData,
     UnsupportedEncoding,
@@ -26,6 +28,10 @@ CANONICAL_RATE = 22050
 
 _FORMAT_PCM = 0x0001
 _FORMAT_IEEE_FLOAT = 0x0003
+_FORMAT_EXTENSIBLE = 0xFFFE
+#: Bytes 2..15 of every standard KSDATAFORMAT_SUBTYPE GUID
+#: {000000XX-0000-0010-8000-00AA00389B71}; bytes 0..1 hold the format code.
+_SUBFORMAT_GUID_TAIL = bytes.fromhex("0000" "0000" "1000" "8000" "00aa00389b71")
 
 
 @dataclass(frozen=True)
@@ -110,21 +116,26 @@ def parse_plan(text: str) -> SegmentPlan:
     return SegmentPlan(tuple(cuts))
 
 
-def _decode_pcm16(payload: bytes) -> np.ndarray:
-    return np.frombuffer(payload, dtype="<i2").astype(np.float64) / 2.0**15
+def _decode_pcm16(payload) -> np.ndarray:
+    return np.frombuffer(payload, dtype="<i2", count=len(payload) // 2).astype(np.float64) / 2.0**15
 
 
-def _decode_pcm24(payload: bytes) -> np.ndarray:
-    raw = np.frombuffer(payload, dtype=np.uint8)
-    raw = raw[: len(raw) - len(raw) % 3].reshape(-1, 3).astype(np.int64)
-    value = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
-    value -= (value >= 1 << 23) * (1 << 24)
-    return value.astype(np.float64) / 2.0**23
+def _decode_pcm24(payload) -> np.ndarray:
+    # Each 3-byte sample lands in the top bytes of a little-endian int32,
+    # which sign-extends it as sample * 2**8; scaling by 2**-31 is exact.
+    n = len(payload) // 3
+    wide = np.zeros((n, 4), dtype=np.uint8)
+    wide[:, 1:] = np.frombuffer(payload, dtype=np.uint8, count=3 * n).reshape(n, 3)
+    samples = wide.view("<i4").reshape(n).astype(np.float64)
+    samples *= 2.0**-31
+    return samples
 
 
-def _decode_float32(payload: bytes) -> np.ndarray:
-    values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    return np.clip(values, -1.0, 1.0)
+def _decode_float32(payload) -> np.ndarray:
+    values = np.frombuffer(payload, dtype="<f4", count=len(payload) // 4)
+    if not np.isfinite(values).all():
+        raise NonFiniteSample("float32 data holds NaN or infinite samples")
+    return np.clip(values.astype(np.float64), -1.0, 1.0)
 
 
 def decode_wav(data: bytes) -> AudioBuffer:
@@ -133,17 +144,20 @@ def decode_wav(data: bytes) -> AudioBuffer:
     Integer PCM is scaled to [-1, 1] by dividing by 2**(bits-1); float
     samples are clipped into the same range. Multi-channel audio stays
     interleave-resolved as an ``(n, channels)`` array for ``to_mono``.
+    A WAVE_FORMAT_EXTENSIBLE header is read through its sub-format GUID.
 
     Raises:
         MalformedHeader: not a RIFF/WAVE stream or required chunks missing.
         UnsupportedEncoding: codec other than PCM16/PCM24/float32.
         TruncatedData: a chunk declares more bytes than are present.
+        NonFiniteSample: float32 data holds NaN or infinity.
     """
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedHeader("not a RIFF/WAVE stream")
 
     fmt = None
     payload = None
+    view = memoryview(data)
     offset = 12
     while offset + 8 <= len(data):
         chunk_id = data[offset : offset + 4]
@@ -153,12 +167,17 @@ def decode_wav(data: bytes) -> AudioBuffer:
             if size < 16 or body_start + 16 > len(data):
                 raise MalformedHeader("fmt chunk too small")
             fmt = struct.unpack_from("<HHIIHH", data, body_start)
+            subformat = None
+            if fmt[0] == _FORMAT_EXTENSIBLE:
+                if size < 40 or body_start + 40 > len(data):
+                    raise MalformedHeader("extensible fmt chunk shorter than 40 bytes")
+                subformat = data[body_start + 24 : body_start + 40]
         elif chunk_id == b"data":
             if body_start + size > len(data):
                 raise TruncatedData(
                     f"data chunk declares {size} bytes, {len(data) - body_start} available"
                 )
-            payload = data[body_start : body_start + size]
+            payload = view[body_start : body_start + size]
         offset = body_start + size + (size & 1)
 
     if fmt is None or payload is None:
@@ -167,6 +186,10 @@ def decode_wav(data: bytes) -> AudioBuffer:
     format_tag, channels, sample_rate, _byte_rate, _block_align, bits = fmt
     if channels < 1 or sample_rate <= 0:
         raise MalformedHeader(f"invalid fmt fields: channels={channels} rate={sample_rate}")
+    if subformat is not None:
+        if subformat[2:] != _SUBFORMAT_GUID_TAIL:
+            raise UnsupportedEncoding(f"extensible sub-format GUID {subformat.hex()}")
+        (format_tag,) = struct.unpack_from("<H", subformat)
 
     if format_tag == _FORMAT_PCM and bits == 16:
         samples = _decode_pcm16(payload)
@@ -236,11 +259,19 @@ def write_wav(path, buffer: AudioBuffer, encoding: str = "pcm16") -> None:
 
 
 def to_mono(buffer: AudioBuffer) -> AudioBuffer:
-    """Per-frame arithmetic mean of channels; mono input is returned unchanged."""
+    """Per-frame arithmetic mean of channels; mono input is returned unchanged.
+
+    Each frame is the sequential sum of its channels in order, starting from
+    +0.0, divided by the channel count.
+    """
     if buffer.samples.ndim == 1:
         return buffer
+    mixed = np.zeros(buffer.n_frames)
+    for column in buffer.samples.T:
+        mixed += column
+    mixed /= buffer.n_channels
     return AudioBuffer(
-        samples=buffer.samples.mean(axis=1),
+        samples=mixed,
         sample_rate=buffer.sample_rate,
         short=buffer.short,
     )

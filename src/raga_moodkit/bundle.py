@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import FeatureScaler
-from .errors import ScalerMismatch, ValidationError
+from .errors import CorruptArtifact, ScalerMismatch, ValidationError
 from .models import from_envelope, to_envelope
 from .models.base import BaseClassifier
 
@@ -79,4 +79,8 @@ class ModelBundle:
 
     @classmethod
     def load(cls, path) -> "ModelBundle":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise CorruptArtifact(f"bundle {Path(path).name} is not valid JSON: {exc}") from exc
+        return cls.from_dict(payload)

@@ -32,6 +32,10 @@ class TruncatedData(DataError):
     """A chunk declares more bytes than the payload contains."""
 
 
+class NonFiniteSample(DataError):
+    """Float samples hold NaN or infinity."""
+
+
 class StartBeyondEnd(DataError):
     """Segment start lies at or past the end of the audio."""
 
@@ -110,6 +114,10 @@ class NoEligibleModel(ValidationError):
 
 class EmptyLibrary(ValidationError):
     """Recommendation requested from an empty scored library."""
+
+
+class CorruptArtifact(DataError):
+    """A feature store or model bundle file cannot be parsed."""
 
 
 class ScalerMismatch(DataError):

@@ -4,9 +4,10 @@ Per frame the chain is: Hann window -> DFT -> power spectrum -> triangular
 mel filterbank -> log energies -> cosine transform. A segment's feature
 vector is the per-coefficient mean over its frames.
 
-The transforms are written against their defining sums (the FFT is an exact
-radix-2 evaluation of the DFT, the cosine transform an unscaled type-II DCT)
-so every stage can be checked against a brute-force oracle.
+The DFT is numpy's FFT (pocketfft); the filterbank and the unscaled type-II
+cosine transform are written against their defining sums. Every stage can be
+checked against a brute-force oracle, and ``mfcc_frames`` composes those same
+stage functions over batches of frames.
 """
 from __future__ import annotations
 
@@ -90,75 +91,8 @@ class MelFilterbank:
 
 # --- Fourier transform -------------------------------------------------------
 
-@functools.lru_cache(maxsize=32)
-def _fft_plan(n: int):
-    """Bit-reversal permutation and per-stage twiddle factors for size n."""
-    bits = n.bit_length() - 1
-    index = np.arange(n)
-    reverse = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        reverse = (reverse << 1) | (index & 1)
-        index >>= 1
-    twiddles = []
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddles.append(np.exp(-2j * np.pi * np.arange(half) / size))
-        size *= 2
-    return reverse, tuple(twiddles)
-
-
-def _fft_batch(frames: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 decimation-in-time FFT along the last axis.
-
-    Evaluates X[k] = sum_n x[n] exp(-2j pi n k / N) exactly (up to rounding);
-    the input length must be a power of two.
-    """
-    frames = np.ascontiguousarray(frames, dtype=np.complex128)
-    n = frames.shape[-1]
-    if n & (n - 1) or n == 0:
-        raise ValidationError(f"transform size must be a power of two, got {n}")
-    if n == 1:
-        return frames.copy()
-    reverse, twiddles = _fft_plan(n)
-    out = frames[..., reverse]
-    size = 2
-    for twiddle in twiddles:
-        half = size // 2
-        blocks = out.reshape(*out.shape[:-1], n // size, size)
-        spun = blocks[..., half:] * twiddle
-        blocks[..., half:] = blocks[..., :half] - spun
-        blocks[..., :half] += spun
-        size *= 2
-    return out
-
-
-def _rfft_batch(frames: np.ndarray) -> np.ndarray:
-    """Spectrum bins 0..N/2 of real frames via one half-size complex FFT."""
-    frames = np.asarray(frames, dtype=np.float64)
-    n = frames.shape[-1]
-    if n & (n - 1) or n < 2:
-        raise ValidationError(f"transform size must be a power of two >= 2, got {n}")
-    m = n // 2
-    if m == 1:
-        out = np.empty(frames.shape[:-1] + (2,), dtype=np.complex128)
-        out[..., 0] = frames[..., 0] + frames[..., 1]
-        out[..., 1] = frames[..., 0] - frames[..., 1]
-        return out
-    packed = frames[..., 0::2] + 1j * frames[..., 1::2]
-    z = _fft_batch(packed)
-    z_rev = np.conj(z[..., (-np.arange(m)) % m])
-    even = 0.5 * (z + z_rev)
-    odd = -0.5j * (z - z_rev)
-    twiddle = np.exp(-2j * np.pi * np.arange(m) / n)
-    out = np.empty(frames.shape[:-1] + (m + 1,), dtype=np.complex128)
-    out[..., :m] = even + twiddle * odd
-    out[..., m] = even[..., 0] - odd[..., 0]
-    return out
-
-
 def dft(frame, n: int | None = None) -> np.ndarray:
-    """Full complex spectrum of one frame, computed by radix-2 FFT.
+    """Full complex spectrum of one frame, X[k] = sum_n x[n] exp(-2j pi n k / N).
 
     Args:
         frame: real or complex sequence; length must be a power of two.
@@ -169,7 +103,9 @@ def dft(frame, n: int | None = None) -> np.ndarray:
         raise ValidationError(f"frame must be 1-D, got shape {arr.shape}")
     if n is not None and len(arr) != n:
         raise LengthMismatch(f"frame has {len(arr)} samples, expected {n}")
-    return _fft_batch(arr.reshape(1, -1))[0]
+    if len(arr) & (len(arr) - 1) or len(arr) == 0:
+        raise ValidationError(f"transform size must be a power of two, got {len(arr)}")
+    return np.fft.fft(arr)
 
 
 def power_spectrum(spectrum) -> np.ndarray:
@@ -270,7 +206,13 @@ def _hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
 
 
-def mfcc_frames(segment: AudioBuffer, config: MfccConfig, chunk_size: int = 1024) -> np.ndarray:
+#: Frames per batch in ``mfcc_frames``. The matrix products round differently
+#: for different batch heights, so this is fixed rather than a parameter:
+#: features must not depend on a tuning knob.
+_CHUNK_FRAMES = 256
+
+
+def mfcc_frames(segment: AudioBuffer, config: MfccConfig) -> np.ndarray:
     """Per-frame coefficients of a mono segment, shape (n_frames, n_coeffs).
 
     Frames start at hop-strided offsets; the trailing frames are zero-padded,
@@ -296,14 +238,12 @@ def mfcc_frames(segment: AudioBuffer, config: MfccConfig, chunk_size: int = 1024
 
     window = _hann(config.fft_size)
     bank = build_filterbank(config)
-    basis = _dct_basis(config.n_filters, config.n_coeffs)
 
     out = np.empty((n_frames, config.n_coeffs))
-    for start in range(0, n_frames, chunk_size):
-        chunk = frames[start : start + chunk_size] * window
-        power = np.abs(_rfft_batch(chunk)) ** 2
-        energies = np.log(np.maximum(power @ bank.weights.T, config.log_floor))
-        out[start : start + chunk_size] = energies @ basis.T
+    for start in range(0, n_frames, _CHUNK_FRAMES):
+        power = np.abs(np.fft.rfft(frames[start : start + _CHUNK_FRAMES] * window)) ** 2
+        energies = log_mel_energies(power, bank, config.log_floor)
+        out[start : start + _CHUNK_FRAMES] = dct_ii(energies, config.n_coeffs)
     return out
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import SegmentPlan
-from .errors import ValidationError
+from .errors import CorruptArtifact, ValidationError
 from .mfcc import MfccConfig
 
 STORE_FORMAT_VERSION = 1
@@ -94,7 +94,10 @@ def read_store(path) -> FeatureTable:
     meta_file = sidecar_path(path)
     if not meta_file.exists():
         raise ValidationError(f"missing sidecar {meta_file.name}; the store is not self-describing")
-    meta = json.loads(meta_file.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(meta_file.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise CorruptArtifact(f"sidecar {meta_file.name} is not valid JSON: {exc}") from exc
     if meta.get("format_version") != STORE_FORMAT_VERSION:
         raise ValidationError(f"unsupported store format_version {meta.get('format_version')!r}")
     config = MfccConfig(**meta["mfcc"])
@@ -109,10 +112,17 @@ def read_store(path) -> FeatureTable:
         expected = ["segment_id", "rasa"] + [f"c{i}" for i in range(config.n_coeffs)]
         if header != expected:
             raise ValidationError(f"store header mismatch: expected {expected[:3]}..., got {header}")
-        for line in reader:
+        for line_no, line in enumerate(reader, start=2):
+            if len(line) != len(expected):
+                raise CorruptArtifact(
+                    f"{path.name} line {line_no}: {len(line)} fields, expected {len(expected)}"
+                )
+            try:
+                rows.append([float(v) for v in line[2:]])
+            except ValueError as exc:
+                raise CorruptArtifact(f"{path.name} line {line_no}: {exc}") from exc
             segment_ids.append(line[0])
             labels.append(line[1])
-            rows.append([float(v) for v in line[2:]])
     return FeatureTable(
         segment_ids=segment_ids,
         labels=np.asarray(labels, dtype=str),

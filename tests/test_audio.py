@@ -19,6 +19,7 @@ from raga_moodkit.audio import (
 )
 from raga_moodkit.errors import (
     MalformedHeader,
+    NonFiniteSample,
     StartBeyondEnd,
     TruncatedData,
     UnsupportedEncoding,
@@ -115,6 +116,94 @@ class TestDecode:
             decode_wav(good[:-4])
 
 
+def wav_with(fmt: bytes, payload: bytes) -> bytes:
+    """RIFF stream with the given fmt body and data payload, no pad byte."""
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(payload)) + payload
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+def extensible_twin(plain: bytes, guid_code: int | None = None, guid_tail: bytes | None = None) -> bytes:
+    """Rewrap an ``encode_wav`` stream under a WAVE_FORMAT_EXTENSIBLE fmt chunk."""
+    tag, channels, rate, byte_rate, block_align, bits = struct.unpack_from("<HHIIHH", plain, 20)
+    tail = guid_tail if guid_tail is not None else bytes.fromhex("000000001000800000aa00389b71")
+    guid = struct.pack("<H", tag if guid_code is None else guid_code) + tail
+    fmt = struct.pack("<HHIIHHHHI", 0xFFFE, channels, rate, byte_rate, block_align, bits,
+                      22, bits, (1 << channels) - 1) + guid
+    (size,) = struct.unpack_from("<I", plain, 40)
+    return wav_with(fmt, plain[44 : 44 + size])
+
+
+class TestPcm24Edges:
+    @staticmethod
+    def int64_reference(payload):
+        # the widening formula: bytes as int64, OR-ed, then two's complement
+        raw = np.frombuffer(payload, dtype=np.uint8)
+        raw = raw[: len(raw) - len(raw) % 3].reshape(-1, 3).astype(np.int64)
+        value = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
+        value -= (value >= 1 << 23) * (1 << 24)
+        return value.astype(np.float64) / 2.0**23
+
+    @pytest.mark.parametrize("partial", [b"", b"\x7f", b"\x80\xff"])
+    def test_edge_codes_match_widening_formula(self, partial):
+        codes = [-(2**23), -1, 0, 1, 2**23 - 1, -(2**22), 2**22]
+        payload = b"".join(c.to_bytes(3, "little", signed=True) for c in codes) + partial
+        fmt = struct.pack("<HHIIHH", 1, 1, 8000, 24000, 3, 24)
+        decoded = decode_wav(wav_with(fmt, payload)).samples
+        np.testing.assert_array_equal(decoded, self.int64_reference(payload))
+        np.testing.assert_array_equal(decoded, np.array(codes) / 2.0**23)
+
+    def test_random_stereo_matches_widening_formula(self):
+        payload = np.random.default_rng(4).integers(0, 256, 3 * 2 * 500, dtype=np.uint8).tobytes()
+        fmt = struct.pack("<HHIIHH", 1, 2, 8000, 48000, 6, 24)
+        decoded = decode_wav(wav_with(fmt, payload)).samples
+        np.testing.assert_array_equal(decoded, self.int64_reference(payload).reshape(-1, 2))
+
+
+class TestExtensible:
+    @pytest.mark.parametrize("encoding", ["pcm16", "pcm24", "float32"])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_decodes_like_plain_twin(self, encoding, channels):
+        rng = np.random.default_rng(channels)
+        samples = rng.uniform(-0.9, 0.9, (301, channels))
+        plain = encode_wav(AudioBuffer(samples=samples, sample_rate=44100), encoding)
+        a = decode_wav(plain)
+        b = decode_wav(extensible_twin(plain))
+        assert b.sample_rate == a.sample_rate == 44100
+        assert b.samples.shape == a.samples.shape
+        np.testing.assert_array_equal(b.samples, a.samples)
+
+    def test_unknown_guid_rejected(self):
+        plain = encode_wav(AudioBuffer(samples=np.zeros(8), sample_rate=8000), "pcm16")
+        with pytest.raises(UnsupportedEncoding):
+            decode_wav(extensible_twin(plain, guid_tail=bytes(14)))
+
+    def test_non_pcm_sub_format_rejected(self):
+        plain = encode_wav(AudioBuffer(samples=np.zeros(8), sample_rate=8000), "pcm16")
+        with pytest.raises(UnsupportedEncoding):
+            decode_wav(extensible_twin(plain, guid_code=7))  # mu-law
+
+    def test_short_extensible_fmt_is_malformed(self):
+        fmt = struct.pack("<HHIIHH", 0xFFFE, 1, 8000, 16000, 2, 16)
+        with pytest.raises(MalformedHeader):
+            decode_wav(wav_with(fmt, b"\x00\x00"))
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_float32_rejected(self, bad):
+        samples = np.sin(np.arange(64) / 5.0) * 0.5
+        samples[17] = bad
+        blob = encode_wav(AudioBuffer(samples=samples, sample_rate=8000), "float32")
+        with pytest.raises(NonFiniteSample):
+            decode_wav(blob)
+
+
+def test_pcm16_trailing_odd_byte_dropped():
+    fmt = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)
+    decoded = decode_wav(wav_with(fmt, struct.pack("<hh", 16384, -16384) + b"\x01"))
+    np.testing.assert_array_equal(decoded.samples, [0.5, -0.5])
+
+
 class TestMono:
     def test_mean_of_opposites(self):
         buffer = AudioBuffer(samples=np.array([[1.0, -1.0]]), sample_rate=8000)
@@ -129,6 +218,23 @@ class TestMono:
             samples=np.array([[0.2, 0.6], [0.4, 0.0]]), sample_rate=8000
         )
         np.testing.assert_allclose(to_mono(buffer).samples, [0.4, 0.2])
+
+    @pytest.mark.parametrize("channels", [2, 3, 8, 11])
+    def test_bitwise_equal_to_sequential_sum(self, channels):
+        rng = np.random.default_rng(channels)
+        samples = rng.standard_normal((500, channels)) * 10.0 ** rng.integers(-6, 6, (500, channels))
+        samples[:3] = -0.0  # a sum started from +0.0 gives +0.0 here
+        expected = []
+        for row in samples.tolist():
+            total = 0.0
+            for value in row:
+                total += value
+            expected.append(total / channels)
+        mono = to_mono(AudioBuffer(samples=samples, sample_rate=8000)).samples
+        assert mono.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
+        # and agrees with numpy's mean up to rounding, whatever order numpy sums in
+        bound = 4 * channels * np.finfo(float).eps * np.abs(samples).mean(axis=1)
+        assert np.all(np.abs(mono - samples.mean(axis=1)) <= bound)
 
     def test_idempotent_and_length(self):
         rng = np.random.default_rng(0)

@@ -1,8 +1,10 @@
 """End-to-end command-line tests on the small session corpus."""
 import json
 
+import numpy as np
 import pytest
 
+from raga_moodkit.audio import AudioBuffer, write_wav
 from raga_moodkit.cli import main, parse_grid, parse_params
 from raga_moodkit.errors import ValidationError
 from raga_moodkit.store import read_store, sidecar_path
@@ -292,6 +294,43 @@ class TestClassifyRecommend:
         payload = json.loads(out.read_text())
         assert len(payload["slots"]) == 1
         assert payload["slots"][0]["weight"] == 1.0
+
+
+class TestCorruptInputs:
+    """Unusable data exits with code 2 and a one-line error, never a traceback."""
+
+    @staticmethod
+    def assert_data_error(code, capsys):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_non_numeric_store_row(self, extracted, tmp_path, capsys):
+        store = tmp_path / "features.csv"
+        lines = extracted.read_text(encoding="utf-8").splitlines()
+        fields = lines[1].split(",")
+        fields[4] = "not-a-number"
+        lines[1] = ",".join(fields)
+        store.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        sidecar_path(store).write_bytes(sidecar_path(extracted).read_bytes())
+        code = main(["train", "--features", str(store), "--out", str(tmp_path / "m.json"),
+                     "--family", "knn"])
+        self.assert_data_error(code, capsys)
+
+    def test_malformed_bundle_json(self, small_corpus, trained, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(trained.read_text(encoding="utf-8")[:-40], encoding="utf-8")
+        wav = small_corpus.base_dir / small_corpus.records[0].path
+        code = main(["classify", "--model", str(model), "--wav", str(wav)])
+        self.assert_data_error(code, capsys)
+
+    def test_nan_float32_wav(self, trained, tmp_path, capsys):
+        samples = 0.5 * np.sin(np.arange(22050) / 7.0)
+        samples[100] = np.nan
+        wav = tmp_path / "nan.wav"
+        write_wav(wav, AudioBuffer(samples=samples, sample_rate=22050), "float32")
+        code = main(["classify", "--model", str(trained), "--wav", str(wav)])
+        self.assert_data_error(code, capsys)
 
 
 class TestSynthCommand:

@@ -12,6 +12,7 @@ from raga_moodkit.errors import (
     ZeroVariance,
 )
 from raga_moodkit.mfcc import (
+    _CHUNK_FRAMES,
     FeatureVector,
     MfccConfig,
     aggregate_features,
@@ -284,18 +285,20 @@ class TestFrames:
             mfcc_frames(segment, MfccConfig())
 
     def test_matches_per_frame_pipeline(self):
-        # chunked batch path against the single-frame operations
+        # batched path against the single-frame operations, across a batch boundary
         config = MfccConfig(fft_size=256, hop=64, n_filters=12, n_coeffs=8)
         rng = np.random.default_rng(5)
-        segment = AudioBuffer(samples=rng.uniform(-0.5, 0.5, 1000), sample_rate=22050)
-        frames = mfcc_frames(segment, config, chunk_size=3)
+        n_samples = (_CHUNK_FRAMES + 40) * 64 + 17
+        segment = AudioBuffer(samples=rng.uniform(-0.5, 0.5, n_samples), sample_rate=22050)
+        frames = mfcc_frames(segment, config)
 
         n = 256
         window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n) / (n - 1))
         bank = build_filterbank(config)
-        n_frames = math.ceil(1000 / 64)
+        n_frames = math.ceil(n_samples / 64)
+        assert frames.shape == (n_frames, 8) and n_frames > _CHUNK_FRAMES
         padded = np.zeros((n_frames - 1) * 64 + n)
-        padded[:1000] = segment.samples
+        padded[:n_samples] = segment.samples
         for i in range(n_frames):
             frame = padded[i * 64 : i * 64 + n] * window
             power = power_spectrum(naive_dft(frame))

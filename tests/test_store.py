@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from raga_moodkit.audio import SegmentPlan
-from raga_moodkit.errors import ValidationError
+from raga_moodkit.errors import CorruptArtifact, DataError, ValidationError
 from raga_moodkit.mfcc import MfccConfig
 from raga_moodkit.store import (
     FeatureTable,
@@ -72,6 +72,32 @@ def test_missing_sidecar_rejected(tmp_path):
     write_store(table, path)
     sidecar_path(path).unlink()
     with pytest.raises(ValidationError):
+        read_store(path)
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda row: row.replace(row.split(",")[3], "abc"),  # non-numeric coefficient
+        lambda row: row.rsplit(",", 1)[0],  # a coefficient missing
+        lambda row: row + ",0.5",  # one coefficient too many
+    ],
+)
+def test_corrupt_row_is_typed_data_error(tmp_path, mangle):
+    path = tmp_path / "features.csv"
+    write_store(sample_table(), path)
+    lines = path.read_text().splitlines()
+    lines[2] = mangle(lines[2])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptArtifact, match="line 3"):
+        read_store(path)
+
+
+def test_malformed_sidecar_is_typed_data_error(tmp_path):
+    path = tmp_path / "features.csv"
+    write_store(sample_table(), path)
+    sidecar_path(path).write_text("{not json")
+    with pytest.raises(DataError):
         read_store(path)
 
 
