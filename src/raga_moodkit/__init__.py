@@ -2,9 +2,9 @@
 
 WAV ingestion, cepstral features computed from first principles, a
 raga-to-rasa label catalog, six from-scratch classifier families behind one
-fit/predict contract, an experiment runner with holdout grid search, and a
-mood-transition playlist recommender. See the ``cli`` module for the
-command-line surface.
+fit/predict contract, an experiment runner with holdout or k-fold grid
+search, and a mood-transition playlist recommender. See the ``cli`` module
+for the command-line surface.
 """
 
 __version__ = "0.1.0"
@@ -36,7 +36,6 @@ from .catalog import (
     parse_rasa,
     rasa_for_raga,
     stratified_indices,
-    stratified_split,
 )
 from .experiments import (
     ExperimentConfig,
@@ -46,7 +45,6 @@ from .experiments import (
     evaluate_bundle,
     extract_features,
     grid_search,
-    grid_search_cv,
     kfold_indices,
     precision_recall,
     run_experiment,
@@ -60,7 +58,6 @@ from .mfcc import (
     aggregate_features,
     build_filterbank,
     dct_ii,
-    dft,
     feature_correlation,
     filterbank_boundaries,
     log_mel_energies,

@@ -218,13 +218,10 @@ def encode_wav(buffer: AudioBuffer, encoding: str = "pcm16") -> bytes:
         body = quantized.astype("<i2").tobytes()
     elif encoding == "pcm24":
         format_tag, bits = _FORMAT_PCM, 24
-        quantized = np.clip(np.rint(flat * 2.0**23), -(2**23), 2**23 - 1).astype(np.int64)
-        quantized = np.where(quantized < 0, quantized + (1 << 24), quantized)
-        out = np.empty((len(quantized), 3), dtype=np.uint8)
-        out[:, 0] = quantized & 0xFF
-        out[:, 1] = (quantized >> 8) & 0xFF
-        out[:, 2] = (quantized >> 16) & 0xFF
-        body = out.tobytes()
+        # the low three bytes of a little-endian int32 are its 24-bit two's complement
+        scaled = flat * 2.0**23
+        np.clip(np.rint(scaled, out=scaled), -(2**23), 2**23 - 1, out=scaled)
+        body = scaled.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
     elif encoding == "float32":
         format_tag, bits = _FORMAT_IEEE_FLOAT, 32
         body = flat.astype("<f4").tobytes()

@@ -80,7 +80,6 @@ class ModelBundle:
     @classmethod
     def load(cls, path) -> "ModelBundle":
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise CorruptArtifact(f"bundle {Path(path).name} is not valid JSON: {exc}") from exc
-        return cls.from_dict(payload)
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CorruptArtifact(f"bundle {Path(path).name} is corrupt: {exc!r}") from exc

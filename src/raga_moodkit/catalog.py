@@ -145,10 +145,6 @@ class RagaTable:
     def __contains__(self, name: str) -> bool:
         return _normalize(name) in self._lookup
 
-    @property
-    def canonical_ragas(self) -> tuple[str, ...]:
-        return tuple(self._canonical)
-
     def canonical_name(self, name: str) -> str:
         key = _normalize(name)
         if key not in self._lookup:
@@ -269,13 +265,6 @@ def stratified_indices(labels, val_fraction: float, seed: int):
     return np.flatnonzero(mask), val_idx
 
 
-def stratified_split(records: list[SongRecord], val_fraction: float, seed: int):
-    """Split song records per rasa; returns ``(train_records, val_records)``."""
-    labels = [rec.rasa.value for rec in records]
-    train_idx, val_idx = stratified_indices(labels, val_fraction, seed)
-    return [records[i] for i in train_idx], [records[i] for i in val_idx]
-
-
 class FeatureScaler(ParamsMixin):
     """Per-feature scaling fitted on training rows only.
 
@@ -330,11 +319,3 @@ class FeatureScaler(ParamsMixin):
         scaler.offset_ = np.asarray(payload["offset"], dtype=np.float64)
         scaler.scale_ = np.asarray(payload["scale"], dtype=np.float64)
         return scaler
-
-
-def fit_scaler(kind: str, train_features) -> FeatureScaler:
-    return FeatureScaler(kind=kind).fit(train_features)
-
-
-def apply_scaler(scaler: FeatureScaler, features):
-    return scaler.transform(features)

@@ -13,11 +13,9 @@ Exit codes: 0 success, 1 validation error, 2 runtime/data error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +24,7 @@ from .audio import DEFAULT_BI_SAMPLE_PLAN, SegmentPlan, bi_sample, parse_plan, r
 from .bundle import ModelBundle
 from .catalog import load_manifest, parse_rasa
 from .errors import DataError, MoodkitError, StartBeyondEnd, ValidationError
-from .experiments import (
-    ExperimentConfig,
-    evaluate_bundle,
-    extract_song_rows,
-    run_on_features,
-    table_from_rows,
-)
+from .experiments import ExperimentConfig, evaluate_bundle, extract_features, run_on_features
 from .mfcc import MfccConfig, feature_correlation, segment_features
 from .models import FAMILY_ORDER
 from .recommender import recommend_transition, score_library
@@ -149,41 +141,18 @@ def cmd_synth(args) -> int:
 
 # --- extract ---------------------------------------------------------------------
 
-def _extract_task(record, plan, config, base_dir):
-    try:
-        return record.id, None, extract_song_rows(record, plan, config, base_dir=base_dir)
-    except (MoodkitError, OSError) as exc:
-        return record.id, str(exc), None
-
-
 def cmd_extract(args) -> int:
     config = _mfcc_from_args(args)
     plan = parse_plan(args.plan)
     records = load_manifest(args.manifest)
-    base_dir = Path(args.manifest).parent
-
-    task = functools.partial(_extract_task, plan=plan, config=config, base_dir=base_dir)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(task, records))
-    else:
-        results = [task(record) for record in records]
-
-    rows = []
-    failures = []
-    for song_id, error, song_rows in results:
-        if error is not None:
-            failures.append((song_id, error))
-            print(f"extract: {song_id}: {error}", file=sys.stderr)
-        else:
-            rows.extend(song_rows)
-    if failures and args.strict:
-        raise DataError(f"{len(failures)} file(s) failed under --strict: "
-                        + ", ".join(song_id for song_id, _ in failures))
-    if not rows:
+    table, failures = extract_features(
+        records, plan, config, base_dir=Path(args.manifest).parent, jobs=args.jobs, strict=args.strict
+    )
+    for song_id, error in failures:
+        print(f"extract: {song_id}: {error}", file=sys.stderr)
+    if len(table) == 0:
         raise DataError("no features extracted; every file failed")
 
-    table = table_from_rows(rows, config, plan)
     echo = _echo(
         "extract",
         manifest=str(args.manifest),
@@ -348,12 +317,7 @@ def cmd_recommend(args) -> int:
     if plan is None:
         plan = DEFAULT_BI_SAMPLE_PLAN
     records = load_manifest(args.manifest)
-    base_dir = Path(args.manifest).parent
-
-    rows = []
-    for record in records:
-        rows.extend(extract_song_rows(record, plan, config, base_dir=base_dir))
-    table = table_from_rows(rows, config, plan)
+    table, _ = extract_features(records, plan, config, base_dir=Path(args.manifest).parent)
     library = score_library(bundle, table)
     playlist = recommend_transition(library, current, aspired, args.length)
     print(

@@ -1,4 +1,5 @@
-"""Metrics, holdout grid search, the experiment runner and final-model policy.
+"""Metrics, manifest-wide feature extraction, holdout and k-fold grid
+search, the experiment runner and final-model policy.
 
 An experiment is: cut segments -> MFCC features -> split -> scale -> fit ->
 evaluate. Splitting happens at the *file* level by default, before the
@@ -8,9 +9,11 @@ protocol for comparison.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -96,17 +99,18 @@ def grid_points(grid: dict) -> list[dict]:
     return points
 
 
-def grid_search(family: str, grid: dict, train, validation, base_params: dict | None = None):
-    """Train one model per grid point, score on the holdout, keep the best.
+def grid_search(family: str, grid: dict, X, y, folds, base_params: dict | None = None):
+    """Score every grid point by its mean accuracy over ``folds`` and keep the best.
 
-    ``train``/``validation`` are (X, y) pairs. Failing points become rows
-    with an error message instead of aborting the search. Ties go to the
-    earliest point in grid order. Returns ``(best_params, rows)``.
+    ``folds`` is a list of ``(train_idx, val_idx)`` row-index pairs into
+    ``X``/``y``; a holdout search is a single fold. Failing points become
+    rows with an error message instead of aborting the search. Ties go to
+    the earliest point in grid order. Returns ``(best_params, rows)``.
     """
     if not grid:
         raise ValidationError("grid must be non-empty")
-    X_train, y_train = train
-    X_val, y_val = validation
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=str)
     rows: list[GridRow] = []
     best_params = None
     best_accuracy = -1.0
@@ -114,15 +118,18 @@ def grid_search(family: str, grid: dict, train, validation, base_params: dict | 
         params = dict(base_params or {})
         params.update(point)
         try:
-            model = make_classifier(family, **params)
-            model.fit(X_train, y_train)
-            point_accuracy = accuracy(model.predict(X_val), y_val)
+            fold_scores = []
+            for train_idx, val_idx in folds:
+                model = make_classifier(family, **params)
+                model.fit(X[train_idx], y[train_idx])
+                fold_scores.append(accuracy(model.predict(X[val_idx]), y[val_idx]))
+            mean_accuracy = float(np.mean(fold_scores))
         except MoodkitError as exc:
             rows.append(GridRow(params=point, validation_accuracy=None, error=str(exc)))
             continue
-        rows.append(GridRow(params=point, validation_accuracy=point_accuracy))
-        if point_accuracy > best_accuracy:
-            best_accuracy = point_accuracy
+        rows.append(GridRow(params=point, validation_accuracy=mean_accuracy))
+        if mean_accuracy > best_accuracy:
+            best_accuracy = mean_accuracy
             best_params = point
     if best_params is None:
         raise MoodkitError(
@@ -158,50 +165,6 @@ def kfold_indices(labels, n_folds: int, seed: int):
         train_idx = np.array(sorted(everything - set(val)), dtype=np.int64)
         folds.append((train_idx, val_idx))
     return folds
-
-
-def grid_search_cv(
-    family: str,
-    grid: dict,
-    X,
-    y,
-    n_folds: int = 5,
-    seed: int = 0,
-    base_params: dict | None = None,
-):
-    """K-fold alternative to the holdout search: each grid point is scored
-    by its mean fold accuracy. Same tie and failure rules as ``grid_search``.
-    """
-    if not grid:
-        raise ValidationError("grid must be non-empty")
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=str)
-    folds = kfold_indices(y, n_folds, seed)
-    rows: list[GridRow] = []
-    best_params = None
-    best_accuracy = -1.0
-    for point in grid_points(grid):
-        params = dict(base_params or {})
-        params.update(point)
-        try:
-            fold_scores = []
-            for train_idx, val_idx in folds:
-                model = make_classifier(family, **params)
-                model.fit(X[train_idx], y[train_idx])
-                fold_scores.append(accuracy(model.predict(X[val_idx]), y[val_idx]))
-            mean_accuracy = float(np.mean(fold_scores))
-        except MoodkitError as exc:
-            rows.append(GridRow(params=point, validation_accuracy=None, error=str(exc)))
-            continue
-        rows.append(GridRow(params=point, validation_accuracy=mean_accuracy))
-        if mean_accuracy > best_accuracy:
-            best_accuracy = mean_accuracy
-            best_params = point
-    if best_params is None:
-        raise MoodkitError(
-            "every grid point failed: " + "; ".join(row.error or "?" for row in rows)
-        )
-    return best_params, rows
 
 
 # --- experiment runner -----------------------------------------------------------
@@ -344,32 +307,45 @@ def extract_song_rows(
     return rows
 
 
-def table_from_rows(rows: list, config: MfccConfig, plan: SegmentPlan) -> FeatureTable:
-    return FeatureTable(
+def extract_features(
+    records: list[SongRecord],
+    plan: SegmentPlan = DEFAULT_BI_SAMPLE_PLAN,
+    config: MfccConfig = MfccConfig(),
+    base_dir=None,
+    jobs: int = 1,
+    strict: bool = True,
+) -> tuple[FeatureTable, list]:
+    """Featurize every cut of every song; returns ``(table, failures)``.
+
+    With ``jobs > 1`` the songs are spread over that many worker processes;
+    rows keep manifest order either way. A song that cannot be read or
+    featurized is a failure: under ``strict`` one ``DataError`` names every
+    failed song id and path, otherwise the song is skipped and reported in
+    ``failures`` as a ``(song_id, message)`` pair.
+    """
+    calls = [functools.partial(extract_song_rows, r, plan, config, base_dir) for r in records]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            calls = [pool.submit(call).result for call in calls]
+    rows: list = []
+    failed: list = []
+    for record, call in zip(records, calls):
+        try:
+            rows.extend(call())
+        except (MoodkitError, OSError) as exc:
+            failed.append((record, str(exc)))
+    if failed and strict:
+        raise DataError(f"{len(failed)} file(s) failed: " + "; ".join(
+            f"{record.id} ({resolve_audio_path(record, base_dir)}): {error}" for record, error in failed
+        ))
+    table = FeatureTable(
         segment_ids=[r[0] for r in rows],
         labels=np.asarray([r[1] for r in rows], dtype=str),
         X=np.vstack([r[2] for r in rows]) if rows else np.empty((0, config.n_coeffs)),
         mfcc=config,
         plan=plan,
     )
-
-
-def extract_features(
-    records: list[SongRecord],
-    plan: SegmentPlan = DEFAULT_BI_SAMPLE_PLAN,
-    config: MfccConfig = MfccConfig(),
-    base_dir=None,
-) -> FeatureTable:
-    """Featurize every cut of every song; per-file failures carry the id."""
-    rows: list = []
-    for record in records:
-        try:
-            rows.extend(extract_song_rows(record, plan, config, base_dir=base_dir))
-        except (MoodkitError, OSError) as exc:
-            raise DataError(
-                f"{record.id} ({resolve_audio_path(record, base_dir)}): {exc}"
-            ) from exc
-    return table_from_rows(rows, config, plan)
+    return table, [(record.id, error) for record, error in failed]
 
 
 def split_table(table: FeatureTable, level: str, val_fraction: float, seed: int):
@@ -393,53 +369,62 @@ def split_table(table: FeatureTable, level: str, val_fraction: float, seed: int)
     return np.flatnonzero(~row_is_val), np.flatnonzero(row_is_val)
 
 
+def _scored_report(predict, X, y, train_idx, val_idx, classes, **fields) -> ExperimentReport:
+    """Accuracy on both sides of a split, and the confusion matrix and
+    per-class precision/recall of the validation side, over ``classes``."""
+    train_accuracy = accuracy(predict(X[train_idx]), y[train_idx]) if len(train_idx) else None
+    val_predictions = predict(X[val_idx])
+    confusion = confusion_matrix(val_predictions, y[val_idx], classes=classes)
+    precision, recall = precision_recall(confusion)
+    return ExperimentReport(
+        train_accuracy=train_accuracy,
+        validation_accuracy=accuracy(val_predictions, y[val_idx]),
+        classes=classes,
+        confusion=confusion.tolist(),
+        per_class={
+            cls: {"precision": float(p), "recall": float(r)}
+            for cls, p, r in zip(classes, precision, recall)
+        },
+        n_train_rows=len(train_idx),
+        n_val_rows=len(val_idx),
+        **fields,
+    )
+
+
 def run_on_features(table: FeatureTable, config: ExperimentConfig) -> ExperimentReport:
     """Split, scale, fit (or grid-search) and evaluate on extracted rows."""
     started = time.perf_counter()
     train_idx, val_idx = split_table(table, config.split_level, config.val_fraction, config.seed)
     if len(val_idx) == 0:
         raise ValidationError("validation side of the split is empty; raise val_fraction")
-    X_train_raw, y_train = table.X[train_idx], table.labels[train_idx]
-    X_val_raw, y_val = table.X[val_idx], table.labels[val_idx]
-
     scaler = None
-    X_train, X_val = X_train_raw, X_val_raw
+    X, y = table.X, table.labels
     if config.scaler != "none":
-        scaler = FeatureScaler(kind=config.scaler).fit(X_train_raw)
-        X_train = scaler.transform(X_train_raw)
-        X_val = scaler.transform(X_val_raw)
+        scaler = FeatureScaler(kind=config.scaler).fit(X[train_idx])
+        X = scaler.transform(X)
 
     params = dict(config.params)
     grid_rows = None
     if config.grid is not None:
+        folds = [(train_idx, val_idx)]
         if config.cv is not None:
-            best, rows = grid_search_cv(
-                config.family, config.grid, X_train, y_train,
-                n_folds=config.cv, seed=config.seed, base_params=params,
-            )
-        else:
-            best, rows = grid_search(
-                config.family, config.grid, (X_train, y_train), (X_val, y_val), base_params=params
-            )
+            folds = [
+                (train_idx[inner], train_idx[held_out])
+                for inner, held_out in kfold_indices(y[train_idx], config.cv, config.seed)
+            ]
+        best, grid_rows = grid_search(config.family, config.grid, X, y, folds, base_params=params)
         params.update(best)
-        grid_rows = rows
     model = make_classifier(config.family, **params)
-    model.fit(X_train, y_train)
+    model.fit(X[train_idx], y[train_idx])
 
-    train_predictions = model.predict(X_train)
-    val_predictions = model.predict(X_val)
-    train_accuracy = accuracy(train_predictions, y_train)
-    validation_accuracy = accuracy(val_predictions, y_val)
-    classes = sorted(set(table.labels.tolist()))
-    confusion = confusion_matrix(val_predictions, y_val, classes=classes)
-    precision, recall = precision_recall(confusion)
-
-    roles = {}
-    for i in train_idx:
-        roles[table.segment_ids[i]] = "train"
-    for i in val_idx:
-        roles[table.segment_ids[i]] = "val"
-    bundle = ModelBundle(
+    described = {**config.describe(), "params": params}
+    report = _scored_report(
+        model.predict, X, y, train_idx, val_idx, sorted(set(y.tolist())),
+        config=described, family=config.family, params=params, grid_rows=grid_rows,
+    )
+    roles = {table.segment_ids[i]: "train" for i in train_idx}
+    roles.update((table.segment_ids[i], "val") for i in val_idx)
+    report.bundle = ModelBundle(
         model=model,
         scaler=scaler,
         feature_fingerprint=table.fingerprint,
@@ -449,33 +434,20 @@ def run_on_features(table: FeatureTable, config: ExperimentConfig) -> Experiment
             "seed": config.seed,
             "roles": roles,
         },
-        metrics={"train_accuracy": train_accuracy, "validation_accuracy": validation_accuracy},
-        config={**config.describe(), "params": params},
-    )
-    return ExperimentReport(
-        config={**config.describe(), "params": params},
-        family=config.family,
-        params=params,
-        train_accuracy=train_accuracy,
-        validation_accuracy=validation_accuracy,
-        classes=classes,
-        confusion=confusion.tolist(),
-        per_class={
-            cls: {"precision": float(p), "recall": float(r)}
-            for cls, p, r in zip(classes, precision, recall)
+        metrics={
+            "train_accuracy": report.train_accuracy,
+            "validation_accuracy": report.validation_accuracy,
         },
-        n_train_rows=len(train_idx),
-        n_val_rows=len(val_idx),
-        grid_rows=grid_rows,
-        bundle=bundle,
-        wall_clock_s=time.perf_counter() - started,
+        config=described,
     )
+    report.wall_clock_s = time.perf_counter() - started
+    return report
 
 
 def run_experiment(config: ExperimentConfig, records: list[SongRecord], base_dir=None) -> ExperimentReport:
     """Full pipeline from manifest records to a report; deterministic given seeds."""
     started = time.perf_counter()
-    table = extract_features(records, config.plan, config.mfcc, base_dir=base_dir)
+    table, _ = extract_features(records, config.plan, config.mfcc, base_dir=base_dir)
     report = run_on_features(table, config)
     report.wall_clock_s = time.perf_counter() - started
     return report
@@ -502,32 +474,14 @@ def evaluate_bundle(bundle: ModelBundle, table: FeatureTable) -> ExperimentRepor
     if len(val_idx) == 0:
         raise ValidationError("no validation rows to evaluate")
 
-    train_accuracy = None
-    if len(train_idx):
-        train_accuracy = accuracy(bundle.predict(table.X[train_idx]), table.labels[train_idx])
-    val_predictions = bundle.predict(table.X[val_idx])
-    y_val = table.labels[val_idx]
-    validation_accuracy = accuracy(val_predictions, y_val)
     classes = sorted(set(table.labels.tolist()) | set(str(c) for c in bundle.model.classes_))
-    confusion = confusion_matrix(val_predictions, y_val, classes=classes)
-    precision, recall = precision_recall(confusion)
-    return ExperimentReport(
-        config=dict(bundle.config),
-        family=bundle.family,
-        params=bundle.config.get("params", {}),
-        train_accuracy=train_accuracy,
-        validation_accuracy=validation_accuracy,
-        classes=classes,
-        confusion=confusion.tolist(),
-        per_class={
-            cls: {"precision": float(p), "recall": float(r)}
-            for cls, p, r in zip(classes, precision, recall)
-        },
-        n_train_rows=len(train_idx),
-        n_val_rows=len(val_idx),
-        bundle=bundle,
-        wall_clock_s=time.perf_counter() - started,
+    report = _scored_report(
+        bundle.predict, table.X, table.labels, train_idx, val_idx, classes,
+        config=dict(bundle.config), family=bundle.family,
+        params=bundle.config.get("params", {}), bundle=bundle,
     )
+    report.wall_clock_s = time.perf_counter() - started
+    return report
 
 
 # --- final-model policy ----------------------------------------------------------

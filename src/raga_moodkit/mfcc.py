@@ -4,10 +4,11 @@ Per frame the chain is: Hann window -> DFT -> power spectrum -> triangular
 mel filterbank -> log energies -> cosine transform. A segment's feature
 vector is the per-coefficient mean over its frames.
 
-The DFT is numpy's FFT (pocketfft); the filterbank and the unscaled type-II
-cosine transform are written against their defining sums. Every stage can be
-checked against a brute-force oracle, and ``mfcc_frames`` composes those same
-stage functions over batches of frames.
+The DFT is numpy's real FFT (pocketfft); the filterbank and the unscaled
+type-II cosine transform are written against their defining sums.
+``mfcc_frames`` composes ``log_mel_energies`` and ``dct_ii`` over batches of
+frames, and its output is checked frame by frame against a brute-force DFT
+fed through ``power_spectrum`` and those same stages.
 """
 from __future__ import annotations
 
@@ -89,24 +90,7 @@ class MelFilterbank:
     weights: np.ndarray
 
 
-# --- Fourier transform -------------------------------------------------------
-
-def dft(frame, n: int | None = None) -> np.ndarray:
-    """Full complex spectrum of one frame, X[k] = sum_n x[n] exp(-2j pi n k / N).
-
-    Args:
-        frame: real or complex sequence; length must be a power of two.
-        n: expected length; a differing frame length raises ``LengthMismatch``.
-    """
-    arr = np.asarray(frame)
-    if arr.ndim != 1:
-        raise ValidationError(f"frame must be 1-D, got shape {arr.shape}")
-    if n is not None and len(arr) != n:
-        raise LengthMismatch(f"frame has {len(arr)} samples, expected {n}")
-    if len(arr) & (len(arr) - 1) or len(arr) == 0:
-        raise ValidationError(f"transform size must be a power of two, got {len(arr)}")
-    return np.fft.fft(arr)
-
+# --- power spectrum ----------------------------------------------------------
 
 def power_spectrum(spectrum) -> np.ndarray:
     """|X[k]|^2 for k = 0..N/2 from a full-length spectrum."""

@@ -27,13 +27,6 @@ class BaseClassifier(ParamsMixin):
         scores = self.predict_scores(X)
         return self.classes_[np.argmax(scores, axis=1)]
 
-    def predict_proba(self, X) -> np.ndarray:
-        return self.predict_scores(X)
-
-    def score(self, X, y) -> float:
-        y = as_label_array(y)
-        return float(np.mean(self.predict(X) == y))
-
     def _check_fit_inputs(self, X, y):
         X = as_float_matrix(X)
         if X.shape[0] == 0:

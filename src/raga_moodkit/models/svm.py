@@ -41,9 +41,9 @@ def rbf_kernel_matrix(A, B, gamma: float) -> np.ndarray:
 class BinarySvmModel:
     """Fitted two-class machine: support vectors, dual coefficients and bias.
 
-    ``dual_coef`` holds alpha_i * y_i for the retained (alpha > 0) rows;
-    ``alphas``/``labels`` keep the raw pieces and ``support_indices`` their
-    positions in the training set, for optimality checks.
+    ``dual_coef`` holds alpha_i * y_i for the retained (alpha > 0) rows, so
+    alpha_i is its magnitude and y_i its sign; ``support_indices`` holds
+    their positions in the training set, for optimality checks.
     ``objective_history`` records the dual objective after every accepted
     update, starting from the zero initial point.
     """
@@ -53,8 +53,6 @@ class BinarySvmModel:
     bias: float
     gamma: float
     C: float
-    alphas: np.ndarray
-    labels: np.ndarray
     support_indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     objective_history: list = field(default_factory=list, repr=False)
     n_sweeps: int = 0
@@ -253,8 +251,6 @@ def smo_train_binary(
         bias=float(bias),
         gamma=gamma,
         C=C,
-        alphas=alphas[keep].copy(),
-        labels=y[keep].copy(),
         support_indices=keep,
         objective_history=history,
         n_sweeps=sweeps,
@@ -273,7 +269,7 @@ def kkt_violations(model: BinarySvmModel, X, y) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     margins = y * model.decision_function(X)
     alphas = np.zeros(len(y))
-    alphas[model.support_indices] = model.alphas
+    alphas[model.support_indices] = np.abs(model.dual_coef)
     violations = np.zeros(len(y))
     at_zero = alphas <= 1e-12
     at_c = alphas >= model.C - 1e-12
@@ -339,11 +335,6 @@ class RbfSvmClassifier(BaseClassifier):
             )
         return self
 
-    def decision_values(self, X) -> dict:
-        """Per-pair signed decision values, keyed by class-index pair."""
-        X = self._check_predict_input(X)
-        return {pair: model.decision_function(X) for pair, model in self.pair_models_.items()}
-
     def predict_scores(self, X) -> np.ndarray:
         X = self._check_predict_input(X)
         n_classes = len(self.classes_)
@@ -369,8 +360,6 @@ class RbfSvmClassifier(BaseClassifier):
                     "classes": [int(a), int(b)],
                     "support_vectors": encode_array(model.support_vectors),
                     "dual_coef": encode_array(model.dual_coef),
-                    "alphas": encode_array(model.alphas),
-                    "labels": encode_array(model.labels),
                     "bias": model.bias,
                 }
             )
@@ -399,8 +388,6 @@ class RbfSvmClassifier(BaseClassifier):
                 bias=float(pair["bias"]),
                 gamma=self.gamma,
                 C=self.C,
-                alphas=decode_array(pair["alphas"]),
-                labels=decode_array(pair["labels"]),
             )
             self.pair_models_[(int(a), int(b))] = model
             if model.support_vectors.size:
@@ -408,8 +395,3 @@ class RbfSvmClassifier(BaseClassifier):
         if n_features is None:
             raise ValidationError("serialized SVM has no support vectors")
         self.n_features_ = n_features
-
-
-def ovo_train(X, y, C: float = 10.0, gamma: float = 0.1, tol: float = 1e-3, seed: int = 0):
-    """Convenience wrapper returning a fitted one-vs-one classifier."""
-    return RbfSvmClassifier(C=C, gamma=gamma, tol=tol, seed=seed).fit(X, y)

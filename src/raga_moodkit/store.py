@@ -96,12 +96,12 @@ def read_store(path) -> FeatureTable:
         raise ValidationError(f"missing sidecar {meta_file.name}; the store is not self-describing")
     try:
         meta = json.loads(meta_file.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise CorruptArtifact(f"sidecar {meta_file.name} is not valid JSON: {exc}") from exc
-    if meta.get("format_version") != STORE_FORMAT_VERSION:
-        raise ValidationError(f"unsupported store format_version {meta.get('format_version')!r}")
-    config = MfccConfig(**meta["mfcc"])
-    plan = SegmentPlan(tuple(tuple(cut) for cut in meta["segment_plan"]))
+        if meta.get("format_version") != STORE_FORMAT_VERSION:
+            raise ValidationError(f"unsupported store format_version {meta.get('format_version')!r}")
+        config = MfccConfig(**meta["mfcc"])
+        plan = SegmentPlan(tuple(tuple(cut) for cut in meta["segment_plan"]))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CorruptArtifact(f"sidecar {meta_file.name} is corrupt: {exc!r}") from exc
 
     segment_ids: list[str] = []
     labels: list[str] = []

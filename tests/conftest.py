@@ -35,7 +35,8 @@ def small_corpus(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def small_store(small_corpus):
-    return extract_features(small_corpus.records, base_dir=small_corpus.base_dir)
+    table, _ = extract_features(small_corpus.records, base_dir=small_corpus.base_dir)
+    return table
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +51,6 @@ def corpus(tmp_path_factory):
 @pytest.fixture(scope="session")
 def feature_store(corpus):
     started = time.perf_counter()
-    table = extract_features(corpus.records, base_dir=corpus.base_dir)
+    table, _ = extract_features(corpus.records, base_dir=corpus.base_dir)
     corpus.extraction_seconds = time.perf_counter() - started
     return table

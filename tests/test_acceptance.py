@@ -22,7 +22,16 @@ from raga_moodkit.experiments import (
     run_on_features,
     select_final_model,
 )
-from raga_moodkit.mfcc import MfccConfig, build_filterbank, dct_ii, dft
+from raga_moodkit.audio import AudioBuffer
+from raga_moodkit.mfcc import (
+    _CHUNK_FRAMES,
+    MfccConfig,
+    build_filterbank,
+    dct_ii,
+    log_mel_energies,
+    mfcc_frames,
+    power_spectrum,
+)
 from raga_moodkit.models import (
     KnnClassifier,
     kkt_violations,
@@ -45,20 +54,26 @@ def criterion(number, description):
 
 
 def test_c01_fft_matches_naive_dft():
-    with criterion(1, "FFT equals naive DFT (rel err < 1e-9) and Parseval holds, < 10 s"):
+    with criterion(1, "mfcc_frames equals naive DFT -> power -> log mel -> DCT per frame "
+                      "(rel err < 1e-9) across a batch boundary, < 10 s"):
         started = time.perf_counter()
         rng = np.random.default_rng(101)
-        for size in (64, 128, 256, 512, 1024, 2048):
-            frames = rng.standard_normal((100, size))
+        for config in (MfccConfig(fft_size=256, hop=64, n_filters=12, n_coeffs=8), MfccConfig()):
+            size, hop = config.fft_size, config.hop
+            n_frames = _CHUNK_FRAMES + 9
+            samples = rng.uniform(-0.5, 0.5, (n_frames - 1) * hop + 17)
+            ours = mfcc_frames(AudioBuffer(samples=samples, sample_rate=config.sample_rate), config)
+            assert ours.shape == (n_frames, config.n_coeffs)
+
+            padded = np.zeros((n_frames - 1) * hop + size)
+            padded[: len(samples)] = samples
+            window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(size) / (size - 1))
+            frames = np.vstack([padded[i * hop : i * hop + size] for i in range(n_frames)]) * window
             n = np.arange(size)
-            naive_matrix = np.exp(-2j * np.pi * np.outer(n, n) / size)
-            naive = frames @ naive_matrix
-            ours = np.vstack([dft(frame) for frame in frames])
-            scale = np.max(np.abs(naive))
-            assert np.max(np.abs(ours - naive)) / scale < 1e-9
-            time_energy = np.sum(frames**2, axis=1)
-            freq_energy = np.sum(np.abs(ours) ** 2, axis=1) / size
-            assert np.max(np.abs(time_energy - freq_energy) / time_energy) < 1e-9
+            naive = frames @ np.exp(-2j * np.pi * np.outer(n, n) / size)
+            energies = log_mel_energies(power_spectrum(naive), build_filterbank(config), config.log_floor)
+            for frame, expected in zip(ours, dct_ii(energies, config.n_coeffs)):
+                assert np.max(np.abs(frame - expected)) / np.max(np.abs(expected)) < 1e-9
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"FFT oracle took {elapsed:.1f}s"
 
@@ -206,9 +221,10 @@ def test_c07_svm_optimality_on_separable_data():
             y = np.concatenate([np.ones(n), -np.ones(n)])
             model = smo_train_binary(X, y, C=10.0, gamma=0.1, tol=1e-3, max_passes=10, seed=seed)
             assert np.max(kkt_violations(model, X, y)) <= 1e-3
-            assert abs(np.sum(model.alphas * model.labels)) <= 1e-6
-            assert np.all(model.alphas >= -1e-12)
-            assert np.all(model.alphas <= 10.0 + 1e-12)
+            # dual_coef = a*y: its sum is sum(a*y), its sign must be the row's label
+            assert abs(np.sum(model.dual_coef)) <= 1e-6
+            assert np.array_equal(np.sign(model.dual_coef), y[model.support_indices])
+            assert np.all(np.abs(model.dual_coef) <= 10.0 + 1e-12)
             assert np.all(np.sign(model.decision_function(X)) == y)
             history = np.asarray(model.objective_history)
             assert np.all(np.diff(history) >= -1e-9)

@@ -158,6 +158,16 @@ class TestPcm24Edges:
         decoded = decode_wav(wav_with(fmt, payload)).samples
         np.testing.assert_array_equal(decoded, self.int64_reference(payload).reshape(-1, 2))
 
+    def test_encoder_writes_the_rounded_clipped_codes(self):
+        samples = np.concatenate([
+            [-2.0, -1.0, -(2.0**-24), -0.0, 0.0, 2.0**-24, 1.0 - 2.0**-24, 1.0, 2.0],
+            np.random.default_rng(5).uniform(-1.1, 1.1, 991),
+        ])
+        body = encode_wav(AudioBuffer(samples=samples, sample_rate=8000), "pcm24")[44:]
+        codes = np.clip(np.rint(samples * 2.0**23), -(2**23), 2**23 - 1).astype(np.int64)
+        expected = b"".join(int(c).to_bytes(3, "little", signed=True) for c in codes)
+        assert body == expected
+
 
 class TestExtensible:
     @pytest.mark.parametrize("encoding", ["pcm16", "pcm24", "float32"])

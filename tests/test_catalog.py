@@ -7,13 +7,10 @@ from raga_moodkit.catalog import (
     RASAS,
     FeatureScaler,
     Rasa,
-    apply_scaler,
-    fit_scaler,
     load_manifest,
     parse_rasa,
     rasa_for_raga,
     stratified_indices,
-    stratified_split,
     write_manifest,
 )
 from raga_moodkit.errors import (
@@ -176,26 +173,26 @@ class TestStratifiedSplit:
         rows = [f"s{i},f{i}.wav,T,{raga},Tamil,Movie"
                 for i, raga in enumerate(["Kalyani"] * 5 + ["Mohana"] * 5)]
         records = load_manifest(manifest_file(tmp_path, rows))
-        train, val = stratified_split(records, 0.2, seed=0)
+        train, val = stratified_indices([r.rasa.value for r in records], 0.2, seed=0)
         assert len(train) == 8 and len(val) == 2
-        assert {r.id for r in train} | {r.id for r in val} == {r.id for r in records}
+        assert {records[i].id for i in train} | {records[i].id for i in val} == {r.id for r in records}
 
 
 class TestScaler:
     def test_zscore_example(self):
-        scaler = fit_scaler("zscore", [[1.0], [3.0]])
+        scaler = FeatureScaler("zscore").fit([[1.0], [3.0]])
         assert scaler.offset_[0] == pytest.approx(2.0)
         assert scaler.scale_[0] == pytest.approx(1.0)  # population std
-        assert apply_scaler(scaler, [[2.0]])[0, 0] == pytest.approx(0.0)
+        assert scaler.transform([[2.0]])[0, 0] == pytest.approx(0.0)
 
     def test_minmax_example(self):
-        scaler = fit_scaler("minmax", [[0.0], [10.0]])
-        assert apply_scaler(scaler, [[5.0]])[0, 0] == pytest.approx(0.5)
+        scaler = FeatureScaler("minmax").fit([[0.0], [10.0]])
+        assert scaler.transform([[5.0]])[0, 0] == pytest.approx(0.5)
 
     def test_constant_column_maps_to_zero(self):
         for kind in ("zscore", "minmax"):
-            scaler = fit_scaler(kind, [[7.0, 1.0], [7.0, 2.0]])
-            out = apply_scaler(scaler, [[7.0, 3.0], [9.0, 1.0]])
+            scaler = FeatureScaler(kind).fit([[7.0, 1.0], [7.0, 2.0]])
+            out = scaler.transform([[7.0, 3.0], [9.0, 1.0]])
             assert out[0, 0] == 0.0 and out[1, 0] == 0.0
 
     def test_train_statistics_after_zscore(self):
@@ -214,23 +211,23 @@ class TestScaler:
         np.testing.assert_allclose(base, shuffled, atol=1e-12)
 
     def test_statistics_from_train_only(self):
-        scaler = fit_scaler("minmax", [[0.0], [1.0]])
-        out = apply_scaler(scaler, [[2.0]])
+        scaler = FeatureScaler("minmax").fit([[0.0], [1.0]])
+        out = scaler.transform([[2.0]])
         assert out[0, 0] == pytest.approx(2.0)  # extrapolates, no refit
 
     def test_serialization_roundtrip(self):
-        scaler = fit_scaler("zscore", [[1.0, 2.0], [3.0, 4.0], [5.0, 9.0]])
+        scaler = FeatureScaler("zscore").fit([[1.0, 2.0], [3.0, 4.0], [5.0, 9.0]])
         clone = FeatureScaler.from_dict(scaler.to_dict())
         X = [[2.0, 3.0]]
-        np.testing.assert_allclose(apply_scaler(scaler, X), apply_scaler(clone, X))
+        np.testing.assert_allclose(scaler.transform(X), clone.transform(X))
 
     def test_needs_two_rows(self):
         with pytest.raises(ValidationError):
-            fit_scaler("zscore", [[1.0]])
+            FeatureScaler("zscore").fit([[1.0]])
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
-            fit_scaler("robust", [[1.0], [2.0]])
+            FeatureScaler("robust").fit([[1.0], [2.0]])
 
     def test_get_params(self):
         assert FeatureScaler("minmax").get_params() == {"kind": "minmax"}

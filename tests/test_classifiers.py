@@ -12,6 +12,7 @@ from raga_moodkit.errors import (
     NotFitted,
     ValidationError,
 )
+from raga_moodkit.experiments import accuracy
 from raga_moodkit.models import GaussianNbClassifier, KnnClassifier, SoftmaxRegression
 from raga_moodkit.models.linear import _loss_and_grad
 from raga_moodkit.models.neighbors import METRICS, WEIGHTS
@@ -199,7 +200,7 @@ class TestSoftmaxRegression:
         X = np.vstack([rng.normal(-3, 0.5, (30, 2)), rng.normal(3, 0.5, (30, 2))])
         y = np.array(["lo"] * 30 + ["hi"] * 30)
         model = SoftmaxRegression(max_iter=500, learning_rate=0.5).fit(X, y)
-        assert model.score(X, y) == 1.0
+        assert accuracy(model.predict(X), y) == 1.0
 
     def test_zero_iterations_uniform(self):
         X = np.random.default_rng(9).standard_normal((12, 4))

@@ -10,6 +10,18 @@ from raga_moodkit.errors import ValidationError
 from raga_moodkit.store import read_store, sidecar_path
 
 
+def manifest_with_ghost(small_corpus, tmp_path):
+    """The corpus rows by absolute path, plus one row whose WAV does not exist."""
+    manifest = tmp_path / "manifest.csv"
+    lines = ["id,path,title,raga,language,genre"]
+    for rec in small_corpus.records:
+        absolute = small_corpus.base_dir / rec.path
+        lines.append(f"{rec.id},{absolute},{rec.title},{rec.raga},{rec.language},{rec.genre}")
+    lines.append("ghost,missing.wav,Ghost,Mohana,Instrumental,Indian Classical")
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest
+
+
 @pytest.fixture(scope="module")
 def extracted(small_corpus, tmp_path_factory):
     """One shared feature store extracted through the CLI."""
@@ -73,25 +85,21 @@ class TestExtract:
         assert len(table) == 2 * len(small_corpus.records)
         assert sidecar_path(extracted).exists()
 
-    def test_missing_audio_strict_fails(self, small_corpus, tmp_path):
-        # real rows point at the corpus by absolute path; one ghost row doesn't
-        bad_manifest = tmp_path / "manifest.csv"
-        lines = ["id,path,title,raga,language,genre"]
-        for rec in small_corpus.records:
-            absolute = small_corpus.base_dir / rec.path
-            lines.append(f"{rec.id},{absolute},{rec.title},{rec.raga},{rec.language},{rec.genre}")
-        lines.append("ghost,missing.wav,Ghost,Mohana,Instrumental,Indian Classical")
-        bad_manifest.write_text("\n".join(lines) + "\n")
+    def test_missing_audio_strict_fails(self, small_corpus, tmp_path, capsys):
+        bad_manifest = manifest_with_ghost(small_corpus, tmp_path)
         strict = main(
             ["extract", "--manifest", str(bad_manifest), "--out", str(tmp_path / "s.csv"), "--strict"]
         )
         assert strict == 2
+        assert "ghost (" in capsys.readouterr().err
         lenient = main(
             ["extract", "--manifest", str(bad_manifest), "--out", str(tmp_path / "l.csv")]
         )
         assert lenient == 0
+        assert capsys.readouterr().err.startswith("extract: ghost: ")
         table = read_store(tmp_path / "l.csv")
         assert len(table) == 2 * len(small_corpus.records)  # ghost skipped
+        assert json.loads(sidecar_path(tmp_path / "l.csv").read_text())["failures"] == ["ghost"]
 
     def test_correlation_csv_written(self, small_corpus, tmp_path):
         out = tmp_path / "f.csv"
@@ -323,6 +331,54 @@ class TestCorruptInputs:
         wav = small_corpus.base_dir / small_corpus.records[0].path
         code = main(["classify", "--model", str(model), "--wav", str(wav)])
         self.assert_data_error(code, capsys)
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["list", "no_model", "no_class_order", "scaler_without_kind"],
+    )
+    def test_wrong_shape_bundle(self, small_corpus, extracted, trained, tmp_path, capsys, damage):
+        payload = json.loads(trained.read_text(encoding="utf-8"))
+        if damage == "list":
+            payload = [1, 2]
+        elif damage == "no_model":
+            payload = {"format_version": 1}
+        elif damage == "no_class_order":
+            del payload["model"]["class_order"]
+        else:
+            del payload["scaler"]["kind"]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        wav = small_corpus.base_dir / small_corpus.records[0].path
+        runs = [
+            ["classify", "--model", str(model), "--wav", str(wav)],
+            ["evaluate", "--model", str(model), "--features", str(extracted)],
+            ["recommend", "--model", str(model), "--manifest", str(small_corpus.manifest_path),
+             "--from", "Karuna", "--to", "Shantha"],
+        ]
+        for argv in runs:
+            self.assert_data_error(main(argv), capsys)
+
+    @pytest.mark.parametrize("damage", ["no_mfcc", "unknown_mfcc_key"])
+    def test_wrong_shape_sidecar(self, extracted, tmp_path, capsys, damage):
+        store = tmp_path / "features.csv"
+        store.write_bytes(extracted.read_bytes())
+        meta = json.loads(sidecar_path(extracted).read_text(encoding="utf-8"))
+        if damage == "no_mfcc":
+            del meta["mfcc"]
+        else:
+            meta["mfcc"]["bogus"] = 1
+        sidecar_path(store).write_text(json.dumps(meta), encoding="utf-8")
+        code = main(["train", "--features", str(store), "--out", str(tmp_path / "m.json"),
+                     "--family", "knn"])
+        self.assert_data_error(code, capsys)
+
+    def test_recommend_names_the_missing_file(self, small_corpus, trained, tmp_path, capsys):
+        manifest = manifest_with_ghost(small_corpus, tmp_path)
+        code = main(["recommend", "--model", str(trained), "--manifest", str(manifest),
+                     "--from", "Karuna", "--to", "Shantha"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "ghost" in err and "missing.wav" in err and "Traceback" not in err
 
     def test_nan_float32_wav(self, trained, tmp_path, capsys):
         samples = 0.5 * np.sin(np.arange(22050) / 7.0)

@@ -17,7 +17,6 @@ from raga_moodkit.experiments import (
     evaluate_bundle,
     grid_points,
     grid_search,
-    grid_search_cv,
     kfold_indices,
     precision_recall,
     run_on_features,
@@ -92,6 +91,12 @@ class TestGridSearch:
         y_val = np.array(["lo"] * 10 + ["hi"] * 10)
         return (X_train, y_train), (X_val, y_val)
 
+    def _holdout(self):
+        """The same rows stacked, with the holdout as one fold."""
+        (X_train, y_train), (X_val, y_val) = self._data()
+        folds = [(np.arange(40), np.arange(40, 60))]
+        return np.vstack([X_train, X_val]), np.concatenate([y_train, y_val]), folds
+
     def test_grid_points_lexicographic(self):
         points = grid_points({"gamma": [0.1, 0.2], "C": [1, 10]})
         assert points == [
@@ -102,15 +107,14 @@ class TestGridSearch:
         ]
 
     def test_single_point(self):
-        train, val = self._data()
-        best, rows = grid_search("knn", {"k": [3]}, train, val)
+        best, rows = grid_search("knn", {"k": [3]}, *self._holdout())
         assert best == {"k": 3}
         assert len(rows) == 1
 
     def test_best_equals_exhaustive_oracle(self):
         train, val = self._data()
         grid = {"C": [1, 10], "gamma": [0.01, 0.1]}
-        best, rows = grid_search("svm", grid, train, val, base_params={"seed": 0})
+        best, rows = grid_search("svm", grid, *self._holdout(), base_params={"seed": 0})
         # independent exhaustive re-evaluation in the same order
         from raga_moodkit.models import make_classifier
 
@@ -126,27 +130,23 @@ class TestGridSearch:
         assert all(r.error is None for r in rows)
 
     def test_all_tie_takes_first(self):
-        train, val = self._data()
-        best, rows = grid_search("knn", {"k": [3, 5, 7]}, train, val)
+        best, rows = grid_search("knn", {"k": [3, 5, 7]}, *self._holdout())
         accuracies = [r.validation_accuracy for r in rows]
         assert all(a == accuracies[0] for a in accuracies)
         assert best == {"k": 3}
 
     def test_failed_points_recorded_not_fatal(self):
-        train, val = self._data()
-        best, rows = grid_search("knn", {"k": [3, 4000]}, train, val)
+        best, rows = grid_search("knn", {"k": [3, 4000]}, *self._holdout())
         assert best == {"k": 3}
         assert rows[1].error is not None and rows[1].validation_accuracy is None
 
     def test_all_points_failing_raises(self):
-        train, val = self._data()
         with pytest.raises(MoodkitError):
-            grid_search("knn", {"k": [4000, 5000]}, train, val)
+            grid_search("knn", {"k": [4000, 5000]}, *self._holdout())
 
     def test_empty_grid(self):
-        train, val = self._data()
         with pytest.raises(ValidationError):
-            grid_search("knn", {}, train, val)
+            grid_search("knn", {}, *self._holdout())
 
 
 def synthetic_table(
@@ -298,11 +298,11 @@ class TestGridSearchCv:
         X = np.vstack([rng.normal(-2, 1.2, (15, 2)), rng.normal(2, 1.2, (15, 2))])
         y = np.array(["lo"] * 15 + ["hi"] * 15)
         grid = {"k": [1, 3, 5]}
-        best, rows = grid_search_cv("knn", grid, X, y, n_folds=3, seed=4)
+        folds = kfold_indices(y, 3, seed=4)
+        best, rows = grid_search("knn", grid, X, y, folds)
 
         from raga_moodkit.models import make_classifier
 
-        folds = kfold_indices(y, 3, seed=4)
         expected_best, expected_accuracy = None, -1.0
         for point in grid_points(grid):
             scores = []

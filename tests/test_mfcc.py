@@ -18,7 +18,6 @@ from raga_moodkit.mfcc import (
     aggregate_features,
     build_filterbank,
     dct_ii,
-    dft,
     feature_correlation,
     filterbank_boundaries,
     log_mel_energies,
@@ -52,17 +51,20 @@ def naive_dct(values, n_coeffs):
 
 
 class TestDft:
+    """The brute-force DFT that the frame pipeline is checked against."""
+
     def test_impulse(self):
-        np.testing.assert_allclose(dft([1, 0, 0, 0]), np.ones(4), atol=1e-15)
+        np.testing.assert_allclose(naive_dft([1, 0, 0, 0]), np.ones(4), atol=1e-15)
 
     def test_constant(self):
-        np.testing.assert_allclose(dft([1, 1, 1, 1]), [4, 0, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(naive_dft([1, 1, 1, 1]), [4, 0, 0, 0], atol=1e-12)
 
     def test_matches_naive_on_random_2048(self):
+        # the real FFT inside mfcc_frames against the defining sum
         rng = np.random.default_rng(42)
         frame = rng.standard_normal(2048)
-        ours = dft(frame)
-        reference = naive_dft(frame)
+        ours = np.fft.rfft(frame)
+        reference = naive_dft(frame)[:1025]
         assert np.max(np.abs(ours - reference)) / np.max(np.abs(reference)) < 1e-9
 
     def test_small_sizes_vs_pure_python_sum(self):
@@ -74,24 +76,16 @@ class TestDft:
                 for n in range(16))
             for k in range(16)
         ]
-        np.testing.assert_allclose(dft(frame), expected, atol=1e-12)
+        np.testing.assert_allclose(naive_dft(frame), expected, atol=1e-12)
 
     def test_parseval(self):
         rng = np.random.default_rng(7)
         for n in (64, 256, 1024):
             frame = rng.standard_normal(n)
-            spectrum = dft(frame)
+            spectrum = naive_dft(frame)
             time_energy = np.sum(frame**2)
             freq_energy = np.sum(np.abs(spectrum) ** 2) / n
             assert abs(time_energy - freq_energy) / time_energy < 1e-9
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            dft([1, 0, 0, 0], n=8)
-
-    def test_non_power_of_two(self):
-        with pytest.raises(ValidationError):
-            dft([1.0, 2.0, 3.0])
 
 
 class TestPowerSpectrum:
@@ -104,7 +98,7 @@ class TestPowerSpectrum:
         assert power_spectrum(spectrum)[3] == pytest.approx(25.0)
 
     def test_impulse_power_flat(self):
-        assert np.allclose(power_spectrum(dft([1, 0, 0, 0])), 1.0)
+        assert np.allclose(power_spectrum(naive_dft([1, 0, 0, 0])), 1.0)
 
     def test_length(self):
         assert power_spectrum(np.ones(2048, dtype=complex)).shape == (1025,)
@@ -228,7 +222,7 @@ class TestLogMelEnergies:
         freq = target_bin * config.sample_rate / config.fft_size
         t = np.arange(config.fft_size) / config.sample_rate
         frame = np.sin(2 * np.pi * freq * t)
-        power = power_spectrum(dft(frame))
+        power = power_spectrum(np.fft.fft(frame))
         energies = log_mel_energies(power, bank, config.log_floor)
         expected = int(np.argmin(np.abs(bank.boundaries[1:-1] - target_bin)))
         assert int(np.argmax(energies)) == expected
@@ -319,7 +313,7 @@ class TestFrames:
         for freq in (500.0, 1000.0, 2000.0):
             segment = AudioBuffer(samples=0.5 * np.sin(2 * np.pi * freq * t), sample_rate=22050)
             bank = build_filterbank(config)
-            power = power_spectrum(dft(segment.samples[:2048] * np.hanning(2048)))
+            power = power_spectrum(np.fft.fft(segment.samples[:2048] * np.hanning(2048)))
             energies = log_mel_energies(power, bank, config.log_floor)
             peaks.append(int(np.argmax(energies)))
         assert peaks[0] < peaks[1] < peaks[2]

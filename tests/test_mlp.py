@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from raga_moodkit.errors import DivergenceDetected, ValidationError
+from raga_moodkit.experiments import accuracy
 from raga_moodkit.models import MlpClassifier
 from raga_moodkit.models.mlp import forward, loss_and_grads
 
@@ -70,7 +71,7 @@ class TestMlp:
         model = MlpClassifier(
             hidden=(16, 16, 8, 8), epochs=200, batch_size=16, learning_rate=0.05, seed=0
         ).fit(X, y)
-        assert model.score(X, y) == 1.0
+        assert accuracy(model.predict(X), y) == 1.0
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(4)

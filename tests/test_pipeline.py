@@ -1,10 +1,12 @@
 """Library-level pipeline pieces that need real (small) corpora."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from raga_moodkit.audio import SegmentPlan
-from raga_moodkit.errors import ScalerMismatch
-from raga_moodkit.experiments import ExperimentConfig, run_experiment, run_on_features
+from raga_moodkit.errors import DataError, ScalerMismatch
+from raga_moodkit.experiments import ExperimentConfig, extract_features, run_experiment, run_on_features
 from raga_moodkit.mfcc import MfccConfig
 from raga_moodkit.models import MlpClassifier, SoftmaxRegression
 from raga_moodkit.recommender import score_library
@@ -30,6 +32,36 @@ def test_run_experiment_from_manifest(tmp_path):
     assert report.validation_accuracy == 1.0
     again = run_experiment(config, records, base_dir=tmp_path)
     assert report.to_json() == again.to_json()
+
+
+class TestExtractFeatures:
+    def test_parallel_table_equals_serial(self, small_corpus):
+        records = small_corpus.records[::5]
+        serial, _ = extract_features(records, base_dir=small_corpus.base_dir)
+        parallel, failures = extract_features(records, base_dir=small_corpus.base_dir, jobs=2)
+        assert failures == []
+        assert parallel.segment_ids == serial.segment_ids
+        np.testing.assert_array_equal(parallel.labels, serial.labels)
+        np.testing.assert_array_equal(parallel.X, serial.X)
+
+    def test_failures_skipped_or_named(self, small_corpus, tmp_path):
+        good = small_corpus.records[:2]
+        ghosts = [
+            dataclasses.replace(good[0], id="ghost", path=str(tmp_path / "missing.wav")),
+            dataclasses.replace(good[1], id="not_audio", path=str(small_corpus.manifest_path)),
+        ]
+        records = [good[0], ghosts[0], good[1], ghosts[1]]
+        for jobs in (1, 2):
+            table, failures = extract_features(
+                records, base_dir=small_corpus.base_dir, jobs=jobs, strict=False
+            )
+            assert table.song_ids == [r.id for r in good for _ in range(2)]
+            assert [song_id for song_id, _ in failures] == ["ghost", "not_audio"]
+            assert "missing.wav" in failures[0][1]
+            with pytest.raises(DataError) as caught:
+                extract_features(records, base_dir=small_corpus.base_dir, jobs=jobs)
+            for ghost in ghosts:
+                assert f"{ghost.id} ({ghost.path})" in str(caught.value)
 
 
 class TestScoreLibrary:

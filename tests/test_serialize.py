@@ -78,3 +78,19 @@ def test_unknown_family_rejected():
 def test_unknown_version_rejected():
     with pytest.raises(ValidationError):
         from_envelope({"format_version": 99, "family": "knn", "class_order": [], "params": {}})
+
+
+def test_svm_envelope_keeps_no_derivable_state_and_reads_older_files():
+    rng = np.random.default_rng(3)
+    X = np.vstack([rng.normal(-2, 0.5, (12, 3)), rng.normal(2, 0.5, (12, 3))])
+    y = np.array(["a"] * 12 + ["b"] * 12)
+    model = RbfSvmClassifier(C=10.0, gamma=0.1, seed=0).fit(X, y)
+    envelope = to_envelope(model)
+    for pair in envelope["params"]["pairs"]:
+        assert set(pair) == {"classes", "support_vectors", "dual_coef", "bias"}
+        # older bundles also stored the multipliers and the labels: |dual_coef| and its sign
+        coef = decode_array(pair["dual_coef"])
+        pair["alphas"] = encode_array(np.abs(coef))
+        pair["labels"] = encode_array(np.sign(coef))
+    restored = from_envelope(json.loads(json.dumps(envelope)))
+    np.testing.assert_array_equal(model.predict_scores(X), restored.predict_scores(X))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from raga_moodkit.errors import SingleClass, ValidationError
-from raga_moodkit.models import RbfSvmClassifier, kkt_violations, ovo_train, rbf_kernel, smo_train_binary
+from raga_moodkit.models import RbfSvmClassifier, kkt_violations, rbf_kernel, smo_train_binary
 from raga_moodkit.models.svm import _dual_objective, rbf_kernel_matrix
 
 
@@ -57,8 +57,9 @@ class TestSmoBinary:
         k12 = math.exp(-gamma * 1.0)
         expected_alpha = 1.0 / (1.0 - k12)
         model = smo_train_binary(X, y, C=100.0, gamma=gamma, tol=1e-6, max_passes=20)
-        assert len(model.alphas) == 2
-        np.testing.assert_allclose(model.alphas, expected_alpha, rtol=1e-5)
+        assert len(model.dual_coef) == 2
+        np.testing.assert_allclose(np.abs(model.dual_coef), expected_alpha, rtol=1e-5)
+        np.testing.assert_array_equal(np.sign(model.dual_coef), y)
         assert model.bias == pytest.approx(0.0, abs=1e-5)
         midpoint = model.decision_function(np.array([[0.5, 0.0]]))[0]
         assert midpoint == pytest.approx(0.0, abs=1e-6)
@@ -76,8 +77,8 @@ class TestSmoBinary:
         objective = [_dual_objective(np.array([t, t]), y, gram) for t in grid]
         best_t = grid[int(np.argmax(objective))]
         assert best_t == pytest.approx(C)
-        np.testing.assert_allclose(model.alphas, C, atol=1e-9)
-        assert abs(np.sum(model.alphas * model.labels)) < 1e-9
+        np.testing.assert_allclose(np.abs(model.dual_coef), C, atol=1e-9)
+        assert abs(np.sum(model.dual_coef)) < 1e-9
 
     def test_separable_blobs_perfect_and_kkt(self):
         rng = np.random.default_rng(2)
@@ -86,8 +87,9 @@ class TestSmoBinary:
         predictions = np.sign(model.decision_function(X))
         assert np.all(predictions == y)
         assert np.max(kkt_violations(model, X, y)) <= 1e-3
-        assert abs(np.sum(model.alphas * model.labels)) <= 1e-6
-        assert np.all(model.alphas >= 0) and np.all(model.alphas <= 10.0 + 1e-12)
+        assert abs(np.sum(model.dual_coef)) <= 1e-6
+        np.testing.assert_array_equal(np.sign(model.dual_coef), y[model.support_indices])
+        assert np.all(np.abs(model.dual_coef) <= 10.0 + 1e-12)
 
     def test_objective_non_decreasing_and_consistent(self):
         rng = np.random.default_rng(3)
@@ -99,7 +101,7 @@ class TestSmoBinary:
         # running total matches a direct evaluation at the final multipliers
         gram = rbf_kernel_matrix(X, X, 0.1)
         alphas = np.zeros(len(y))
-        alphas[model.support_indices] = model.alphas
+        alphas[model.support_indices] = np.abs(model.dual_coef)
         assert history[-1] == pytest.approx(_dual_objective(alphas, y, gram), abs=1e-6)
 
     def test_margin_support_vectors_sit_on_margin(self):
@@ -107,10 +109,11 @@ class TestSmoBinary:
         X, y = separable_blobs(rng)
         tol = 1e-3
         model = smo_train_binary(X, y, C=10.0, gamma=0.1, tol=tol)
-        free = (model.alphas > 1e-9) & (model.alphas < 10.0 - 1e-9)
+        alphas = np.abs(model.dual_coef)
+        free = (alphas > 1e-9) & (alphas < 10.0 - 1e-9)
         if free.any():
             values = model.decision_function(model.support_vectors[free])
-            np.testing.assert_allclose(values, model.labels[free], atol=tol)
+            np.testing.assert_allclose(values, np.sign(model.dual_coef[free]), atol=tol)
 
     def test_row_order_invariance(self):
         rng = np.random.default_rng(5)
@@ -192,7 +195,7 @@ class TestOvo:
     def test_scores_sum_to_one(self):
         rng = np.random.default_rng(10)
         X, y = self._blob_data(rng, ["a", "b", "c", "d"])
-        model = ovo_train(X, y, C=10.0, gamma=0.1)
+        model = RbfSvmClassifier(C=10.0, gamma=0.1).fit(X, y)
         scores = model.predict_scores(rng.uniform(-9, 9, (25, 2)))
         np.testing.assert_allclose(scores.sum(axis=1), 1.0, atol=1e-9)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from raga_moodkit.errors import ValidationError
+from raga_moodkit.experiments import accuracy
 from raga_moodkit.models import DecisionTreeClassifier, RandomForestClassifier
 from raga_moodkit.models.tree import entropy_impurity, gini_impurity
 
@@ -33,7 +34,7 @@ class TestDecisionTree:
             assert tree.feature_[0] == 0
             assert tree.threshold_[0] == pytest.approx(1.5)
             assert tree.n_nodes == 3
-            assert tree.score(X, y) == 1.0
+            assert accuracy(tree.predict(X), y) == 1.0
 
     def test_pure_node_is_leaf(self):
         X = np.random.default_rng(0).standard_normal((10, 3))
@@ -45,7 +46,7 @@ class TestDecisionTree:
         X = rng.standard_normal((40, 5))
         y = rng.choice(["a", "b", "c"], 40)
         tree = DecisionTreeClassifier().fit(X, y)
-        assert tree.score(X, y) == 1.0
+        assert accuracy(tree.predict(X), y) == 1.0
 
     def test_max_depth_limits(self):
         rng = np.random.default_rng(2)
@@ -103,7 +104,7 @@ class TestRandomForest:
         X = rng.standard_normal((30, 4))
         y = rng.choice(["a", "b", "c"], 30)
         forest = RandomForestClassifier(n_estimators=1, bootstrap=False).fit(X, y)
-        assert forest.score(X, y) == 1.0
+        assert accuracy(forest.predict(X), y) == 1.0
 
     def test_same_seed_same_forest(self):
         rng = np.random.default_rng(7)
