@@ -47,7 +47,6 @@ from .experiments import (
     grid_search,
     kfold_indices,
     precision_recall,
-    run_experiment,
     run_on_features,
     select_final_model,
 )

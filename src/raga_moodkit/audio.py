@@ -275,7 +275,8 @@ def to_mono(buffer: AudioBuffer) -> AudioBuffer:
 
 
 def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
-    """Linear-interpolation resampling with edge hold past the last sample.
+    """Linear-interpolation resampling of mono audio with edge hold past the
+    last sample.
 
     The output has ``floor(n * target / source)`` frames; output frame ``i``
     is the interpolant at source position ``i * source / target``. Identical
@@ -283,19 +284,14 @@ def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
     """
     if target_rate <= 0:
         raise ValidationError(f"target_rate must be positive, got {target_rate}")
+    if buffer.samples.ndim != 1:
+        raise ValidationError("resample expects mono audio; call to_mono first")
     if target_rate == buffer.sample_rate:
         return buffer
     n_in = buffer.n_frames
     n_out = n_in * target_rate // buffer.sample_rate
     positions = np.arange(n_out) * (buffer.sample_rate / target_rate)
-    source_index = np.arange(n_in)
-    if buffer.samples.ndim == 1:
-        samples = np.interp(positions, source_index, buffer.samples)
-    else:
-        samples = np.stack(
-            [np.interp(positions, source_index, buffer.samples[:, c]) for c in range(buffer.n_channels)],
-            axis=1,
-        )
+    samples = np.interp(positions, np.arange(n_in), buffer.samples)
     return AudioBuffer(samples=samples, sample_rate=target_rate, short=buffer.short)
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from .base import ParamsMixin, as_float_matrix, check_fitted
 from .errors import (
     BadGenre,
     ClassTooSmall,
+    DataError,
     DuplicateId,
     UnknownRaga,
     UnknownRasa,
@@ -114,12 +116,12 @@ _ASSOCIATIONS: dict[Rasa, tuple[str, ...]] = {
 
 
 class RagaTable:
-    """Alias-aware raga -> rasa lookup over a fixed association table."""
+    """Alias-aware raga -> rasa lookup over the association table above."""
 
-    def __init__(self, associations: dict[Rasa, tuple[str, ...]] = _ASSOCIATIONS):
+    def __init__(self):
         self._canonical: dict[str, Rasa] = {}
         self._lookup: dict[str, str] = {}
-        for rasa, raw_names in associations.items():
+        for rasa, raw_names in _ASSOCIATIONS.items():
             for raw in raw_names:
                 if "/" in raw:
                     parts = [p.strip() for p in raw.split("/")]
@@ -142,9 +144,6 @@ class RagaTable:
     def __len__(self) -> int:
         return len(self._canonical)
 
-    def __contains__(self, name: str) -> bool:
-        return _normalize(name) in self._lookup
-
     def canonical_name(self, name: str) -> str:
         key = _normalize(name)
         if key not in self._lookup:
@@ -161,9 +160,9 @@ class RagaTable:
 DEFAULT_RAGA_TABLE = RagaTable()
 
 
-def rasa_for_raga(name: str, table: RagaTable = DEFAULT_RAGA_TABLE) -> Rasa:
+def rasa_for_raga(name: str) -> Rasa:
     """Alias-aware, case-insensitive lookup; unknown names fail closed."""
-    return table.rasa_for_raga(name)
+    return DEFAULT_RAGA_TABLE.rasa_for_raga(name)
 
 
 GENRES = ("Folk/Album", "Indian Classical", "Movie")
@@ -182,14 +181,21 @@ class SongRecord:
     rasa: Rasa
 
 
-def load_manifest(path, table: RagaTable = DEFAULT_RAGA_TABLE) -> list[SongRecord]:
+def load_manifest(path) -> list[SongRecord]:
     """Read and validate a song manifest CSV.
 
     The header must be exactly ``id,path,title,raga,language,genre``; the
     rasa column does not exist on disk and is derived from the raga here.
+    Bytes that are not UTF-8 raise ``DataError`` naming the line.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path.name}:{line}: not UTF-8 text ({exc.reason})") from exc
+    with io.StringIO(text, newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_FIELDS:
             raise ValidationError(
@@ -212,7 +218,7 @@ def load_manifest(path, table: RagaTable = DEFAULT_RAGA_TABLE) -> list[SongRecor
                 )
             raga = (row["raga"] or "").strip()
             try:
-                rasa = table.rasa_for_raga(raga)
+                rasa = DEFAULT_RAGA_TABLE.rasa_for_raga(raga)
             except UnknownRaga as exc:
                 raise UnknownRaga(f"{path.name}:{line} (id={song_id}): {exc}") from exc
             records.append(
@@ -301,9 +307,6 @@ class FeatureScaler(ParamsMixin):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = (X - self.offset_) / self.scale_
         return np.where(self.scale_ > 0, out, 0.0)
-
-    def fit_transform(self, X):
-        return self.fit(X).transform(X)
 
     def to_dict(self) -> dict:
         check_fitted(self, "scale_")

@@ -16,15 +16,23 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .audio import DEFAULT_BI_SAMPLE_PLAN, SegmentPlan, bi_sample, parse_plan, read_wav, resample, to_mono
+from .audio import SegmentPlan, bi_sample, parse_plan, read_wav, resample, to_mono
 from .bundle import ModelBundle
 from .catalog import load_manifest, parse_rasa
-from .errors import DataError, MoodkitError, StartBeyondEnd, ValidationError
-from .experiments import ExperimentConfig, evaluate_bundle, extract_features, run_on_features
+from .errors import CorruptArtifact, DataError, MoodkitError, StartBeyondEnd, ValidationError
+from .experiments import (
+    SCALER_KINDS,
+    SPLIT_LEVELS,
+    ExperimentConfig,
+    evaluate_bundle,
+    extract_features,
+    run_on_features,
+)
 from .mfcc import MfccConfig, feature_correlation, segment_features
 from .models import FAMILY_ORDER
 from .recommender import recommend_transition, score_library
@@ -80,29 +88,20 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+#: ``MfccConfig`` fields with a command-line option (``--fft-size`` for
+#: ``fft_size``), defaulting to the field's default; ``window`` has one value.
+_MFCC_OPTIONS = [f for f in fields(MfccConfig) if f.name != "window"]
+
+
 def _add_mfcc_options(parser):
     group = parser.add_argument_group("feature extraction")
-    group.add_argument("--fft-size", type=int, default=2048)
-    group.add_argument("--hop", type=int, default=512)
-    group.add_argument("--n-filters", type=int, default=40)
-    group.add_argument("--n-coeffs", type=int, default=40)
-    group.add_argument("--f-low", type=float, default=0.0)
-    group.add_argument("--f-high", type=float, default=None)
-    group.add_argument("--sample-rate", type=int, default=22050)
-    group.add_argument("--log-floor", type=float, default=1e-10)
+    for f in _MFCC_OPTIONS:
+        kind = float if f.default is None else type(f.default)
+        group.add_argument("--" + f.name.replace("_", "-"), type=kind, default=f.default)
 
 
 def _mfcc_from_args(args) -> MfccConfig:
-    return MfccConfig(
-        fft_size=args.fft_size,
-        hop=args.hop,
-        n_filters=args.n_filters,
-        n_coeffs=args.n_coeffs,
-        f_low=args.f_low,
-        f_high=args.f_high,
-        sample_rate=args.sample_rate,
-        log_floor=args.log_floor,
-    )
+    return MfccConfig(**{f.name: getattr(args, f.name) for f in _MFCC_OPTIONS})
 
 
 def _echo(command: str, **resolved) -> dict:
@@ -180,12 +179,10 @@ def _run_training(args, grid: dict | None) -> int:
         family=args.family,
         params=params,
         grid=grid,
-        plan=table.plan,
         scaler=args.scaler,
         split_level=args.split_level,
         val_fraction=args.val_fraction,
         seed=seed,
-        mfcc=table.mfcc,
         cv=getattr(args, "cv", None),
     )
     report = run_on_features(table, config)
@@ -264,16 +261,15 @@ def cmd_evaluate(args) -> int:
 # --- classify / recommend -----------------------------------------------------------
 
 def _bundle_feature_setup(bundle: ModelBundle):
-    config = MfccConfig(**bundle.feature_fingerprint)
-    cuts = bundle.config.get("plan")
-    plan = SegmentPlan(tuple(tuple(c) for c in cuts)) if cuts else None
-    return config, plan
+    """The MFCC settings and segment plan the model's training rows were made with."""
+    if "plan" not in bundle.config:
+        raise CorruptArtifact("the model bundle records no segment plan")
+    plan = SegmentPlan(tuple(tuple(c) for c in bundle.config["plan"]))
+    return MfccConfig(**bundle.feature_fingerprint), plan
 
 
-def _segments_within(buffer, plan: SegmentPlan | None):
-    """Plan cuts that start inside the buffer; a missing plan means one full cut."""
-    if plan is None:
-        return [buffer]
+def _segments_within(buffer, plan: SegmentPlan):
+    """Plan cuts that start inside the buffer."""
     cuts = [(s, d) for s, d in plan.cuts if s < buffer.duration_s]
     if not cuts:
         raise StartBeyondEnd(
@@ -314,8 +310,6 @@ def cmd_recommend(args) -> int:
         raise ValidationError(f"--length must be >= 1, got {args.length}")
     bundle = ModelBundle.load(args.model)
     config, plan = _bundle_feature_setup(bundle)
-    if plan is None:
-        plan = DEFAULT_BI_SAMPLE_PLAN
     records = load_manifest(args.manifest)
     table, _ = extract_features(records, plan, config, base_dir=Path(args.manifest).parent)
     library = score_library(bundle, table)
@@ -366,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--report-out", default=None, help="grid report JSON path")
             p.add_argument("--cv", type=int, default=None,
                            help="select by k-fold inside the training split instead of the holdout")
-        p.add_argument("--scaler", default="zscore", choices=("zscore", "minmax", "none"))
-        p.add_argument("--split-level", default="file", choices=("file", "segment"))
+        p.add_argument("--scaler", default="zscore", choices=SCALER_KINDS)
+        p.add_argument("--split-level", default="file", choices=SPLIT_LEVELS)
         p.add_argument("--val-fraction", type=float, default=0.2)
         p.add_argument("--split-out", default=None, help="write id,role split CSV")
         p.add_argument("--seed", type=int, default=None)

@@ -10,9 +10,12 @@ protocol for comparison.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import json
+import numbers
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,11 +34,11 @@ from .errors import (
     ValidationError,
 )
 from .mfcc import MfccConfig, segment_features
-from .models import FAMILY_ORDER, make_classifier
+from .models import FAMILIES, FAMILY_ORDER, make_classifier
 from .store import FeatureTable, segment_id
 
 SPLIT_LEVELS = ("file", "segment")
-SCALER_KINDS = ("zscore", "minmax", "none")
+SCALER_KINDS = (*FeatureScaler.KINDS, "none")
 
 
 # --- metrics -------------------------------------------------------------------
@@ -169,20 +172,56 @@ def kfold_indices(labels, n_folds: int, seed: int):
 
 # --- experiment runner -----------------------------------------------------------
 
+def _has_type(value, annotation) -> bool:
+    """Whether ``value`` fits a constructor annotation: ``int``, ``float``
+    (which takes an int too), ``str``, a union of those with ``None``, or
+    ``tuple[T, ...]`` (a list or tuple of ``T``)."""
+    if typing.get_origin(annotation) is tuple:
+        item = typing.get_args(annotation)[0]
+        return isinstance(value, (tuple, list)) and all(_has_type(v, item) for v in value)
+    kinds = {int: numbers.Integral, float: numbers.Real}
+    return any(
+        isinstance(value, kinds.get(option, option))
+        for option in typing.get_args(annotation) or (annotation,)
+    )
+
+
+def _check_model_params(family: str, candidates: dict) -> None:
+    """Refuse names the family's constructor lacks and values of the wrong
+    type; ``candidates`` maps each name to the list of values it may take."""
+    cls = FAMILIES[family]
+    valid = cls._param_names()
+    signature = inspect.signature(cls.__init__, eval_str=True).parameters
+    for name, values in candidates.items():
+        if name not in valid:
+            raise ValidationError(
+                f"unknown parameter {name!r} for {family}; valid parameters: {sorted(valid)}"
+            )
+        annotation = signature[name].annotation
+        for value in values:
+            if not _has_type(value, annotation):
+                expected = inspect.formatannotation(annotation)
+                raise ValidationError(f"{family} parameter {name}={value!r} must be {expected}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """How to split, scale and fit. The segment plan and MFCC settings are
+    not here: they belong to the feature table, and ``run_on_features``
+    records the table's."""
+
     family: str = "svm"
     params: dict = field(default_factory=dict)
     grid: dict | None = None
-    plan: SegmentPlan = DEFAULT_BI_SAMPLE_PLAN
     scaler: str = "zscore"
     split_level: str = "file"
     val_fraction: float = 0.2
     seed: int = 0
-    mfcc: MfccConfig = MfccConfig()
     cv: int | None = None  # when set, grid selection runs k-fold inside train
 
     def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValidationError(f"unknown family {self.family!r}; expected one of {FAMILY_ORDER}")
         if self.split_level not in SPLIT_LEVELS:
             raise ValidationError(f"split_level must be one of {SPLIT_LEVELS}, got {self.split_level!r}")
         if self.scaler not in SCALER_KINDS:
@@ -191,18 +230,19 @@ class ExperimentConfig:
             raise ValidationError("grid, when given, must be non-empty")
         if self.cv is not None and self.cv < 2:
             raise ValidationError(f"cv must be >= 2 folds, got {self.cv}")
+        _check_model_params(
+            self.family, {**{k: [v] for k, v in self.params.items()}, **(self.grid or {})}
+        )
 
     def describe(self) -> dict:
         return {
             "family": self.family,
             "params": dict(self.params),
             "grid": None if self.grid is None else {k: list(v) for k, v in self.grid.items()},
-            "plan": [list(cut) for cut in self.plan.cuts],
             "scaler": self.scaler,
             "split_level": self.split_level,
             "val_fraction": self.val_fraction,
             "seed": self.seed,
-            "mfcc": self.mfcc.as_dict(),
             "cv": self.cv,
         }
 
@@ -257,7 +297,7 @@ class ExperimentReport:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
-    def markdown_row(self, serial: int = 1) -> str:
+    def markdown_row(self) -> str:
         cuts = self.config.get("plan")
         if cuts:
             plan = SegmentPlan(tuple(tuple(c) for c in cuts))
@@ -268,7 +308,7 @@ class ExperimentReport:
         params = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items())) or "defaults"
         scaler = self.config.get("scaler", "un")
         return (
-            f"| {serial} | {self.family} | {start} | {duration} "
+            f"| 1 | {self.family} | {start} | {duration} "
             f"| {self.validation_accuracy:.4f} | {scaler} scaled, {params} |"
         )
 
@@ -281,7 +321,7 @@ class ExperimentReport:
         return header + self.markdown_row() + "\n"
 
 
-def resolve_audio_path(record: SongRecord, base_dir=None) -> Path:
+def resolve_audio_path(record: SongRecord, base_dir) -> Path:
     path = Path(record.path)
     if base_dir is not None and not path.is_absolute():
         path = Path(base_dir) / path
@@ -289,10 +329,7 @@ def resolve_audio_path(record: SongRecord, base_dir=None) -> Path:
 
 
 def extract_song_rows(
-    record: SongRecord,
-    plan: SegmentPlan = DEFAULT_BI_SAMPLE_PLAN,
-    config: MfccConfig = MfccConfig(),
-    base_dir=None,
+    record: SongRecord, plan: SegmentPlan, config: MfccConfig, base_dir
 ) -> list:
     """Decode, mix down, resample and featurize one song.
 
@@ -392,7 +429,12 @@ def _scored_report(predict, X, y, train_idx, val_idx, classes, **fields) -> Expe
 
 
 def run_on_features(table: FeatureTable, config: ExperimentConfig) -> ExperimentReport:
-    """Split, scale, fit (or grid-search) and evaluate on extracted rows."""
+    """Split, scale, fit (or grid-search) and evaluate on extracted rows.
+
+    The report's and the bundle's ``config`` record the table's segment plan
+    and MFCC settings, so a served model cuts and featurizes audio the way
+    its training rows were made.
+    """
     started = time.perf_counter()
     train_idx, val_idx = split_table(table, config.split_level, config.val_fraction, config.seed)
     if len(val_idx) == 0:
@@ -417,7 +459,8 @@ def run_on_features(table: FeatureTable, config: ExperimentConfig) -> Experiment
     model = make_classifier(config.family, **params)
     model.fit(X[train_idx], y[train_idx])
 
-    described = {**config.describe(), "params": params}
+    described = {**config.describe(), "params": params, "mfcc": table.mfcc.as_dict(),
+                 "plan": [list(cut) for cut in table.plan.cuts]}
     report = _scored_report(
         model.predict, X, y, train_idx, val_idx, sorted(set(y.tolist())),
         config=described, family=config.family, params=params, grid_rows=grid_rows,
@@ -440,15 +483,6 @@ def run_on_features(table: FeatureTable, config: ExperimentConfig) -> Experiment
         },
         config=described,
     )
-    report.wall_clock_s = time.perf_counter() - started
-    return report
-
-
-def run_experiment(config: ExperimentConfig, records: list[SongRecord], base_dir=None) -> ExperimentReport:
-    """Full pipeline from manifest records to a report; deterministic given seeds."""
-    started = time.perf_counter()
-    table, _ = extract_features(records, config.plan, config.mfcc, base_dir=base_dir)
-    report = run_on_features(table, config)
     report.wall_clock_s = time.perf_counter() - started
     return report
 

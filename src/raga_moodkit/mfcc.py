@@ -245,17 +245,12 @@ def segment_features(segment: AudioBuffer, config: MfccConfig, source_id: str = 
 
 
 def feature_correlation(features) -> np.ndarray:
-    """Pearson correlation matrix across feature columns.
-
-    Accepts a list of ``FeatureVector`` or a row matrix.
+    """Pearson correlation matrix across the columns of a row matrix.
 
     Raises:
         ZeroVariance: some feature column is constant.
     """
-    if len(features) and isinstance(features[0], FeatureVector):
-        matrix = np.vstack([fv.values for fv in features])
-    else:
-        matrix = np.asarray(features, dtype=np.float64)
+    matrix = np.asarray(features, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] < 2:
         raise ValidationError("correlation needs at least two feature rows")
     stds = matrix.std(axis=0)

@@ -33,7 +33,7 @@ FAMILY_ORDER = tuple(FAMILIES)
 def make_classifier(family: str, **params) -> BaseClassifier:
     if family not in FAMILIES:
         raise ValidationError(f"unknown family {family!r}; expected one of {FAMILY_ORDER}")
-    return FAMILIES[family](**params)
+    return FAMILIES[family]().set_params(**params)
 
 
 __all__ = [

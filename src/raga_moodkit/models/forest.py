@@ -10,11 +10,7 @@ from .tree import CRITERIA, DecisionTreeClassifier
 
 class RandomForestClassifier(BaseClassifier):
     """Seeded bootstrap resamples (with replacement, size n) feed one tree
-    each; scores are the mean of the per-tree leaf class distributions.
-
-    ``bootstrap=False`` is a test hook that trains every tree on the full
-    sample.
-    """
+    each; scores are the mean of the per-tree leaf class distributions."""
 
     family = "forest"
 
@@ -27,7 +23,6 @@ class RandomForestClassifier(BaseClassifier):
         min_samples_leaf: int = 1,
         min_samples_split: int = 2,
         seed: int = 0,
-        bootstrap: bool = True,
     ):
         self.n_estimators = n_estimators
         self.criterion = criterion
@@ -36,7 +31,6 @@ class RandomForestClassifier(BaseClassifier):
         self.min_samples_leaf = min_samples_leaf
         self.min_samples_split = min_samples_split
         self.seed = seed
-        self.bootstrap = bootstrap
 
     def fit(self, X, y):
         if self.n_estimators < 1:
@@ -49,10 +43,7 @@ class RandomForestClassifier(BaseClassifier):
         self.trees_ = []
         for _ in range(self.n_estimators):
             boot_seed, tree_seed = master.integers(0, 2**63 - 1, size=2)
-            if self.bootstrap:
-                rows = np.random.default_rng(boot_seed).integers(0, n, size=n)
-            else:
-                rows = np.arange(n)
+            rows = np.random.default_rng(boot_seed).integers(0, n, size=n)
             tree = DecisionTreeClassifier(
                 criterion=self.criterion,
                 max_depth=self.max_depth,
@@ -81,7 +72,6 @@ class RandomForestClassifier(BaseClassifier):
             "min_samples_leaf": self.min_samples_leaf,
             "min_samples_split": self.min_samples_split,
             "seed": self.seed,
-            "bootstrap": self.bootstrap,
             "trees": [tree._encode_params() for tree in self.trees_],
         }
 
@@ -93,7 +83,6 @@ class RandomForestClassifier(BaseClassifier):
         self.min_samples_leaf = int(params["min_samples_leaf"])
         self.min_samples_split = int(params["min_samples_split"])
         self.seed = int(params["seed"])
-        self.bootstrap = bool(params["bootstrap"])
         self.trees_ = []
         for tree_params in params["trees"]:
             tree = DecisionTreeClassifier()

@@ -59,7 +59,7 @@ class MlpClassifier(BaseClassifier):
 
     def __init__(
         self,
-        hidden=(256, 128, 64, 32),
+        hidden: tuple[int, ...] = (256, 128, 64, 32),
         epochs: int = 100,
         batch_size: int = 50,
         learning_rate: float = 1e-3,

@@ -10,8 +10,12 @@ from .serialize import decode_array, encode_array
 METRICS = ("euclidean", "manhattan", "hamming")
 WEIGHTS = ("uniform", "distance")
 
+#: Query rows per block in ``pairwise_distances``; bounds the
+#: (rows, points, features) difference array it builds.
+_CHUNK_ROWS = 256
 
-def pairwise_distances(queries, points, metric: str, chunk_size: int = 256) -> np.ndarray:
+
+def pairwise_distances(queries, points, metric: str) -> np.ndarray:
     """Distance matrix (n_queries, n_points) for one of the supported metrics.
 
     Hamming on continuous values is the fraction of coordinates that are not
@@ -22,14 +26,14 @@ def pairwise_distances(queries, points, metric: str, chunk_size: int = 256) -> n
     queries = np.asarray(queries, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
     out = np.empty((len(queries), len(points)))
-    for start in range(0, len(queries), chunk_size):
-        delta = queries[start : start + chunk_size, None, :] - points[None, :, :]
+    for start in range(0, len(queries), _CHUNK_ROWS):
+        delta = queries[start : start + _CHUNK_ROWS, None, :] - points[None, :, :]
         if metric == "euclidean":
-            out[start : start + chunk_size] = np.sqrt(np.sum(delta * delta, axis=2))
+            out[start : start + _CHUNK_ROWS] = np.sqrt(np.sum(delta * delta, axis=2))
         elif metric == "manhattan":
-            out[start : start + chunk_size] = np.sum(np.abs(delta), axis=2)
+            out[start : start + _CHUNK_ROWS] = np.sum(np.abs(delta), axis=2)
         else:
-            out[start : start + chunk_size] = np.mean(delta != 0.0, axis=2)
+            out[start : start + _CHUNK_ROWS] = np.mean(delta != 0.0, axis=2)
     return out
 
 
@@ -67,21 +71,22 @@ class KnnClassifier(BaseClassifier):
         X = self._check_predict_input(X)
         distances = pairwise_distances(X, self.X_, self.metric)
         nearest = np.argsort(distances, axis=1, kind="stable")[:, : self.k]
-        n_classes = len(self.classes_)
-        scores = np.zeros((len(X), n_classes))
-        for row in range(len(X)):
-            idx = nearest[row]
-            labels = self.y_index_[idx]
-            if self.weights == "uniform":
-                weights = np.full(self.k, 1.0 / self.k)
-            else:
-                d = distances[row, idx]
-                exact = d == 0.0
-                if exact.any():
-                    weights = exact / exact.sum()
-                else:
-                    weights = (1.0 / d) / np.sum(1.0 / d)
-            np.add.at(scores[row], labels, weights)
+        if self.weights == "uniform":
+            weights = np.full(nearest.shape, 1.0 / self.k)
+        else:
+            d = np.take_along_axis(distances, nearest, axis=1)
+            exact = d == 0.0
+            # a row with an exact match takes the first branch, so the
+            # inf and nan the other branch makes there are discarded
+            with np.errstate(divide="ignore", invalid="ignore"):
+                weights = np.where(
+                    exact.any(axis=1, keepdims=True),
+                    exact / exact.sum(axis=1, keepdims=True),
+                    (1.0 / d) / np.sum(1.0 / d, axis=1, keepdims=True),
+                )
+        scores = np.zeros((len(X), len(self.classes_)))
+        rows = np.broadcast_to(np.arange(len(X))[:, None], nearest.shape)
+        np.add.at(scores, (rows, self.y_index_[nearest]), weights)
         return scores
 
     def _encode_params(self) -> dict:

@@ -12,27 +12,9 @@ CRITERIA = ("gini", "entropy")
 _LEAF = -1
 
 
-def gini_impurity(counts) -> float:
-    counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - np.sum(p * p))
-
-
-def entropy_impurity(counts) -> float:
-    """Shannon entropy in bits."""
-    counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-np.sum(p * np.log2(p)))
-
-
 def _impurity_rows(counts: np.ndarray, criterion: str) -> np.ndarray:
-    """Impurity of each row of a (k, n_classes) count matrix."""
+    """Impurity of each row of a (k, n_classes) count matrix: gini, or
+    Shannon entropy in bits."""
     totals = counts.sum(axis=1, keepdims=True)
     safe = np.maximum(totals, 1.0)
     p = counts / safe
@@ -198,10 +180,6 @@ class DecisionTreeClassifier(BaseClassifier):
         X = self._check_predict_input(X)
         leaf_counts = self.counts_[self._leaf_for(X)]
         return leaf_counts / leaf_counts.sum(axis=1, keepdims=True)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.feature_)
 
     def _encode_params(self) -> dict:
         return {

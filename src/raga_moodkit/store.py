@@ -106,23 +106,27 @@ def read_store(path) -> FeatureTable:
     segment_ids: list[str] = []
     labels: list[str] = []
     rows: list[list[float]] = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        expected = ["segment_id", "rasa"] + [f"c{i}" for i in range(config.n_coeffs)]
-        if header != expected:
-            raise ValidationError(f"store header mismatch: expected {expected[:3]}..., got {header}")
-        for line_no, line in enumerate(reader, start=2):
-            if len(line) != len(expected):
-                raise CorruptArtifact(
-                    f"{path.name} line {line_no}: {len(line)} fields, expected {len(expected)}"
-                )
-            try:
-                rows.append([float(v) for v in line[2:]])
-            except ValueError as exc:
-                raise CorruptArtifact(f"{path.name} line {line_no}: {exc}") from exc
-            segment_ids.append(line[0])
-            labels.append(line[1])
+    expected = ["segment_id", "rasa"] + [f"c{i}" for i in range(config.n_coeffs)]
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header != expected:
+                raise ValidationError(f"store header mismatch: expected {expected[:3]}..., got {header}")
+            for line_no, line in enumerate(reader, start=2):
+                if len(line) != len(expected):
+                    raise CorruptArtifact(
+                        f"{path.name} line {line_no}: {len(line)} fields, expected {len(expected)}"
+                    )
+                try:
+                    rows.append([float(v) for v in line[2:]])
+                except ValueError as exc:
+                    raise CorruptArtifact(f"{path.name} line {line_no}: {exc}") from exc
+                segment_ids.append(line[0])
+                labels.append(line[1])
+    except UnicodeDecodeError as exc:
+        # the file is decoded in blocks, so the failing line is not known here
+        raise CorruptArtifact(f"{path.name} is not UTF-8 text ({exc.reason})") from exc
     return FeatureTable(
         segment_ids=segment_ids,
         labels=np.asarray(labels, dtype=str),

@@ -7,12 +7,12 @@ for a private labeled corpus when exercising the pipeline end to end.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioBuffer, write_wav
+from .audio import CANONICAL_RATE, AudioBuffer, write_wav
 from .catalog import DEFAULT_RAGA_TABLE, Rasa, write_manifest
 from .errors import ValidationError
 
@@ -44,22 +44,18 @@ DEFAULT_RECIPES: dict[Rasa, RasaRecipe] = {
 
 @dataclass(frozen=True)
 class SyntheticSpec:
+    """Corpus size and seed; every file is rendered at ``CANONICAL_RATE``
+    from ``DEFAULT_RECIPES``."""
+
     files_per_class: int = 20
     duration_s: float = 90.0
-    sample_rate: int = 22050
     seed: int = 0
-    recipes: dict = field(default_factory=lambda: dict(DEFAULT_RECIPES))
 
     def __post_init__(self):
         if self.files_per_class < 1:
             raise ValidationError(f"files_per_class must be >= 1, got {self.files_per_class}")
         if self.duration_s <= 0:
             raise ValidationError(f"duration_s must be > 0, got {self.duration_s}")
-        if set(self.recipes) != set(Rasa):
-            raise ValidationError("recipes must cover exactly the six rasas")
-        fundamentals = [r.fundamental_hz for r in self.recipes.values()]
-        if len(set(fundamentals)) != len(fundamentals):
-            raise ValidationError("recipe fundamentals must be pairwise distinct")
 
 
 def synth_signal(recipe: RasaRecipe, duration_s: float, sample_rate: int, rng) -> np.ndarray:
@@ -104,14 +100,14 @@ def generate_corpus(spec: SyntheticSpec, out_dir) -> Path:
 
     records = []
     for class_index, rasa in enumerate(sorted(Rasa, key=lambda r: r.value)):
-        recipe = spec.recipes[rasa]
+        recipe = DEFAULT_RECIPES[rasa]
         raga = DEFAULT_RAGA_TABLE.ragas_for_rasa(rasa)[0]
         for file_index in range(spec.files_per_class):
             rng = np.random.default_rng(seeds[class_index, file_index])
-            samples = synth_signal(recipe, spec.duration_s, spec.sample_rate, rng)
+            samples = synth_signal(recipe, spec.duration_s, CANONICAL_RATE, rng)
             song_id = f"{rasa.value.lower()}_{file_index:03d}"
             filename = f"{song_id}.wav"
-            write_wav(out_dir / filename, AudioBuffer(samples=samples, sample_rate=spec.sample_rate))
+            write_wav(out_dir / filename, AudioBuffer(samples=samples, sample_rate=CANONICAL_RATE))
             records.append(
                 SongRecord(
                     id=song_id,

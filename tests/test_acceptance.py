@@ -290,12 +290,10 @@ def test_c09_end_to_end_grid_tuned_svm(corpus, feature_store):
         config = ExperimentConfig(
             family="svm",
             grid=SVM_GRID,
-            plan=feature_store.plan,
             scaler="zscore",
             split_level="file",
             val_fraction=0.2,
             seed=0,
-            mfcc=feature_store.mfcc,
         )
         report = run_on_features(feature_store, config)
         assert report.validation_accuracy >= 0.90, report.validation_accuracy
@@ -338,9 +336,8 @@ def test_c10_two_segment_training_never_hurts(feature_store):
 
         def run(table):
             config = ExperimentConfig(
-                family="svm", params=params, plan=table.plan,
-                scaler="zscore", split_level="file", val_fraction=0.2,
-                seed=0, mfcc=table.mfcc,
+                family="svm", params=params,
+                scaler="zscore", split_level="file", val_fraction=0.2, seed=0,
             )
             return run_on_features(table, config)
 

@@ -277,6 +277,12 @@ class TestResample:
         buffer = AudioBuffer(samples=np.zeros(44100), sample_rate=44100)
         assert resample(buffer, 22050).n_frames == 22050
 
+    def test_multi_channel_rejected(self):
+        buffer = AudioBuffer(samples=np.zeros((8, 2)), sample_rate=4)
+        for rate in (2, 4):
+            with pytest.raises(ValidationError):
+                resample(buffer, rate)
+
 
 class TestSegments:
     def _buffer(self, seconds, rate=100):

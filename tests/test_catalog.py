@@ -198,7 +198,7 @@ class TestScaler:
     def test_train_statistics_after_zscore(self):
         rng = np.random.default_rng(0)
         X = rng.normal(5.0, 3.0, size=(200, 8))
-        out = FeatureScaler("zscore").fit_transform(X)
+        out = FeatureScaler("zscore").fit(X).transform(X)
         assert np.max(np.abs(out.mean(axis=0))) < 1e-9
         assert np.max(np.abs(out.std(axis=0) - 1.0)) < 1e-9
 

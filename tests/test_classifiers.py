@@ -98,6 +98,38 @@ class TestKnn:
         b = np.array([[4.0, 5.0, 6.0]])
         assert pairwise_distances(a, b, "hamming")[0, 0] == 1.0
 
+    def test_batch_scores_equal_a_per_row_loop(self):
+        # reference: score each query row on its own, as the loop this
+        # replaced did; the arithmetic is unchanged, so bits must match
+        from raga_moodkit.models.neighbors import pairwise_distances
+
+        def loop_scores(model, queries):
+            distances = pairwise_distances(queries, model.X_, model.metric)
+            scores = np.zeros((len(queries), len(model.classes_)))
+            for row in range(len(queries)):
+                idx = np.argsort(distances[row], kind="stable")[: model.k]
+                d = distances[row, idx]
+                if model.weights == "uniform":
+                    weights = np.full(model.k, 1.0 / model.k)
+                elif (d == 0.0).any():
+                    weights = (d == 0.0) / np.sum(d == 0.0)
+                else:
+                    weights = (1.0 / d) / np.sum(1.0 / d)
+                np.add.at(scores[row], model.y_index_[idx], weights)
+            return scores
+
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((60, 5)).round(1)
+        y = rng.choice(["x", "y", "z"], 60)
+        X[7] = X[8]  # a query equal to X[7] has two exact matches
+        # one batch mixing rows with exact matches and rows without
+        queries = np.vstack([X[[0, 7, 7, 30]], X[:2] + 0.05, rng.standard_normal((6, 5))])
+        for metric in METRICS:
+            for weights in WEIGHTS:
+                for k in (1, 4, 9):
+                    model = KnnClassifier(k=k, metric=metric, weights=weights).fit(X, y)
+                    np.testing.assert_array_equal(model.predict_scores(queries), loop_scores(model, queries))
+
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
             KnnClassifier(k=5).fit(np.zeros((3, 2)), ["a", "b", "a"])

@@ -308,10 +308,11 @@ class TestCorruptInputs:
     """Unusable data exits with code 2 and a one-line error, never a traceback."""
 
     @staticmethod
-    def assert_data_error(code, capsys):
+    def assert_data_error(code, capsys, expected_code=2):
         err = capsys.readouterr().err
-        assert code == 2
+        assert code == expected_code
         assert err.startswith("error: ") and "Traceback" not in err
+        return err
 
     def test_non_numeric_store_row(self, extracted, tmp_path, capsys):
         store = tmp_path / "features.csv"
@@ -358,6 +359,21 @@ class TestCorruptInputs:
         for argv in runs:
             self.assert_data_error(main(argv), capsys)
 
+    def test_bundle_without_plan(self, small_corpus, trained, tmp_path, capsys):
+        # every bundle the program saves records its table's segment plan;
+        # serving one without it would have to guess how to cut the audio
+        payload = json.loads(trained.read_text(encoding="utf-8"))
+        del payload["config"]["plan"]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        wav = small_corpus.base_dir / small_corpus.records[0].path
+        for argv in (
+            ["classify", "--model", str(model), "--wav", str(wav)],
+            ["recommend", "--model", str(model), "--manifest", str(small_corpus.manifest_path),
+             "--from", "Karuna", "--to", "Shantha"],
+        ):
+            assert "segment plan" in self.assert_data_error(main(argv), capsys)
+
     @pytest.mark.parametrize("damage", ["no_mfcc", "unknown_mfcc_key"])
     def test_wrong_shape_sidecar(self, extracted, tmp_path, capsys, damage):
         store = tmp_path / "features.csv"
@@ -379,6 +395,42 @@ class TestCorruptInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert "ghost" in err and "missing.wav" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--family", "knn", "--params", "foo=1"],
+            ["tune", "--family", "knn", "--grid", "bogus=1,2"],
+            ["train", "--family", "knn", "--params", "k=abc"],
+            ["train", "--family", "svm", "--params", "C=abc"],
+            ["train", "--family", "mlp", "--params", "hidden=a,b,c,d"],
+        ],
+        ids=["unknown_param", "unknown_grid_name", "knn_k_text", "svm_C_text", "mlp_hidden_text"],
+    )
+    def test_bad_model_params_are_validation_errors(self, extracted, tmp_path, capsys, argv):
+        model = tmp_path / "m.json"
+        code = main(argv + ["--features", str(extracted), "--out", str(model)])
+        self.assert_data_error(code, capsys, expected_code=1)
+        assert not model.exists()
+
+    def test_non_utf8_store_row(self, extracted, tmp_path, capsys):
+        store = tmp_path / "features.csv"
+        lines = extracted.read_bytes().split(b"\n")
+        lines[1] += b"\xff\xfe"
+        store.write_bytes(b"\n".join(lines))
+        sidecar_path(store).write_bytes(sidecar_path(extracted).read_bytes())
+        code = main(["train", "--features", str(store), "--out", str(tmp_path / "m.json"),
+                     "--family", "knn"])
+        self.assert_data_error(code, capsys)
+
+    def test_non_utf8_manifest(self, small_corpus, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        lines = small_corpus.manifest_path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b"Instrumental", b"Instrumental\xff\xfe")
+        manifest.write_bytes(b"\n".join(lines))
+        code = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "f.csv")])
+        err = self.assert_data_error(code, capsys)
+        assert "manifest.csv:3" in err
 
     def test_nan_float32_wav(self, trained, tmp_path, capsys):
         samples = 0.5 * np.sin(np.arange(22050) / 7.0)

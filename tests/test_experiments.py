@@ -198,7 +198,7 @@ class TestSplitTable:
 class TestRunOnFeatures:
     def test_report_structure_and_consistency(self):
         table = synthetic_table()
-        config = ExperimentConfig(family="knn", params={"k": 3}, seed=1, mfcc=table.mfcc)
+        config = ExperimentConfig(family="knn", params={"k": 3}, seed=1)
         report = run_on_features(table, config)
         assert report.validation_accuracy == 1.0  # trivially separable
         matrix = np.asarray(report.confusion)
@@ -211,7 +211,7 @@ class TestRunOnFeatures:
     def test_grid_inside_experiment(self):
         table = synthetic_table()
         config = ExperimentConfig(
-            family="knn", grid={"k": [1, 3]}, seed=1, mfcc=table.mfcc
+            family="knn", grid={"k": [1, 3]}, seed=1
         )
         report = run_on_features(table, config)
         assert report.grid_rows is not None and len(report.grid_rows) == 2
@@ -220,28 +220,28 @@ class TestRunOnFeatures:
 
     def test_deterministic_reports(self):
         table = synthetic_table()
-        config = ExperimentConfig(family="svm", params={"C": 10.0, "gamma": 0.1}, seed=2, mfcc=table.mfcc)
+        config = ExperimentConfig(family="svm", params={"C": 10.0, "gamma": 0.1}, seed=2)
         one = run_on_features(table, config)
         two = run_on_features(table, config)
         assert one.to_json() == two.to_json()
 
     def test_wall_clock_not_serialized(self):
         table = synthetic_table()
-        config = ExperimentConfig(family="knn", params={"k": 1}, seed=1, mfcc=table.mfcc)
+        config = ExperimentConfig(family="knn", params={"k": 1}, seed=1)
         report = run_on_features(table, config)
         assert report.wall_clock_s > 0
         assert "wall_clock" not in report.to_json()
 
     def test_markdown_table_shape(self):
         table = synthetic_table()
-        config = ExperimentConfig(family="knn", params={"k": 3}, seed=1, mfcc=table.mfcc)
+        config = ExperimentConfig(family="knn", params={"k": 3}, seed=1)
         markdown = run_on_features(table, config).to_markdown()
         assert "Validation Classification Accuracy" in markdown
         assert "2 Segments - 0s-60s and 20s-80s" in markdown
 
     def test_evaluate_bundle_consistency(self):
         table = synthetic_table()
-        config = ExperimentConfig(family="gnb", seed=4, mfcc=table.mfcc)
+        config = ExperimentConfig(family="gnb", seed=4)
         report = run_on_features(table, config)
         evaluated = evaluate_bundle(report.bundle, table)
         assert evaluated.train_accuracy == pytest.approx(report.train_accuracy)
@@ -249,7 +249,7 @@ class TestRunOnFeatures:
 
     def test_evaluate_bundle_fresh_store_is_all_validation(self):
         table = synthetic_table()
-        config = ExperimentConfig(family="gnb", seed=4, mfcc=table.mfcc)
+        config = ExperimentConfig(family="gnb", seed=4)
         report = run_on_features(table, config)
         fresh = synthetic_table(seed=77, prefix="new_")
         evaluated = evaluate_bundle(report.bundle, fresh)
@@ -258,7 +258,7 @@ class TestRunOnFeatures:
 
     def test_scaler_none(self):
         table = synthetic_table()
-        config = ExperimentConfig(family="knn", params={"k": 1}, scaler="none", seed=1, mfcc=table.mfcc)
+        config = ExperimentConfig(family="knn", params={"k": 1}, scaler="none", seed=1)
         report = run_on_features(table, config)
         assert report.bundle.scaler is None
 
@@ -320,7 +320,7 @@ class TestGridSearchCv:
     def test_run_on_features_with_cv(self):
         table = synthetic_table()
         config = ExperimentConfig(
-            family="knn", grid={"k": [1, 3]}, seed=1, mfcc=table.mfcc, cv=2
+            family="knn", grid={"k": [1, 3]}, seed=1, cv=2
         )
         report = run_on_features(table, config)
         assert report.grid_rows is not None and len(report.grid_rows) == 2
@@ -330,6 +330,45 @@ class TestGridSearchCv:
     def test_bad_cv_rejected(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(cv=1)
+
+
+class TestConfigParams:
+    """Parameter names and value types are checked against the family's
+    constructor when the configuration is made, before any fit."""
+
+    @pytest.mark.parametrize(
+        "family, params, grid",
+        [
+            ("knn", {"foo": 1}, None),
+            ("knn", {}, {"bogus": [1, 2]}),
+            ("knn", {"k": "abc"}, None),
+            ("svm", {"C": "abc"}, None),
+            ("svm", {}, {"gamma": [0.1, "x"]}),
+            ("mlp", {"hidden": ("a", "b", "c", "d")}, None),
+            ("mlp", {"hidden": 64}, None),
+            ("forest", {"max_depth": 2.5}, None),
+        ],
+    )
+    def test_rejected(self, family, params, grid):
+        with pytest.raises(ValidationError):
+            ExperimentConfig(family=family, params=params, grid=grid)
+
+    @pytest.mark.parametrize(
+        "family, params, grid",
+        [
+            ("svm", {"C": 10, "gamma": 0.1}, {"C": [1, 10.0]}),
+            ("knn", {"metric": "euclidean"}, {"k": [1, 3]}),
+            ("mlp", {"hidden": (8, 8, 4, 4)}, None),
+            ("mlp", {"hidden": [8, 8, 4, 4]}, None),
+            ("forest", {"max_depth": None}, {"max_depth": [2, None]}),
+        ],
+    )
+    def test_accepted(self, family, params, grid):
+        ExperimentConfig(family=family, params=params, grid=grid)
+
+    def test_unknown_family(self):
+        with pytest.raises(ValidationError):
+            ExperimentConfig(family="hmm")
 
 
 def _report(family, params, validation_accuracy):

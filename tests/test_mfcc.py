@@ -13,7 +13,6 @@ from raga_moodkit.errors import (
 )
 from raga_moodkit.mfcc import (
     _CHUNK_FRAMES,
-    FeatureVector,
     MfccConfig,
     aggregate_features,
     build_filterbank,
@@ -362,12 +361,6 @@ class TestCorrelation:
         col = rng.standard_normal(30)
         matrix = feature_correlation(np.column_stack([col, -col]))
         assert matrix[0, 1] == pytest.approx(-1.0)
-
-    def test_accepts_feature_vectors(self):
-        vectors = [FeatureVector(values=np.array([1.0, 2.0]), source_id=str(i)) for i in range(3)]
-        vectors.append(FeatureVector(values=np.array([4.0, -1.0]), source_id="x"))
-        matrix = feature_correlation(vectors)
-        assert matrix.shape == (2, 2)
 
     def test_zero_variance(self):
         with pytest.raises(ZeroVariance):

@@ -1,12 +1,14 @@
 """Library-level pipeline pieces that need real (small) corpora."""
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from raga_moodkit.audio import SegmentPlan
+from raga_moodkit.audio import SegmentPlan, parse_plan
+from raga_moodkit.cli import main
 from raga_moodkit.errors import DataError, ScalerMismatch
-from raga_moodkit.experiments import ExperimentConfig, extract_features, run_experiment, run_on_features
+from raga_moodkit.experiments import ExperimentConfig, extract_features, run_on_features
 from raga_moodkit.mfcc import MfccConfig
 from raga_moodkit.models import MlpClassifier, SoftmaxRegression
 from raga_moodkit.recommender import score_library
@@ -15,23 +17,37 @@ from raga_moodkit.synth import SyntheticSpec, generate_corpus
 from raga_moodkit.catalog import load_manifest
 
 
-def test_run_experiment_from_manifest(tmp_path):
+def test_experiment_from_manifest(tmp_path):
     # tiny corpus: short files force the short-tail path; single-cut plan
     manifest = generate_corpus(SyntheticSpec(files_per_class=2, duration_s=2.0, seed=5), tmp_path)
     records = load_manifest(manifest)
-    config = ExperimentConfig(
-        family="knn",
-        params={"k": 1},
-        plan=SegmentPlan(((0.0, 60.0),)),
-        split_level="file",
-        val_fraction=0.5,
-        seed=0,
-    )
-    report = run_experiment(config, records, base_dir=tmp_path)
+    config = ExperimentConfig(family="knn", params={"k": 1}, split_level="file", val_fraction=0.5, seed=0)
+
+    def run():
+        table, _ = extract_features(records, SegmentPlan(((0.0, 60.0),)), base_dir=tmp_path)
+        return run_on_features(table, config)
+
+    report = run()
     assert report.n_train_rows == 6 and report.n_val_rows == 6
     assert report.validation_accuracy == 1.0
-    again = run_experiment(config, records, base_dir=tmp_path)
-    assert report.to_json() == again.to_json()
+    assert report.to_json() == run().to_json()
+
+
+def test_bundle_records_the_tables_plan_and_mfcc(tmp_path, capsys):
+    """A model cuts and featurizes served audio the way its table was made,
+    whatever ExperimentConfig it was trained under."""
+    manifest = generate_corpus(SyntheticSpec(files_per_class=3, duration_s=4.0, seed=6), tmp_path)
+    plan = parse_plan("0:1,1:1,2:1")
+    mfcc = MfccConfig(n_coeffs=20)
+    table, _ = extract_features(load_manifest(manifest), plan, mfcc, base_dir=tmp_path)
+    report = run_on_features(table, ExperimentConfig())
+    for config in (report.config, report.bundle.config):
+        assert config["plan"] == [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]]
+        assert config["mfcc"] == mfcc.as_dict()
+    model = tmp_path / "model.json"
+    report.bundle.save(model)
+    assert main(["classify", "--model", str(model), "--wav", str(tmp_path / "veera_001.wav")]) == 0
+    assert json.loads(capsys.readouterr().out)["n_segments"] == 3
 
 
 class TestExtractFeatures:
@@ -67,8 +83,7 @@ class TestExtractFeatures:
 class TestScoreLibrary:
     def _bundle(self, store):
         config = ExperimentConfig(
-            family="svm", params={"C": 10.0, "gamma": 0.1}, plan=store.plan,
-            seed=1, mfcc=store.mfcc,
+            family="svm", params={"C": 10.0, "gamma": 0.1}, seed=1,
         )
         return run_on_features(store, config).bundle
 
@@ -115,7 +130,7 @@ class TestTrainingDynamicsOnCorpusFeatures:
     def test_softmax_regression_monotone_at_1e3(self, small_store):
         from raga_moodkit.catalog import FeatureScaler
 
-        X = FeatureScaler("zscore").fit_transform(small_store.X)
+        X = FeatureScaler("zscore").fit(small_store.X).transform(small_store.X)
         model = SoftmaxRegression(max_iter=300, learning_rate=1e-3).fit(X, small_store.labels)
         curve = np.array(model.loss_curve_)
         assert np.all(np.diff(curve) <= 1e-12)
@@ -123,7 +138,7 @@ class TestTrainingDynamicsOnCorpusFeatures:
     def test_mlp_full_batch_monotone_at_1e4(self, small_store):
         from raga_moodkit.catalog import FeatureScaler
 
-        X = FeatureScaler("zscore").fit_transform(small_store.X)
+        X = FeatureScaler("zscore").fit(small_store.X).transform(small_store.X)
         model = MlpClassifier(
             hidden=(16, 16, 8, 8),
             epochs=30,

@@ -94,3 +94,15 @@ def test_svm_envelope_keeps_no_derivable_state_and_reads_older_files():
         pair["labels"] = encode_array(np.sign(coef))
     restored = from_envelope(json.loads(json.dumps(envelope)))
     np.testing.assert_array_equal(model.predict_scores(X), restored.predict_scores(X))
+
+
+def test_forest_envelope_reads_older_files_with_bootstrap_key():
+    rng = np.random.default_rng(4)
+    X = np.vstack([rng.normal(-2, 0.5, (12, 3)), rng.normal(2, 0.5, (12, 3))])
+    y = np.array(["a"] * 12 + ["b"] * 12)
+    model = RandomForestClassifier(n_estimators=3, seed=1).fit(X, y)
+    envelope = to_envelope(model)
+    assert "bootstrap" not in envelope["params"]
+    envelope["params"]["bootstrap"] = True  # older bundles recorded the removed option
+    restored = from_envelope(json.loads(json.dumps(envelope)))
+    np.testing.assert_array_equal(model.predict_scores(X), restored.predict_scores(X))

@@ -6,21 +6,36 @@ import pytest
 from raga_moodkit.errors import ValidationError
 from raga_moodkit.experiments import accuracy
 from raga_moodkit.models import DecisionTreeClassifier, RandomForestClassifier
-from raga_moodkit.models.tree import entropy_impurity, gini_impurity
+from raga_moodkit.models.tree import _impurity_rows
+
+
+def gini(counts):
+    return _impurity_rows(np.array([counts], dtype=np.float64), "gini")[0]
+
+
+def entropy(counts):
+    return _impurity_rows(np.array([counts], dtype=np.float64), "entropy")[0]
 
 
 class TestImpurity:
+    """The row-wise impurities ``fit`` scores its candidate splits with."""
+
     def test_fifty_fifty(self):
-        assert gini_impurity([10, 10]) == pytest.approx(0.5)
-        assert entropy_impurity([10, 10]) == pytest.approx(1.0)  # one bit
+        assert gini([10, 10]) == pytest.approx(0.5)
+        assert entropy([10, 10]) == pytest.approx(1.0)  # one bit
 
     def test_pure(self):
-        assert gini_impurity([7, 0]) == 0.0
-        assert entropy_impurity([7, 0]) == 0.0
+        assert gini([7, 0]) == 0.0
+        assert entropy([7, 0]) == 0.0
 
     def test_three_way(self):
-        assert gini_impurity([1, 1, 1]) == pytest.approx(2.0 / 3.0)
-        assert entropy_impurity([1, 1, 1]) == pytest.approx(math.log2(3))
+        assert gini([1, 1, 1]) == pytest.approx(2.0 / 3.0)
+        assert entropy([1, 1, 1]) == pytest.approx(math.log2(3))
+
+    def test_rows_are_independent(self):
+        counts = np.array([[10.0, 10.0], [7.0, 0.0]])
+        np.testing.assert_allclose(_impurity_rows(counts, "gini"), [0.5, 0.0])
+        np.testing.assert_allclose(_impurity_rows(counts, "entropy"), [1.0, 0.0])
 
 
 class TestDecisionTree:
@@ -33,13 +48,13 @@ class TestDecisionTree:
             tree = DecisionTreeClassifier(criterion=criterion).fit(X, y)
             assert tree.feature_[0] == 0
             assert tree.threshold_[0] == pytest.approx(1.5)
-            assert tree.n_nodes == 3
+            assert len(tree.feature_) == 3
             assert accuracy(tree.predict(X), y) == 1.0
 
     def test_pure_node_is_leaf(self):
         X = np.random.default_rng(0).standard_normal((10, 3))
         tree = DecisionTreeClassifier().fit(X, ["same"] * 10)
-        assert tree.n_nodes == 1
+        assert len(tree.feature_) == 1
 
     def test_memorizes_distinct_points(self):
         rng = np.random.default_rng(1)
@@ -53,7 +68,7 @@ class TestDecisionTree:
         X = rng.standard_normal((100, 3))
         y = rng.choice(["a", "b"], 100)
         stump = DecisionTreeClassifier(max_depth=1).fit(X, y)
-        assert stump.n_nodes <= 3
+        assert len(stump.feature_) <= 3
 
     def test_min_samples_leaf_shrinks_tree(self):
         rng = np.random.default_rng(3)
@@ -61,7 +76,7 @@ class TestDecisionTree:
         y = rng.choice(["a", "b"], 60)
         full = DecisionTreeClassifier(min_samples_leaf=1).fit(X, y)
         pruned = DecisionTreeClassifier(min_samples_leaf=5).fit(X, y)
-        assert pruned.n_nodes <= full.n_nodes
+        assert len(pruned.feature_) <= len(full.feature_)
 
     def test_leaf_histograms_sum_to_rows(self):
         rng = np.random.default_rng(4)
@@ -85,7 +100,7 @@ class TestDecisionTree:
         X = np.array([[0.0], [0.0], [0.0], [1.0]])
         y = np.array(["a", "a", "b", "b"])
         tree = DecisionTreeClassifier(min_samples_leaf=3).fit(X, y)
-        if tree.n_nodes == 1:  # min leaf blocks every split
+        if len(tree.feature_) == 1:  # min leaf blocks every split
             scores = tree.predict_scores(np.array([[0.0]]))[0]
             np.testing.assert_allclose(scores, [0.5, 0.5])
 
@@ -99,13 +114,6 @@ class TestDecisionTree:
 
 
 class TestRandomForest:
-    def test_single_tree_no_bootstrap_memorizes(self):
-        rng = np.random.default_rng(6)
-        X = rng.standard_normal((30, 4))
-        y = rng.choice(["a", "b", "c"], 30)
-        forest = RandomForestClassifier(n_estimators=1, bootstrap=False).fit(X, y)
-        assert accuracy(forest.predict(X), y) == 1.0
-
     def test_same_seed_same_forest(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((40, 4))
