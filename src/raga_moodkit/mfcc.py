@@ -170,7 +170,9 @@ def log_mel_energies(power, bank: MelFilterbank, log_floor: float = 1e-10) -> np
 def _dct_basis(m: int, n_coeffs: int) -> np.ndarray:
     n = np.arange(n_coeffs, dtype=np.float64)[:, None]
     half_bins = np.arange(m, dtype=np.float64)[None, :] + 0.5
-    return np.cos(np.pi * n * half_bins / m)
+    basis = np.cos(np.pi * n * half_bins / m)
+    basis.setflags(write=False)
+    return basis
 
 
 def dct_ii(values, n_coeffs: int | None = None) -> np.ndarray:
@@ -186,8 +188,16 @@ def dct_ii(values, n_coeffs: int | None = None) -> np.ndarray:
 
 # --- framing and aggregation --------------------------------------------------
 
-def _hann(n: int) -> np.ndarray:
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
+@functools.lru_cache(maxsize=16)
+def _frame_constants(config: MfccConfig) -> tuple[np.ndarray, MelFilterbank]:
+    """The Hann window and mel filterbank of a config, built once and read-only,
+    since every caller of ``mfcc_frames`` shares them."""
+    n = config.fft_size
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
+    bank = build_filterbank(config)
+    for arr in (window, bank.boundaries, bank.weights):
+        arr.setflags(write=False)
+    return window, bank
 
 
 #: Frames per batch in ``mfcc_frames``. The matrix products round differently
@@ -220,8 +230,7 @@ def mfcc_frames(segment: AudioBuffer, config: MfccConfig) -> np.ndarray:
     padded[: len(signal)] = signal
     frames = np.lib.stride_tricks.sliding_window_view(padded, config.fft_size)[:: config.hop]
 
-    window = _hann(config.fft_size)
-    bank = build_filterbank(config)
+    window, bank = _frame_constants(config)
 
     out = np.empty((n_frames, config.n_coeffs))
     for start in range(0, n_frames, _CHUNK_FRAMES):

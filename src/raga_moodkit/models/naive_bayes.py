@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ClassTooSmall
+from ..errors import ClassTooSmall, ValidationError
 from .base import BaseClassifier
 from .serialize import decode_array, encode_array
 
@@ -21,6 +21,8 @@ class GaussianNbClassifier(BaseClassifier):
         self.var_floor = var_floor
 
     def fit(self, X, y):
+        if not self.var_floor > 0:  # also rejects NaN
+            raise ValidationError(f"var_floor must be > 0, got {self.var_floor}")
         X, y = self._check_fit_inputs(X, y)
         n_classes = len(self.classes_)
         self.theta_ = np.empty((n_classes, X.shape[1]))

@@ -100,15 +100,16 @@ def score_library(bundle: ModelBundle, table: FeatureTable) -> ScoredLibrary:
     if len(table) == 0:
         return ScoredLibrary(song_ids=(), scores=np.empty((0, len(classes))), classes=classes)
     row_scores = bundle.predict_scores(table.X)
-    order: list[str] = []
-    grouped: dict[str, list[np.ndarray]] = {}
-    for sid, row in zip(table.song_ids, row_scores):
-        if sid not in grouped:
-            order.append(sid)
-            grouped[sid] = []
-        grouped[sid].append(row)
-    scores = np.vstack([np.mean(grouped[sid], axis=0) for sid in order])
-    return ScoredLibrary(song_ids=tuple(order), scores=scores, classes=classes)
+    ids, first_row, song_of_row, counts = np.unique(
+        np.asarray(table.song_ids), return_index=True, return_inverse=True, return_counts=True
+    )
+    # np.add.at adds row by row in table order, as np.mean over a song's rows
+    # does; np.add.reduceat would add a group's later rows pairwise first.
+    sums = np.zeros((len(ids), row_scores.shape[1]))
+    np.add.at(sums, song_of_row, row_scores)
+    seen = np.argsort(first_row)
+    scores = sums[seen] / counts[seen, None]
+    return ScoredLibrary(song_ids=tuple(ids[seen].tolist()), scores=scores, classes=classes)
 
 
 def slot_weights(length: int) -> np.ndarray:

@@ -199,6 +199,12 @@ class TestGaussianNb:
         assert np.all(model.var_ >= 1e-9)
         assert np.all(np.isfinite(model.predict_scores(np.array([[1.0, 3.0]]))))
 
+    @pytest.mark.parametrize("var_floor", [0.0, -1e-9, float("nan")])
+    def test_var_floor_must_be_positive(self, var_floor):
+        X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 5.0], [1.0, 6.0]])
+        with pytest.raises(ValidationError):
+            GaussianNbClassifier(var_floor=var_floor).fit(X, ["a", "a", "b", "b"])
+
     def test_class_too_small(self):
         with pytest.raises(ClassTooSmall):
             GaussianNbClassifier().fit(np.zeros((3, 2)), ["a", "a", "b"])

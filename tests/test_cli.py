@@ -404,8 +404,10 @@ class TestCorruptInputs:
             ["train", "--family", "knn", "--params", "k=abc"],
             ["train", "--family", "svm", "--params", "C=abc"],
             ["train", "--family", "mlp", "--params", "hidden=a,b,c,d"],
+            ["train", "--family", "gnb", "--params", "var_floor=0"],
         ],
-        ids=["unknown_param", "unknown_grid_name", "knn_k_text", "svm_C_text", "mlp_hidden_text"],
+        ids=["unknown_param", "unknown_grid_name", "knn_k_text", "svm_C_text", "mlp_hidden_text",
+             "gnb_var_floor_zero"],
     )
     def test_bad_model_params_are_validation_errors(self, extracted, tmp_path, capsys, argv):
         model = tmp_path / "m.json"

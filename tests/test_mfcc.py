@@ -13,6 +13,7 @@ from raga_moodkit.errors import (
 )
 from raga_moodkit.mfcc import (
     _CHUNK_FRAMES,
+    _frame_constants,
     MfccConfig,
     aggregate_features,
     build_filterbank,
@@ -316,6 +317,36 @@ class TestFrames:
             energies = log_mel_energies(power, bank, config.log_floor)
             peaks.append(int(np.argmax(energies)))
         assert peaks[0] < peaks[1] < peaks[2]
+
+
+class TestFrameConstants:
+    def test_cached_arrays_are_read_only(self):
+        window, bank = _frame_constants(MfccConfig())
+        for arr in (window, bank.boundaries, bank.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_cached_bank_is_the_built_one(self):
+        config = MfccConfig(fft_size=512, hop=128, n_filters=20, n_coeffs=13)
+        window, bank = _frame_constants(config)
+        fresh = build_filterbank(config)
+        assert np.array_equal(bank.weights, fresh.weights)
+        assert np.array_equal(bank.boundaries, fresh.boundaries)
+        assert np.array_equal(window, 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(512) / 511))
+
+    def test_alternating_configs_match_fresh_computation(self):
+        rng = np.random.default_rng(8)
+        configs = (MfccConfig(), MfccConfig(sample_rate=16000, n_filters=26, n_coeffs=13))
+        segments = [AudioBuffer(samples=rng.uniform(-0.5, 0.5, 20000), sample_rate=c.sample_rate)
+                    for c in configs]
+        fresh = []
+        for segment, config in zip(segments, configs):
+            _frame_constants.cache_clear()
+            fresh.append(mfcc_frames(segment, config))
+        for _ in range(2):
+            for segment, config, expected in zip(segments, configs, fresh):
+                assert np.array_equal(mfcc_frames(segment, config), expected)
+        assert _frame_constants.cache_info().hits >= 3
 
 
 class TestAggregate:

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
+from raga_moodkit.audio import DEFAULT_BI_SAMPLE_PLAN
+from raga_moodkit.bundle import ModelBundle
 from raga_moodkit.catalog import RASAS, Rasa
 from raga_moodkit.errors import EmptyLibrary, UnknownRasa, ValidationError
+from raga_moodkit.mfcc import MfccConfig
+from raga_moodkit.models import GaussianNbClassifier
 from raga_moodkit.recommender import (
     ScoredLibrary,
     recommend_transition,
+    score_library,
     slot_weights,
 )
+from raga_moodkit.store import FeatureTable, segment_id
 
 
 def random_library(rng, n_songs):
@@ -65,6 +71,38 @@ class TestScoredLibrary:
     def test_empty_is_valid_structure(self):
         library = ScoredLibrary(song_ids=(), scores=np.empty((0, 6)))
         assert len(library) == 0
+
+
+def score_library_reference(bundle, table):
+    """Per-song loop: each song's segment scores averaged with np.mean, songs
+    in the order their first row appears."""
+    grouped = {}
+    for sid, row in zip(table.song_ids, bundle.predict_scores(table.X)):
+        grouped.setdefault(sid, []).append(row)
+    return tuple(grouped), np.vstack([np.mean(rows, axis=0) for rows in grouped.values()])
+
+
+class TestScoreLibrary:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_song_mean_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        classes = np.array(["a", "b", "c"])
+        model = GaussianNbClassifier().fit(rng.standard_normal((30, 4)), np.repeat(classes, 10))
+        bundle = ModelBundle(model=model, scaler=None, feature_fingerprint={})
+        # 1-3 rows per song, songs interleaved so first-seen order is not sorted order
+        rows = [(f"s{song:03d}", cut) for song in range(200) for cut in range(rng.integers(1, 4))]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        table = FeatureTable(
+            segment_ids=[segment_id(song, cut) for song, cut in rows],
+            labels=rng.choice(classes, len(rows)),
+            X=rng.standard_normal((len(rows), 4)),
+            mfcc=MfccConfig(),
+            plan=DEFAULT_BI_SAMPLE_PLAN,
+        )
+        library = score_library(bundle, table)
+        song_ids, scores = score_library_reference(bundle, table)
+        assert library.song_ids == song_ids
+        assert np.array_equal(library.scores, scores)
 
 
 class TestRecommend:

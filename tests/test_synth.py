@@ -1,9 +1,36 @@
 import numpy as np
 import pytest
 
+from raga_moodkit.audio import AudioBuffer, decode_wav, encode_wav
 from raga_moodkit.catalog import Rasa, load_manifest
 from raga_moodkit.errors import ValidationError
-from raga_moodkit.synth import DEFAULT_RECIPES, SyntheticSpec, generate_corpus, synth_signal
+from raga_moodkit.synth import _BLOCK, DEFAULT_RECIPES, SyntheticSpec, generate_corpus, synth_signal
+
+
+def synth_reference(recipe, duration_s, sample_rate, rng):
+    """The tone summed one np.sin per harmonic, drawing from ``rng`` in the
+    order ``synth_signal`` must keep."""
+    n = int(round(duration_s * sample_rate))
+    t = np.arange(n) / sample_rate
+    fundamental = recipe.fundamental_hz * (1.0 + rng.uniform(-0.01, 0.01))
+    vibrato = 1.0 + recipe.vibrato_depth * np.sin(
+        2.0 * np.pi * recipe.vibrato_hz * t + rng.uniform(0.0, 2.0 * np.pi)
+    )
+    phase = 2.0 * np.pi * np.cumsum(fundamental * vibrato) / sample_rate
+
+    signal = np.zeros(n)
+    nyquist = sample_rate / 2.0
+    for harmonic, amp in enumerate(recipe.harmonic_amps, start=1):
+        if harmonic * fundamental >= 0.95 * nyquist:
+            break
+        jitter = amp * rng.uniform(0.85, 1.15)
+        signal += jitter * np.sin(harmonic * phase + rng.uniform(0.0, 2.0 * np.pi))
+
+    peak = np.max(np.abs(signal))
+    if peak > 0:
+        signal *= rng.uniform(0.6, 0.8) / peak
+    signal += recipe.noise_floor * rng.standard_normal(n)
+    return np.clip(signal, -0.98, 0.98)
 
 
 class TestSpec:
@@ -36,6 +63,43 @@ class TestSignal:
         spec_a = np.abs(np.fft.rfft(a[:16384]))
         spec_b = np.abs(np.fft.rfft(b[:16384]))
         assert np.argmax(spec_a) != np.argmax(spec_b)
+
+
+class TestAgainstReference:
+    # 3.1 s spans more than one block at every full rate and is no multiple of it
+    DURATION_S = 3.1
+    FULL_RATES = (22050, 44100, 48000)
+    # 0.95 * Nyquist falls between the first and the last harmonic of every
+    # recipe at 1.2 kHz, and below every fundamental at 300 Hz
+    LOW_RATES = (1200, 300)
+
+    @pytest.mark.parametrize("rate", FULL_RATES + LOW_RATES)
+    @pytest.mark.parametrize("rasa", sorted(Rasa, key=lambda r: r.value), ids=lambda r: r.value)
+    def test_matches_per_harmonic_sines(self, rasa, rate):
+        recipe = DEFAULT_RECIPES[rasa]
+        n = int(round(self.DURATION_S * rate))
+        if rate in self.FULL_RATES:
+            assert n > _BLOCK and n % _BLOCK
+        ours_rng, ref_rng = np.random.default_rng(rate), np.random.default_rng(rate)
+        ours = synth_signal(recipe, self.DURATION_S, rate, ours_rng)
+        ref = synth_reference(recipe, self.DURATION_S, rate, ref_rng)
+
+        assert ours.shape == ref.shape == (n,)
+        assert np.max(np.abs(ours - ref)) <= 1e-9
+        # equal generator state afterwards: the same number of draws (the
+        # renders above only match if they also come in the same order)
+        assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+
+        pcm = [decode_wav(encode_wav(AudioBuffer(samples=s, sample_rate=rate))).samples
+               for s in (ours, ref)]
+        assert np.max(np.abs(pcm[0] - pcm[1])) <= 2.0**-15
+
+    def test_low_rates_cut_harmonics(self):
+        partial, none = (0.95 * rate / 2.0 for rate in self.LOW_RATES)
+        for recipe in DEFAULT_RECIPES.values():
+            lowest, highest = 0.99 * recipe.fundamental_hz, 1.01 * recipe.fundamental_hz
+            assert highest < partial <= len(recipe.harmonic_amps) * lowest
+            assert none <= lowest
 
 
 class TestCorpus:
