@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import SegmentPlan, bi_sample, parse_plan, read_wav, resample, to_mono
+from .audio import SegmentPlan, parse_plan, read_wav
 from .bundle import ModelBundle
 from .catalog import load_manifest, parse_rasa
-from .errors import CorruptArtifact, DataError, MoodkitError, StartBeyondEnd, ValidationError
+from .errors import CorruptArtifact, DataError, MoodkitError, ValidationError
 from .experiments import (
     SCALER_KINDS,
     SPLIT_LEVELS,
@@ -32,11 +32,12 @@ from .experiments import (
     evaluate_bundle,
     extract_features,
     run_on_features,
+    song_features,
 )
-from .mfcc import MfccConfig, feature_correlation, segment_features
+from .mfcc import MfccConfig, feature_correlation
 from .models import FAMILY_ORDER
 from .recommender import recommend_transition, score_library
-from .store import read_store, segment_id, write_correlation_csv, write_store
+from .store import read_store, write_correlation_csv, write_store
 
 
 def _default_seed() -> int:
@@ -104,10 +105,6 @@ def _mfcc_from_args(args) -> MfccConfig:
     return MfccConfig(**{f.name: getattr(args, f.name) for f in _MFCC_OPTIONS})
 
 
-def _echo(command: str, **resolved) -> dict:
-    return {"command": command, **resolved}
-
-
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -125,15 +122,15 @@ def cmd_synth(args) -> int:
     )
     manifest = generate_corpus(spec, args.out)
     _print_json(
-        _echo(
-            "synth",
-            out=str(args.out),
-            files_per_class=args.files_per_class,
-            duration=args.duration,
-            seed=seed,
-            manifest=str(manifest),
-            n_files=args.files_per_class * 6,
-        )
+        {
+            "command": "synth",
+            "out": str(args.out),
+            "files_per_class": args.files_per_class,
+            "duration": args.duration,
+            "seed": seed,
+            "manifest": str(manifest),
+            "n_files": args.files_per_class * 6,
+        }
     )
     return 0
 
@@ -152,16 +149,16 @@ def cmd_extract(args) -> int:
     if len(table) == 0:
         raise DataError("no features extracted; every file failed")
 
-    echo = _echo(
-        "extract",
-        manifest=str(args.manifest),
-        out=str(args.out),
-        plan=[list(c) for c in plan.cuts],
-        mfcc=config.as_dict(),
-        jobs=args.jobs,
-        strict=args.strict,
-        correlation_out=str(args.correlation_out) if args.correlation_out else None,
-    )
+    echo = {
+        "command": "extract",
+        "manifest": str(args.manifest),
+        "out": str(args.out),
+        "plan": [list(c) for c in plan.cuts],
+        "mfcc": config.as_dict(),
+        "jobs": args.jobs,
+        "strict": args.strict,
+        "correlation_out": str(args.correlation_out) if args.correlation_out else None,
+    }
     write_store(table, args.out, extra_meta={"config": echo, "failures": sorted(s for s, _ in failures)})
     if args.correlation_out:
         write_correlation_csv(feature_correlation(table.X), args.correlation_out)
@@ -173,32 +170,23 @@ def cmd_extract(args) -> int:
 
 def _run_training(args, grid: dict | None) -> int:
     table = read_store(args.features)
-    seed = _resolve_seed(args)
-    params = parse_params(args.params)
     config = ExperimentConfig(
         family=args.family,
-        params=params,
+        params=parse_params(args.params),
         grid=grid,
         scaler=args.scaler,
         split_level=args.split_level,
         val_fraction=args.val_fraction,
-        seed=seed,
+        seed=_resolve_seed(args),
         cv=getattr(args, "cv", None),
     )
     report = run_on_features(table, config)
-    echo = _echo(
-        "tune" if grid is not None else "train",
-        features=str(args.features),
-        out=str(args.out),
-        family=args.family,
-        params=params,
-        grid=None if grid is None else {k: list(v) for k, v in grid.items()},
-        scaler=args.scaler,
-        split_level=args.split_level,
-        val_fraction=args.val_fraction,
-        seed=seed,
-        cv=getattr(args, "cv", None),
-    )
+    echo = {
+        "command": "tune" if grid is not None else "train",
+        "features": str(args.features),
+        "out": str(args.out),
+        **config.describe(),
+    }
     report.bundle.config = {**report.bundle.config, **echo, "params": report.params}
     report.bundle.save(args.out)
     if args.split_out:
@@ -268,25 +256,10 @@ def _bundle_feature_setup(bundle: ModelBundle):
     return MfccConfig(**bundle.feature_fingerprint), plan
 
 
-def _segments_within(buffer, plan: SegmentPlan):
-    """Plan cuts that start inside the buffer."""
-    cuts = [(s, d) for s, d in plan.cuts if s < buffer.duration_s]
-    if not cuts:
-        raise StartBeyondEnd(
-            f"file of {buffer.duration_s:.1f}s is shorter than every planned cut"
-        )
-    return bi_sample(buffer, SegmentPlan(tuple(cuts)))
-
-
 def cmd_classify(args) -> int:
     bundle = ModelBundle.load(args.model)
     config, plan = _bundle_feature_setup(bundle)
-    buffer = resample(to_mono(read_wav(args.wav)), config.sample_rate)
-    segments = _segments_within(buffer, plan)
-    vectors = np.vstack(
-        [segment_features(seg, config, source_id=segment_id("query", i)).values
-         for i, seg in enumerate(segments)]
-    )
+    vectors = song_features(read_wav(args.wav), plan, config, partial=True)
     scores = bundle.predict_scores(vectors).mean(axis=0)
     classes = [str(c) for c in bundle.model.classes_]
     predicted = classes[int(np.argmax(scores))]
@@ -295,7 +268,7 @@ def cmd_classify(args) -> int:
             "command": "classify",
             "model": str(args.model),
             "wav": str(args.wav),
-            "n_segments": len(segments),
+            "n_segments": len(vectors),
             "scores": {cls: float(s) for cls, s in zip(classes, scores)},
             "predicted": predicted,
         }

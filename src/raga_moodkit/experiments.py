@@ -10,19 +10,16 @@ protocol for comparison.
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 import json
-import numbers
 import time
-import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .audio import DEFAULT_BI_SAMPLE_PLAN, SegmentPlan, bi_sample, read_wav, resample, to_mono
+from .audio import DEFAULT_BI_SAMPLE_PLAN, AudioBuffer, SegmentPlan, bi_sample, read_wav, resample, to_mono
 from .bundle import ModelBundle
 from .catalog import RASAS, FeatureScaler, SongRecord, stratified_indices
 from .errors import (
@@ -31,10 +28,11 @@ from .errors import (
     EmptyInput,
     MoodkitError,
     NoEligibleModel,
+    StartBeyondEnd,
     ValidationError,
 )
 from .mfcc import MfccConfig, segment_features
-from .models import FAMILIES, FAMILY_ORDER, make_classifier
+from .models import FAMILY_ORDER, make_classifier
 from .store import FeatureTable, segment_id
 
 SPLIT_LEVELS = ("file", "segment")
@@ -172,38 +170,6 @@ def kfold_indices(labels, n_folds: int, seed: int):
 
 # --- experiment runner -----------------------------------------------------------
 
-def _has_type(value, annotation) -> bool:
-    """Whether ``value`` fits a constructor annotation: ``int``, ``float``
-    (which takes an int too), ``str``, a union of those with ``None``, or
-    ``tuple[T, ...]`` (a list or tuple of ``T``)."""
-    if typing.get_origin(annotation) is tuple:
-        item = typing.get_args(annotation)[0]
-        return isinstance(value, (tuple, list)) and all(_has_type(v, item) for v in value)
-    kinds = {int: numbers.Integral, float: numbers.Real}
-    return any(
-        isinstance(value, kinds.get(option, option))
-        for option in typing.get_args(annotation) or (annotation,)
-    )
-
-
-def _check_model_params(family: str, candidates: dict) -> None:
-    """Refuse names the family's constructor lacks and values of the wrong
-    type; ``candidates`` maps each name to the list of values it may take."""
-    cls = FAMILIES[family]
-    valid = cls._param_names()
-    signature = inspect.signature(cls.__init__, eval_str=True).parameters
-    for name, values in candidates.items():
-        if name not in valid:
-            raise ValidationError(
-                f"unknown parameter {name!r} for {family}; valid parameters: {sorted(valid)}"
-            )
-        annotation = signature[name].annotation
-        for value in values:
-            if not _has_type(value, annotation):
-                expected = inspect.formatannotation(annotation)
-                raise ValidationError(f"{family} parameter {name}={value!r} must be {expected}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """How to split, scale and fit. The segment plan and MFCC settings are
@@ -220,8 +186,6 @@ class ExperimentConfig:
     cv: int | None = None  # when set, grid selection runs k-fold inside train
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValidationError(f"unknown family {self.family!r}; expected one of {FAMILY_ORDER}")
         if self.split_level not in SPLIT_LEVELS:
             raise ValidationError(f"split_level must be one of {SPLIT_LEVELS}, got {self.split_level!r}")
         if self.scaler not in SCALER_KINDS:
@@ -230,9 +194,11 @@ class ExperimentConfig:
             raise ValidationError("grid, when given, must be non-empty")
         if self.cv is not None and self.cv < 2:
             raise ValidationError(f"cv must be >= 2 folds, got {self.cv}")
-        _check_model_params(
-            self.family, {**{k: [v] for k, v in self.params.items()}, **(self.grid or {})}
-        )
+        # the family's constructor signature checks every name and value
+        model = make_classifier(self.family, **self.params)
+        for name, values in (self.grid or {}).items():
+            for value in values:
+                model.set_params(**{name: value})
 
     def describe(self) -> dict:
         return {
@@ -328,20 +294,33 @@ def resolve_audio_path(record: SongRecord, base_dir) -> Path:
     return path
 
 
+def song_features(
+    buffer: AudioBuffer, plan: SegmentPlan, config: MfccConfig, partial: bool = False
+) -> np.ndarray:
+    """Mix down, resample, cut and featurize one decoded song: one row of
+    mean coefficients per cut of ``plan``, in plan order.
+
+    With ``partial``, cuts that start past the end of the audio are left out
+    instead of failing; at least one must remain.
+    """
+    buffer = resample(to_mono(buffer), config.sample_rate)
+    if partial:
+        cuts = tuple((s, d) for s, d in plan.cuts if s < buffer.duration_s)
+        if not cuts:
+            raise StartBeyondEnd(
+                f"file of {buffer.duration_s:.1f}s is shorter than every planned cut"
+            )
+        plan = SegmentPlan(cuts)
+    return np.vstack([segment_features(seg, config).values for seg in bi_sample(buffer, plan)])
+
+
 def extract_song_rows(
     record: SongRecord, plan: SegmentPlan, config: MfccConfig, base_dir
 ) -> list:
-    """Decode, mix down, resample and featurize one song.
-
-    Returns ``(segment_id, rasa, values)`` triples, one per cut of the plan.
-    """
-    path = resolve_audio_path(record, base_dir)
-    buffer = resample(to_mono(read_wav(path)), config.sample_rate)
-    rows = []
-    for cut_index, segment in enumerate(bi_sample(buffer, plan)):
-        features = segment_features(segment, config, source_id=segment_id(record.id, cut_index))
-        rows.append((features.source_id, record.rasa.value, features.values))
-    return rows
+    """Decode and featurize one song: ``(segment_id, rasa, values)`` triples,
+    one per cut of the plan."""
+    rows = song_features(read_wav(resolve_audio_path(record, base_dir)), plan, config)
+    return [(segment_id(record.id, i), record.rasa.value, row) for i, row in enumerate(rows)]
 
 
 def extract_features(

@@ -76,10 +76,9 @@ class MfccConfig:
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Aggregated per-segment coefficients plus the segment identifier."""
+    """Aggregated per-segment coefficients."""
 
     values: np.ndarray
-    source_id: str = ""
 
 
 @dataclass(frozen=True)
@@ -240,17 +239,17 @@ def mfcc_frames(segment: AudioBuffer, config: MfccConfig) -> np.ndarray:
     return out
 
 
-def aggregate_features(frames, source_id: str = "") -> FeatureVector:
+def aggregate_features(frames) -> FeatureVector:
     """Per-coefficient arithmetic mean across frames."""
     arr = np.asarray(frames, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise ValidationError(f"expected a non-empty frame matrix, got shape {arr.shape}")
-    return FeatureVector(values=arr.mean(axis=0), source_id=source_id)
+    return FeatureVector(values=arr.mean(axis=0))
 
 
-def segment_features(segment: AudioBuffer, config: MfccConfig, source_id: str = "") -> FeatureVector:
+def segment_features(segment: AudioBuffer, config: MfccConfig) -> FeatureVector:
     """Full per-segment pipeline: frames -> mean coefficient vector."""
-    return aggregate_features(mfcc_frames(segment, config), source_id=source_id)
+    return aggregate_features(mfcc_frames(segment, config))
 
 
 def feature_correlation(features) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..base import ParamsMixin, as_float_matrix, as_label_array, check_fitted
-from ..errors import EmptyData, ValidationError
+from ..errors import CorruptArtifact, EmptyData, ValidationError
 
 
 class BaseClassifier(ParamsMixin):
@@ -45,9 +45,20 @@ class BaseClassifier(ParamsMixin):
             )
         return X
 
-    # serialization hooks; see models.serialize
+    # serialization; see models.serialize
     def _encode_params(self) -> dict:
-        raise NotImplementedError
+        """The constructor parameters plus the family's fitted state."""
+        return {**self.get_params(), **self._encode_state()}
 
     def _decode_params(self, params: dict) -> None:
+        try:
+            self.set_params(**{name: params[name] for name in self._param_annotations()})
+        except ValidationError as exc:
+            raise CorruptArtifact(f"stored {exc}") from exc
+        self._decode_state(params)
+
+    def _encode_state(self) -> dict:
+        raise NotImplementedError
+
+    def _decode_state(self, params: dict) -> None:
         raise NotImplementedError

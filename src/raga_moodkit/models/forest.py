@@ -40,18 +40,13 @@ class RandomForestClassifier(BaseClassifier):
         X, y = self._check_fit_inputs(X, y)
         master = np.random.default_rng(self.seed)
         n = X.shape[0]
+        tree_params = self.get_params()
+        del tree_params["n_estimators"]
         self.trees_ = []
         for _ in range(self.n_estimators):
             boot_seed, tree_seed = master.integers(0, 2**63 - 1, size=2)
             rows = np.random.default_rng(boot_seed).integers(0, n, size=n)
-            tree = DecisionTreeClassifier(
-                criterion=self.criterion,
-                max_depth=self.max_depth,
-                max_features=self.max_features,
-                min_samples_leaf=self.min_samples_leaf,
-                min_samples_split=self.min_samples_split,
-                seed=int(tree_seed),
-            )
+            tree = DecisionTreeClassifier(**{**tree_params, "seed": int(tree_seed)})
             tree.fit(X[rows], y[rows], classes=self.classes_)
             self.trees_.append(tree)
         return self
@@ -63,26 +58,10 @@ class RandomForestClassifier(BaseClassifier):
             total += tree.predict_scores(X)
         return total / len(self.trees_)
 
-    def _encode_params(self) -> dict:
-        return {
-            "n_estimators": self.n_estimators,
-            "criterion": self.criterion,
-            "max_depth": self.max_depth,
-            "max_features": self.max_features,
-            "min_samples_leaf": self.min_samples_leaf,
-            "min_samples_split": self.min_samples_split,
-            "seed": self.seed,
-            "trees": [tree._encode_params() for tree in self.trees_],
-        }
+    def _encode_state(self) -> dict:
+        return {"trees": [tree._encode_params() for tree in self.trees_]}
 
-    def _decode_params(self, params: dict) -> None:
-        self.n_estimators = int(params["n_estimators"])
-        self.criterion = params["criterion"]
-        self.max_depth = params["max_depth"]
-        self.max_features = float(params["max_features"])
-        self.min_samples_leaf = int(params["min_samples_leaf"])
-        self.min_samples_split = int(params["min_samples_split"])
-        self.seed = int(params["seed"])
+    def _decode_state(self, params: dict) -> None:
         self.trees_ = []
         for tree_params in params["trees"]:
             tree = DecisionTreeClassifier()

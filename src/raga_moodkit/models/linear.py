@@ -69,15 +69,9 @@ class SoftmaxRegression(BaseClassifier):
         X_bias = np.hstack([X, np.ones((X.shape[0], 1))])
         return softmax(X_bias @ self.weights_)
 
-    def _encode_params(self) -> dict:
-        return {
-            "max_iter": self.max_iter,
-            "learning_rate": self.learning_rate,
-            "weights": encode_array(self.weights_),
-        }
+    def _encode_state(self) -> dict:
+        return {"weights": encode_array(self.weights_)}
 
-    def _decode_params(self, params: dict) -> None:
-        self.max_iter = int(params["max_iter"])
-        self.learning_rate = float(params["learning_rate"])
+    def _decode_state(self, params: dict) -> None:
         self.weights_ = decode_array(params["weights"])
         self.n_features_ = self.weights_.shape[0] - 1

@@ -110,23 +110,13 @@ class MlpClassifier(BaseClassifier):
         X = self._check_predict_input(X)
         return forward(self.weights_, self.biases_, X)[-1]
 
-    def _encode_params(self) -> dict:
+    def _encode_state(self) -> dict:
         return {
-            "hidden": list(self.hidden),
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "seed": self.seed,
             "weights": [encode_array(w) for w in self.weights_],
             "biases": [encode_array(b) for b in self.biases_],
         }
 
-    def _decode_params(self, params: dict) -> None:
-        self.hidden = tuple(int(h) for h in params["hidden"])
-        self.epochs = int(params["epochs"])
-        self.batch_size = int(params["batch_size"])
-        self.learning_rate = float(params["learning_rate"])
-        self.seed = int(params["seed"])
+    def _decode_state(self, params: dict) -> None:
         self.weights_ = [decode_array(w) for w in params["weights"]]
         self.biases_ = [decode_array(b) for b in params["biases"]]
         self.n_features_ = self.weights_[0].shape[0]

@@ -49,16 +49,14 @@ class GaussianNbClassifier(BaseClassifier):
         likelihood = np.exp(shifted)
         return likelihood / likelihood.sum(axis=1, keepdims=True)
 
-    def _encode_params(self) -> dict:
+    def _encode_state(self) -> dict:
         return {
-            "var_floor": self.var_floor,
             "theta": encode_array(self.theta_),
             "var": encode_array(self.var_),
             "priors": encode_array(self.priors_),
         }
 
-    def _decode_params(self, params: dict) -> None:
-        self.var_floor = float(params["var_floor"])
+    def _decode_state(self, params: dict) -> None:
         self.theta_ = decode_array(params["theta"])
         self.var_ = decode_array(params["var"])
         self.priors_ = decode_array(params["priors"])

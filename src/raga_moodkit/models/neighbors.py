@@ -89,19 +89,10 @@ class KnnClassifier(BaseClassifier):
         np.add.at(scores, (rows, self.y_index_[nearest]), weights)
         return scores
 
-    def _encode_params(self) -> dict:
-        return {
-            "k": self.k,
-            "metric": self.metric,
-            "weights": self.weights,
-            "X": encode_array(self.X_),
-            "y_index": encode_array(self.y_index_),
-        }
+    def _encode_state(self) -> dict:
+        return {"X": encode_array(self.X_), "y_index": encode_array(self.y_index_)}
 
-    def _decode_params(self, params: dict) -> None:
-        self.k = int(params["k"])
-        self.metric = params["metric"]
-        self.weights = params["weights"]
+    def _decode_state(self, params: dict) -> None:
         self.X_ = decode_array(params["X"])
         self.y_index_ = decode_array(params["y_index"]).astype(np.int64)
         self.n_features_ = self.X_.shape[1]

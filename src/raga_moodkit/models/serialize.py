@@ -1,8 +1,9 @@
 """Versioned JSON model envelope.
 
-Layout: ``{"format_version", "family", "class_order", "params"}`` where all
-numeric arrays inside ``params`` travel base64-encoded as little-endian
-float64 (integer-valued arrays included) alongside their shape.
+Layout: ``{"format_version", "family", "class_order", "params"}``. ``params``
+holds the family's constructor parameters under their own names plus its
+fitted state; all numeric arrays in it travel base64-encoded as
+little-endian float64 (integer-valued arrays included) alongside their shape.
 """
 from __future__ import annotations
 

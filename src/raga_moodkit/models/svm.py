@@ -15,7 +15,7 @@ from .serialize import decode_array, encode_array
 
 def rbf_kernel(a, b, gamma: float) -> float:
     """exp(-gamma * ||a - b||^2) for two vectors."""
-    if gamma <= 0:
+    if not gamma > 0:  # also rejects NaN
         raise ValidationError(f"gamma must be > 0, got {gamma}")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -103,10 +103,12 @@ def smo_train_binary(
         raise ValidationError("labels must be -1 or +1")
     if len(np.unique(y)) < 2:
         raise SingleClass("binary training needs both labels present")
-    if C <= 0:
+    if not C > 0:  # also rejects NaN
         raise ValidationError(f"C must be > 0, got {C}")
-    if gamma <= 0:
+    if not gamma > 0:  # also rejects NaN
         raise ValidationError(f"gamma must be > 0, got {gamma}")
+    if not tol >= 0:  # a NaN tolerance is never met, so the sweep budget would run out
+        raise ValidationError(f"tol must be >= 0, got {tol}")
 
     n = X.shape[0]
     gram = rbf_kernel_matrix(X, X, gamma)
@@ -352,7 +354,7 @@ class RbfSvmClassifier(BaseClassifier):
         exp = np.exp(shifted)
         return exp / exp.sum(axis=1, keepdims=True)
 
-    def _encode_params(self) -> dict:
+    def _encode_state(self) -> dict:
         pairs = []
         for (a, b), model in sorted(self.pair_models_.items()):
             pairs.append(
@@ -363,21 +365,9 @@ class RbfSvmClassifier(BaseClassifier):
                     "bias": model.bias,
                 }
             )
-        return {
-            "C": self.C,
-            "gamma": self.gamma,
-            "tol": self.tol,
-            "max_passes": self.max_passes,
-            "seed": self.seed,
-            "pairs": pairs,
-        }
+        return {"pairs": pairs}
 
-    def _decode_params(self, params: dict) -> None:
-        self.C = float(params["C"])
-        self.gamma = float(params["gamma"])
-        self.tol = float(params["tol"])
-        self.max_passes = int(params["max_passes"])
-        self.seed = int(params["seed"])
+    def _decode_state(self, params: dict) -> None:
         self.pair_models_ = {}
         n_features = None
         for pair in params["pairs"]:

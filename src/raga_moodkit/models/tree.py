@@ -181,14 +181,8 @@ class DecisionTreeClassifier(BaseClassifier):
         leaf_counts = self.counts_[self._leaf_for(X)]
         return leaf_counts / leaf_counts.sum(axis=1, keepdims=True)
 
-    def _encode_params(self) -> dict:
+    def _encode_state(self) -> dict:
         return {
-            "criterion": self.criterion,
-            "max_depth": self.max_depth,
-            "max_features": self.max_features,
-            "min_samples_leaf": self.min_samples_leaf,
-            "min_samples_split": self.min_samples_split,
-            "seed": self.seed,
             "n_features": self.n_features_,
             "feature": encode_array(self.feature_),
             "threshold": encode_array(self.threshold_),
@@ -197,13 +191,7 @@ class DecisionTreeClassifier(BaseClassifier):
             "counts": encode_array(self.counts_),
         }
 
-    def _decode_params(self, params: dict) -> None:
-        self.criterion = params["criterion"]
-        self.max_depth = params["max_depth"]
-        self.max_features = float(params["max_features"])
-        self.min_samples_leaf = int(params["min_samples_leaf"])
-        self.min_samples_split = int(params["min_samples_split"])
-        self.seed = int(params["seed"])
+    def _decode_state(self, params: dict) -> None:
         self.feature_ = decode_array(params["feature"]).astype(np.int64)
         self.threshold_ = decode_array(params["threshold"])
         self.left_ = decode_array(params["left"]).astype(np.int64)

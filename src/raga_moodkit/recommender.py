@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import ModelBundle
-from .catalog import RASAS, Rasa, parse_rasa
+from .catalog import RASAS, parse_rasa
 from .errors import EmptyLibrary, ValidationError
 from .store import FeatureTable
 
@@ -43,7 +43,7 @@ class ScoredLibrary:
         return len(self.song_ids)
 
     def column(self, rasa) -> np.ndarray:
-        name = rasa.value if isinstance(rasa, Rasa) else str(rasa)
+        name = str(rasa)
         try:
             return self.scores[:, self.classes.index(name)]
         except ValueError as exc:
@@ -123,8 +123,8 @@ def slot_weights(length: int) -> np.ndarray:
 
 def recommend_transition(library: ScoredLibrary, current, aspired, length: int) -> Playlist:
     """Greedy mood-transition playlist of ``min(length, len(library))`` songs."""
-    current = parse_rasa(current if isinstance(current, str) else current.value)
-    aspired = parse_rasa(aspired if isinstance(aspired, str) else aspired.value)
+    current = parse_rasa(current)
+    aspired = parse_rasa(aspired)
     if len(library) == 0:
         raise EmptyLibrary("cannot recommend from an empty library")
     weights = slot_weights(length)

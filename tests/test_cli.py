@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from raga_moodkit.audio import AudioBuffer, write_wav
+from raga_moodkit.bundle import ModelBundle
 from raga_moodkit.cli import main, parse_grid, parse_params
-from raga_moodkit.errors import ValidationError
+from raga_moodkit.errors import CorruptArtifact, ValidationError
 from raga_moodkit.store import read_store, sidecar_path
 
 
@@ -405,15 +406,43 @@ class TestCorruptInputs:
             ["train", "--family", "svm", "--params", "C=abc"],
             ["train", "--family", "mlp", "--params", "hidden=a,b,c,d"],
             ["train", "--family", "gnb", "--params", "var_floor=0"],
+            ["train", "--family", "svm", "--params", "gamma=nan"],
+            ["train", "--family", "svm", "--params", "C=nan"],
         ],
         ids=["unknown_param", "unknown_grid_name", "knn_k_text", "svm_C_text", "mlp_hidden_text",
-             "gnb_var_floor_zero"],
+             "gnb_var_floor_zero", "svm_gamma_nan", "svm_C_nan"],
     )
     def test_bad_model_params_are_validation_errors(self, extracted, tmp_path, capsys, argv):
         model = tmp_path / "m.json"
         code = main(argv + ["--features", str(extracted), "--out", str(model)])
         self.assert_data_error(code, capsys, expected_code=1)
         assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "family, params, damage",
+        [
+            ("svm", ["C=10", "gamma=0.1"], lambda stored: stored.update(C="abc")),
+            ("knn", ["k=3"], lambda stored: stored.update(k=2.5)),
+            ("mlp", ["hidden=4,4,4,4", "epochs=1"], lambda stored: stored.pop("hidden")),
+        ],
+        ids=["svm_C_text", "knn_k_fraction", "mlp_hidden_missing"],
+    )
+    def test_bad_stored_hyperparameter(
+        self, small_corpus, extracted, tmp_path, capsys, family, params, damage
+    ):
+        model = tmp_path / "model.json"
+        code = main(["train", "--features", str(extracted), "--out", str(model),
+                     "--family", family, "--params", *params])
+        assert code == 0
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        damage(payload["model"]["params"])
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CorruptArtifact):
+            ModelBundle.load(model)
+        capsys.readouterr()
+        wav = small_corpus.base_dir / small_corpus.records[0].path
+        code = main(["classify", "--model", str(model), "--wav", str(wav)])
+        self.assert_data_error(code, capsys)
 
     def test_non_utf8_store_row(self, extracted, tmp_path, capsys):
         store = tmp_path / "features.csv"

@@ -366,10 +366,6 @@ class TestAggregate:
             aggregate_features(frames).values, aggregate_features(shuffled).values, atol=1e-12
         )
 
-    def test_source_id_carried(self):
-        fv = aggregate_features(np.zeros((2, 4)), source_id="song:0")
-        assert fv.source_id == "song:0"
-
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             aggregate_features(np.empty((0, 40)))
@@ -401,9 +397,8 @@ class TestCorrelation:
 def test_segment_features_composes():
     rng = np.random.default_rng(13)
     segment = AudioBuffer(samples=rng.uniform(-0.5, 0.5, 30000), sample_rate=22050)
-    fv = segment_features(segment, MfccConfig(), source_id="song:1")
+    fv = segment_features(segment, MfccConfig())
     assert fv.values.shape == (40,)
-    assert fv.source_id == "song:1"
     assert np.all(np.isfinite(fv.values))
 
 

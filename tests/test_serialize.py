@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from raga_moodkit.errors import ValidationError
 from raga_moodkit.models import (
+    FAMILIES,
+    DecisionTreeClassifier,
     GaussianNbClassifier,
     KnnClassifier,
     MlpClassifier,
@@ -106,3 +109,45 @@ def test_forest_envelope_reads_older_files_with_bootstrap_key():
     envelope["params"]["bootstrap"] = True  # older bundles recorded the removed option
     restored = from_envelope(json.loads(json.dumps(envelope)))
     np.testing.assert_array_equal(model.predict_scores(X), restored.predict_scores(X))
+
+
+#: A value other than the default for every constructor parameter.
+NON_DEFAULT_PARAMS = {
+    KnnClassifier: {"k": 3, "metric": "euclidean", "weights": "distance"},
+    GaussianNbClassifier: {"var_floor": 1e-6},
+    SoftmaxRegression: {"max_iter": 20, "learning_rate": 0.05},
+    RbfSvmClassifier: {"C": 3, "gamma": 0.2, "tol": 1e-2, "max_passes": 4, "seed": 2},
+    RandomForestClassifier: {
+        "n_estimators": 3, "criterion": "entropy", "max_depth": 3, "max_features": 0.5,
+        "min_samples_leaf": 2, "min_samples_split": 3, "seed": 1,
+    },
+    MlpClassifier: {"hidden": (6, 5, 4, 3), "epochs": 3, "batch_size": 4,
+                    "learning_rate": 0.01, "seed": 1},
+    DecisionTreeClassifier: {
+        "criterion": "entropy", "max_depth": 3, "max_features": 0.5,
+        "min_samples_leaf": 2, "min_samples_split": 3, "seed": 1,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "cls", [*FAMILIES.values(), DecisionTreeClassifier], ids=lambda cls: cls.__name__
+)
+def test_stored_parameters_are_the_constructor_parameters(cls):
+    rng = np.random.default_rng(5)
+    X = np.vstack([rng.normal(-2, 0.5, (6, 3)), rng.normal(2, 0.5, (6, 3))])
+    y = np.array(["a"] * 6 + ["b"] * 6)
+    params = NON_DEFAULT_PARAMS[cls]
+    signature = inspect.signature(cls).parameters
+    assert set(params) == set(signature)
+    assert all(params[name] != signature[name].default for name in params)
+    model = cls(**params).fit(X, y)
+
+    stored = json.loads(json.dumps(model._encode_params()))
+    for name in signature:
+        assert stored[name] == json.loads(json.dumps(params[name])), name
+    restored = cls()
+    restored.classes_ = model.classes_
+    restored._decode_params(stored)
+    assert restored.get_params() == model.get_params() == params
+    np.testing.assert_array_equal(restored.predict_scores(X), model.predict_scores(X))

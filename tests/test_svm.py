@@ -46,9 +46,17 @@ class TestKernel:
     def test_bad_gamma(self):
         with pytest.raises(ValidationError):
             rbf_kernel([1.0], [1.0], 0.0)
+        with pytest.raises(ValidationError):
+            rbf_kernel([1.0], [1.0], math.nan)
 
 
 class TestSmoBinary:
+    @pytest.mark.parametrize("name", ["C", "gamma", "tol"])
+    def test_nan_hyperparameter_rejected(self, name):
+        X = np.array([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValidationError):
+            smo_train_binary(X, np.array([1.0, -1.0]), **{name: math.nan})
+
     def test_two_point_analytic_solution(self):
         # alpha* = 1/(1 - K12), b = 0, boundary at the midpoint
         X = np.array([[0.0, 0.0], [1.0, 0.0]])
