@@ -1,74 +1,100 @@
-"""Estimator plumbing: parameter introspection and input validation helpers."""
+"""Estimator plumbing: parameter contracts and input validation helpers."""
 from __future__ import annotations
 
+import dataclasses
 import functools
 import inspect
 import numbers
 import typing
+from typing import Annotated
 
 import numpy as np
 
 from .errors import NotFitted, ValidationError
 
+# Field annotations carrying a range rule: (text for errors, test). Every
+# test is a comparison that NaN fails.
+PositiveInt = Annotated[int, (">= 1", lambda v: v >= 1)]
+NonNegativeInt = Annotated[int, (">= 0", lambda v: v >= 0)]
+PositiveFloat = Annotated[float, ("> 0", lambda v: v > 0)]
+NonNegativeFloat = Annotated[float, (">= 0", lambda v: v >= 0)]
+
 
 def _has_type(value, annotation) -> bool:
-    """Whether ``value`` fits a constructor annotation: ``int``, ``float``
-    (which takes an int too), ``str``, a union of those with ``None``, or
-    ``tuple[T, ...]`` (a list or tuple of ``T``)."""
-    if typing.get_origin(annotation) is tuple:
+    """Whether ``value`` fits a field annotation: ``int``, ``float`` (which
+    takes an int too; neither takes a bool), ``str``, a ``Literal`` of
+    strings, a union of those with ``None``, or ``tuple[T, ...]`` (a list or
+    tuple of ``T``)."""
+    origin = typing.get_origin(annotation)
+    if origin is tuple:
         item = typing.get_args(annotation)[0]
         return isinstance(value, (tuple, list)) and all(_has_type(v, item) for v in value)
-    kinds = {int: numbers.Integral, float: numbers.Real}
+    if origin is typing.Literal:
+        return isinstance(value, str) and value in typing.get_args(annotation)
+    numeric = {int: numbers.Integral, float: numbers.Real}
     return any(
-        isinstance(value, kinds.get(option, option))
+        isinstance(value, numeric[option]) and not isinstance(value, bool)
+        if option in numeric
+        else isinstance(value, option)
         for option in typing.get_args(annotation) or (annotation,)
     )
 
 
 class ParamsMixin:
-    """``get_params``/``set_params`` following the scikit-learn convention.
+    """``get_params``/``set_params`` over the fields of a dataclass.
 
-    The constructor signature is the only list of an estimator's parameters:
-    ``set_params`` refuses names it lacks and values that do not fit its
-    annotations. Constructor arguments are stored verbatim on the instance
-    under the same names; fitted state uses trailing-underscore attributes.
+    A subclass's field list is its whole parameter contract: names, types,
+    closed choices as ``Literal`` and numeric ranges as ``Annotated`` rules.
+    The constructor and ``set_params`` both pass through ``_check_params``,
+    so an estimator built or changed through them holds no value outside
+    its contract and ``fit`` need not check one. Fitted state uses
+    trailing-underscore attributes.
     """
+
+    def __post_init__(self):
+        self.set_params(**self.get_params())
 
     @classmethod
     @functools.cache
-    def _param_annotations(cls) -> dict:
-        """Constructor parameter names, in signature order, to their annotations."""
-        sig = inspect.signature(cls.__init__, eval_str=True)
-        return {
-            p.name: p.annotation
-            for p in sig.parameters.values()
-            if p.name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        }
+    def _param_types(cls) -> dict:
+        """Field names, in declaration order, to their annotations."""
+        hints = typing.get_type_hints(cls, include_extras=True)
+        return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+    @classmethod
+    def _check_params(cls, **params) -> dict:
+        """Refuse unknown names, wrong types and values outside a range rule;
+        return the values with lists stored as tuples."""
+        types = cls._param_types()
+        checked = {}
+        for name, value in params.items():
+            if name not in types:
+                raise ValidationError(
+                    f"unknown parameter {name!r} for {cls.__name__}; valid parameters: {sorted(types)}"
+                )
+            hint = types[name]
+            annotation, *rules = typing.get_args(hint) if typing.get_origin(hint) is Annotated else (hint,)
+            if not _has_type(value, annotation):
+                expected = (
+                    f"one of {typing.get_args(annotation)}"
+                    if typing.get_origin(annotation) is typing.Literal
+                    else inspect.formatannotation(annotation)
+                )
+                raise ValidationError(f"{cls.__name__} parameter {name}={value!r} must be {expected}")
+            for text, test in rules:
+                if not test(value):
+                    raise ValidationError(f"{cls.__name__} parameter {name}={value!r} must be {text}")
+            checked[name] = tuple(value) if isinstance(value, list) else value
+        return checked
 
     def get_params(self):
-        return {name: getattr(self, name) for name in self._param_annotations()}
+        return {name: getattr(self, name) for name in self._param_types()}
 
     def set_params(self, **params):
-        """Set constructor parameters by name; a list given for a tuple
-        parameter is stored as a tuple."""
-        annotations = self._param_annotations()
-        for name, value in params.items():
-            if name not in annotations:
-                raise ValidationError(
-                    f"unknown parameter {name!r} for {type(self).__name__}; "
-                    f"valid parameters: {sorted(annotations)}"
-                )
-            if not _has_type(value, annotations[name]):
-                expected = inspect.formatannotation(annotations[name])
-                raise ValidationError(
-                    f"{type(self).__name__} parameter {name}={value!r} must be {expected}"
-                )
-            setattr(self, name, tuple(value) if isinstance(value, list) else value)
+        """Set parameters by name; nothing is set unless every value passes."""
+        for name, value in self._check_params(**params).items():
+            setattr(self, name, value)
         return self
-
-    def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
 
 
 def as_float_matrix(X, name="X"):

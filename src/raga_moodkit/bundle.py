@@ -63,12 +63,15 @@ class ModelBundle:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelBundle":
+        """Decode a bundle and check that its parts agree: the scaler takes
+        the model's features, and the model scores one row over its whole
+        class order."""
         if payload.get("format_version") != BUNDLE_FORMAT_VERSION:
             raise ValidationError(
                 f"unsupported bundle format_version {payload.get('format_version')!r}"
             )
         scaler = payload.get("scaler")
-        return cls(
+        bundle = cls(
             model=from_envelope(payload["model"]),
             scaler=FeatureScaler.from_dict(scaler) if scaler else None,
             feature_fingerprint=payload.get("feature_fingerprint", {}),
@@ -76,10 +79,17 @@ class ModelBundle:
             metrics=payload.get("metrics", {}),
             config=payload.get("config", {}),
         )
+        scores = bundle.predict_scores(np.zeros((1, bundle.model.n_features_)))
+        if scores.shape != (1, len(bundle.model.classes_)) or not np.isclose(scores.sum(), 1.0):
+            raise ValidationError(
+                f"model scores {scores.tolist()} do not sum to 1 over its "
+                f"{len(bundle.model.classes_)} classes"
+            )
+        return bundle
 
     @classmethod
     def load(cls, path) -> "ModelBundle":
         try:
             return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, LookupError, TypeError, ValueError, ValidationError) as exc:
             raise CorruptArtifact(f"bundle {Path(path).name} is corrupt: {exc!r}") from exc

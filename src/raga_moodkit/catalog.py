@@ -8,8 +8,10 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import typing
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -271,6 +273,10 @@ def stratified_indices(labels, val_fraction: float, seed: int):
     return np.flatnonzero(mask), val_idx
 
 
+ScalerKind = Literal["zscore", "minmax"]
+
+
+@dataclass(eq=False)
 class FeatureScaler(ParamsMixin):
     """Per-feature scaling fitted on training rows only.
 
@@ -278,14 +284,10 @@ class FeatureScaler(ParamsMixin):
     (x - min) / (max - min). Degenerate features (zero spread) map to 0.
     """
 
-    KINDS = ("zscore", "minmax")
-
-    def __init__(self, kind: str = "zscore"):
-        self.kind = kind
+    KINDS = typing.get_args(ScalerKind)
+    kind: ScalerKind = "zscore"
 
     def fit(self, X):
-        if self.kind not in self.KINDS:
-            raise ValidationError(f"scaler kind must be one of {self.KINDS}, got {self.kind!r}")
         X = as_float_matrix(X)
         if X.shape[0] < 2:
             raise ValidationError(f"scaler needs at least 2 training rows, got {X.shape[0]}")

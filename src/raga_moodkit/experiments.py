@@ -194,7 +194,7 @@ class ExperimentConfig:
             raise ValidationError("grid, when given, must be non-empty")
         if self.cv is not None and self.cv < 2:
             raise ValidationError(f"cv must be >= 2 folds, got {self.cv}")
-        # the family's constructor signature checks every name and value
+        # the family's fields check every name, type and allowed value
         model = make_classifier(self.family, **self.params)
         for name, values in (self.grid or {}).items():
             for value in values:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..base import ParamsMixin, as_float_matrix, as_label_array, check_fitted
-from ..errors import CorruptArtifact, EmptyData, ValidationError
+from ..errors import EmptyData, ValidationError
 
 
 class BaseClassifier(ParamsMixin):
@@ -51,10 +51,7 @@ class BaseClassifier(ParamsMixin):
         return {**self.get_params(), **self._encode_state()}
 
     def _decode_params(self, params: dict) -> None:
-        try:
-            self.set_params(**{name: params[name] for name in self._param_annotations()})
-        except ValidationError as exc:
-            raise CorruptArtifact(f"stored {exc}") from exc
+        self.set_params(**{name: params[name] for name in self._param_types()})
         self._decode_state(params)
 
     def _encode_state(self) -> dict:

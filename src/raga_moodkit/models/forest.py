@@ -1,42 +1,24 @@
 """Random forest: bagged CART trees voting with their leaf distributions."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from ..errors import ValidationError
+from ..base import PositiveInt
 from .base import BaseClassifier
-from .tree import CRITERIA, DecisionTreeClassifier
+from .tree import DecisionTreeClassifier, TreeParams
 
 
-class RandomForestClassifier(BaseClassifier):
+@dataclass(eq=False)
+class RandomForestClassifier(TreeParams, BaseClassifier):
     """Seeded bootstrap resamples (with replacement, size n) feed one tree
     each; scores are the mean of the per-tree leaf class distributions."""
 
     family = "forest"
-
-    def __init__(
-        self,
-        n_estimators: int = 100,
-        criterion: str = "gini",
-        max_depth: int | None = None,
-        max_features: float = 1.0,
-        min_samples_leaf: int = 1,
-        min_samples_split: int = 2,
-        seed: int = 0,
-    ):
-        self.n_estimators = n_estimators
-        self.criterion = criterion
-        self.max_depth = max_depth
-        self.max_features = max_features
-        self.min_samples_leaf = min_samples_leaf
-        self.min_samples_split = min_samples_split
-        self.seed = seed
+    n_estimators: PositiveInt = 100
 
     def fit(self, X, y):
-        if self.n_estimators < 1:
-            raise ValidationError(f"n_estimators must be >= 1, got {self.n_estimators}")
-        if self.criterion not in CRITERIA:
-            raise ValidationError(f"criterion must be one of {CRITERIA}, got {self.criterion!r}")
         X, y = self._check_fit_inputs(X, y)
         master = np.random.default_rng(self.seed)
         n = X.shape[0]

@@ -1,9 +1,12 @@
 """Multinomial softmax regression trained by full-batch gradient descent."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from ..errors import DivergenceDetected, ValidationError
+from ..base import NonNegativeInt, PositiveFloat
+from ..errors import DivergenceDetected
 from .base import BaseClassifier
 from .serialize import decode_array, encode_array
 
@@ -23,6 +26,7 @@ def _loss_and_grad(weights, X_bias, onehot):
     return loss, grad
 
 
+@dataclass(eq=False)
 class SoftmaxRegression(BaseClassifier):
     """Deterministic zero-initialized weights; fixed learning rate.
 
@@ -31,16 +35,10 @@ class SoftmaxRegression(BaseClassifier):
     """
 
     family = "logreg"
-
-    def __init__(self, max_iter: int = 1000, learning_rate: float = 0.01):
-        self.max_iter = max_iter
-        self.learning_rate = learning_rate
+    max_iter: NonNegativeInt = 1000
+    learning_rate: PositiveFloat = 0.01
 
     def fit(self, X, y):
-        if self.max_iter < 0:
-            raise ValidationError(f"max_iter must be >= 0, got {self.max_iter}")
-        if self.learning_rate <= 0:
-            raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
         X, y = self._check_fit_inputs(X, y)
         n, f = X.shape
         c = len(self.classes_)

@@ -2,9 +2,13 @@
 cross-entropy loss, mini-batch gradient descent."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Annotated
+
 import numpy as np
 
-from ..errors import DivergenceDetected, ValidationError
+from ..base import NonNegativeInt, PositiveFloat, PositiveInt
+from ..errors import DivergenceDetected
 from .base import BaseClassifier
 from .linear import softmax
 from .serialize import decode_array, encode_array
@@ -47,6 +51,13 @@ def loss_and_grads(weights, biases, X, onehot):
     return loss, grad_w, grad_b
 
 
+#: Exactly four hidden layer sizes, each at least one unit.
+HiddenSizes = Annotated[
+    tuple[int, ...], ("four sizes >= 1", lambda sizes: len(sizes) == 4 and min(sizes) >= 1)
+]
+
+
+@dataclass(eq=False)
 class MlpClassifier(BaseClassifier):
     """Fully connected n_features -> h1 -> h2 -> h3 -> h4 -> n_classes net.
 
@@ -56,35 +67,18 @@ class MlpClassifier(BaseClassifier):
     """
 
     family = "mlp"
-
-    def __init__(
-        self,
-        hidden: tuple[int, ...] = (256, 128, 64, 32),
-        epochs: int = 100,
-        batch_size: int = 50,
-        learning_rate: float = 1e-3,
-        seed: int = 0,
-    ):
-        self.hidden = hidden
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
-        self.seed = seed
+    hidden: HiddenSizes = (256, 128, 64, 32)
+    epochs: NonNegativeInt = 100
+    batch_size: PositiveInt = 50
+    learning_rate: PositiveFloat = 1e-3
+    seed: NonNegativeInt = 0
 
     def fit(self, X, y):
-        hidden = tuple(int(h) for h in self.hidden)
-        if len(hidden) != 4 or any(h < 1 for h in hidden):
-            raise ValidationError(f"hidden must be four positive layer sizes, got {self.hidden}")
-        if self.epochs < 0 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ValidationError(
-                f"need epochs >= 0, batch_size >= 1, learning_rate > 0; "
-                f"got {self.epochs}/{self.batch_size}/{self.learning_rate}"
-            )
         X, y = self._check_fit_inputs(X, y)
         onehot = (y[:, None] == self.classes_[None, :]).astype(np.float64)
         rng = np.random.default_rng(self.seed)
         self.weights_, self.biases_ = _init_layers(
-            [X.shape[1], *hidden, len(self.classes_)], rng
+            [X.shape[1], *self.hidden, len(self.classes_)], rng
         )
 
         n = X.shape[0]

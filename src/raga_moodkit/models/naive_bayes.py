@@ -1,13 +1,17 @@
 """Gaussian naive Bayes with per-class diagonal covariance."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from ..errors import ClassTooSmall, ValidationError
+from ..base import PositiveFloat
+from ..errors import ClassTooSmall
 from .base import BaseClassifier
 from .serialize import decode_array, encode_array
 
 
+@dataclass(eq=False)
 class GaussianNbClassifier(BaseClassifier):
     """Class priors from frequencies; per-feature means and floored variances.
 
@@ -16,13 +20,9 @@ class GaussianNbClassifier(BaseClassifier):
     """
 
     family = "gnb"
-
-    def __init__(self, var_floor: float = 1e-9):
-        self.var_floor = var_floor
+    var_floor: PositiveFloat = 1e-9
 
     def fit(self, X, y):
-        if not self.var_floor > 0:  # also rejects NaN
-            raise ValidationError(f"var_floor must be > 0, got {self.var_floor}")
         X, y = self._check_fit_inputs(X, y)
         n_classes = len(self.classes_)
         self.theta_ = np.empty((n_classes, X.shape[1]))

@@ -1,28 +1,34 @@
 """K-nearest-neighbour classifier over euclidean, manhattan or hamming distance."""
 from __future__ import annotations
 
+import typing
+from dataclasses import dataclass
+from typing import Literal
+
 import numpy as np
 
+from ..base import PositiveInt
 from ..errors import KTooLarge, ValidationError
 from .base import BaseClassifier
 from .serialize import decode_array, encode_array
 
-METRICS = ("euclidean", "manhattan", "hamming")
-WEIGHTS = ("uniform", "distance")
+Metric = Literal["euclidean", "manhattan", "hamming"]
+Weights = Literal["uniform", "distance"]
+METRICS = typing.get_args(Metric)
+WEIGHTS = typing.get_args(Weights)
 
 #: Query rows per block in ``pairwise_distances``; bounds the
 #: (rows, points, features) difference array it builds.
 _CHUNK_ROWS = 256
 
 
-def pairwise_distances(queries, points, metric: str) -> np.ndarray:
+def pairwise_distances(queries, points, metric: Metric) -> np.ndarray:
     """Distance matrix (n_queries, n_points) for one of the supported metrics.
 
     Hamming on continuous values is the fraction of coordinates that are not
     exactly equal (so it saturates near 1 on real-valued data).
     """
-    if metric not in METRICS:
-        raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
+    KnnClassifier._check_params(metric=metric)
     queries = np.asarray(queries, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
     out = np.empty((len(queries), len(points)))
@@ -37,6 +43,7 @@ def pairwise_distances(queries, points, metric: str) -> np.ndarray:
     return out
 
 
+@dataclass(eq=False)
 class KnnClassifier(BaseClassifier):
     """Stores the training set at fit; all work happens at prediction.
 
@@ -47,20 +54,12 @@ class KnnClassifier(BaseClassifier):
     """
 
     family = "knn"
-
-    def __init__(self, k: int = 5, metric: str = "manhattan", weights: str = "uniform"):
-        self.k = k
-        self.metric = metric
-        self.weights = weights
+    k: PositiveInt = 5
+    metric: Metric = "manhattan"
+    weights: Weights = "uniform"
 
     def fit(self, X, y):
-        if self.metric not in METRICS:
-            raise ValidationError(f"metric must be one of {METRICS}, got {self.metric!r}")
-        if self.weights not in WEIGHTS:
-            raise ValidationError(f"weights must be one of {WEIGHTS}, got {self.weights!r}")
         X, y = self._check_fit_inputs(X, y)
-        if not 1 <= self.k:
-            raise ValidationError(f"k must be >= 1, got {self.k}")
         if self.k > X.shape[0]:
             raise KTooLarge(f"k={self.k} exceeds the {X.shape[0]} training rows")
         self.X_ = X
@@ -95,4 +94,6 @@ class KnnClassifier(BaseClassifier):
     def _decode_state(self, params: dict) -> None:
         self.X_ = decode_array(params["X"])
         self.y_index_ = decode_array(params["y_index"]).astype(np.int64)
+        if not np.isin(self.y_index_, np.arange(len(self.classes_))).all():
+            raise ValidationError(f"stored labels fall outside the {len(self.classes_)} classes")
         self.n_features_ = self.X_.shape[1]

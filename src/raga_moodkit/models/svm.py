@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..base import as_float_matrix
+from ..base import NonNegativeFloat, NonNegativeInt, PositiveFloat, PositiveInt, as_float_matrix
 from ..errors import SingleClass, ValidationError
 from .base import BaseClassifier
 from .serialize import decode_array, encode_array
@@ -15,8 +15,7 @@ from .serialize import decode_array, encode_array
 
 def rbf_kernel(a, b, gamma: float) -> float:
     """exp(-gamma * ||a - b||^2) for two vectors."""
-    if not gamma > 0:  # also rejects NaN
-        raise ValidationError(f"gamma must be > 0, got {gamma}")
+    RbfSvmClassifier._check_params(gamma=gamma)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -103,12 +102,7 @@ def smo_train_binary(
         raise ValidationError("labels must be -1 or +1")
     if len(np.unique(y)) < 2:
         raise SingleClass("binary training needs both labels present")
-    if not C > 0:  # also rejects NaN
-        raise ValidationError(f"C must be > 0, got {C}")
-    if not gamma > 0:  # also rejects NaN
-        raise ValidationError(f"gamma must be > 0, got {gamma}")
-    if not tol >= 0:  # a NaN tolerance is never met, so the sweep budget would run out
-        raise ValidationError(f"tol must be >= 0, got {tol}")
+    RbfSvmClassifier._check_params(C=C, gamma=gamma, tol=tol, max_passes=max_passes, seed=seed)
 
     n = X.shape[0]
     gram = rbf_kernel_matrix(X, X, gamma)
@@ -291,6 +285,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(eq=False)
 class RbfSvmClassifier(BaseClassifier):
     """One binary machine per unordered class pair; votes decide the label.
 
@@ -301,20 +296,11 @@ class RbfSvmClassifier(BaseClassifier):
     """
 
     family = "svm"
-
-    def __init__(
-        self,
-        C: float = 10.0,
-        gamma: float = 0.1,
-        tol: float = 1e-3,
-        max_passes: int = 10,
-        seed: int = 0,
-    ):
-        self.C = C
-        self.gamma = gamma
-        self.tol = tol
-        self.max_passes = max_passes
-        self.seed = seed
+    C: PositiveFloat = 10.0
+    gamma: PositiveFloat = 0.1
+    tol: NonNegativeFloat = 1e-3  # a NaN tolerance is never met
+    max_passes: PositiveInt = 10  # with 0 no sweep runs and training never ends
+    seed: NonNegativeInt = 0
 
     def fit(self, X, y):
         X, y = self._check_fit_inputs(X, y)

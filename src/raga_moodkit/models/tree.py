@@ -1,18 +1,21 @@
 """CART decision tree with gini or entropy impurity."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Annotated, Literal
+
 import numpy as np
 
-from ..errors import ValidationError
+from ..base import NonNegativeInt, ParamsMixin, PositiveInt
 from .base import BaseClassifier
 from .serialize import decode_array, encode_array
 
-CRITERIA = ("gini", "entropy")
+Criterion = Literal["gini", "entropy"]
 
 _LEAF = -1
 
 
-def _impurity_rows(counts: np.ndarray, criterion: str) -> np.ndarray:
+def _impurity_rows(counts: np.ndarray, criterion: Criterion) -> np.ndarray:
     """Impurity of each row of a (k, n_classes) count matrix: gini, or
     Shannon entropy in bits."""
     totals = counts.sum(axis=1, keepdims=True)
@@ -25,7 +28,19 @@ def _impurity_rows(counts: np.ndarray, criterion: str) -> np.ndarray:
     return -np.sum(p * logs, axis=1)
 
 
-class DecisionTreeClassifier(BaseClassifier):
+@dataclass(eq=False)
+class TreeParams(ParamsMixin):
+    """How a tree grows; a forest takes the same parameters for its trees."""
+
+    criterion: Criterion = "gini"
+    max_depth: Annotated[int | None, ("None or >= 1", lambda v: v is None or v >= 1)] = None
+    max_features: Annotated[float, ("in (0, 1]", lambda v: 0 < v <= 1)] = 1.0
+    min_samples_leaf: PositiveInt = 1
+    min_samples_split: Annotated[int, (">= 2", lambda v: v >= 2)] = 2
+    seed: NonNegativeInt = 0
+
+
+class DecisionTreeClassifier(TreeParams, BaseClassifier):
     """Greedy best-split CART.
 
     At each node ``ceil(max_features * n_features)`` candidate features are
@@ -37,39 +52,9 @@ class DecisionTreeClassifier(BaseClassifier):
 
     family = "tree"
 
-    def __init__(
-        self,
-        criterion: str = "gini",
-        max_depth: int | None = None,
-        max_features: float = 1.0,
-        min_samples_leaf: int = 1,
-        min_samples_split: int = 2,
-        seed: int = 0,
-    ):
-        self.criterion = criterion
-        self.max_depth = max_depth
-        self.max_features = max_features
-        self.min_samples_leaf = min_samples_leaf
-        self.min_samples_split = min_samples_split
-        self.seed = seed
-
-    def _validate_params(self):
-        if self.criterion not in CRITERIA:
-            raise ValidationError(f"criterion must be one of {CRITERIA}, got {self.criterion!r}")
-        if not 0 < self.max_features <= 1:
-            raise ValidationError(f"max_features must be in (0, 1], got {self.max_features}")
-        if self.min_samples_leaf < 1 or self.min_samples_split < 2:
-            raise ValidationError(
-                f"need min_samples_leaf >= 1 and min_samples_split >= 2, "
-                f"got {self.min_samples_leaf}/{self.min_samples_split}"
-            )
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValidationError(f"max_depth must be >= 1, got {self.max_depth}")
-
     def fit(self, X, y, classes=None):
         """Grow the tree. ``classes`` may widen the label set (used by forests
         so every tree's leaf histograms align on the same columns)."""
-        self._validate_params()
         X, y = self._check_fit_inputs(X, y)
         if classes is not None:
             self.classes_ = np.asarray(classes, dtype=str)

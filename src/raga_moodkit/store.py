@@ -100,14 +100,10 @@ def read_store(path) -> FeatureTable:
             raise ValidationError(f"unsupported store format_version {meta.get('format_version')!r}")
         config = MfccConfig(**meta["mfcc"])
         plan = SegmentPlan(tuple(tuple(cut) for cut in meta["segment_plan"]))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise CorruptArtifact(f"sidecar {meta_file.name} is corrupt: {exc!r}") from exc
-
-    segment_ids: list[str] = []
-    labels: list[str] = []
-    rows: list[list[float]] = []
-    expected = ["segment_id", "rasa"] + [f"c{i}" for i in range(config.n_coeffs)]
-    try:
+        segment_ids: list[str] = []
+        labels: list[str] = []
+        rows: list[list[float]] = []
+        expected = ["segment_id", "rasa"] + [f"c{i}" for i in range(config.n_coeffs)]
         with path.open(newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
@@ -124,16 +120,18 @@ def read_store(path) -> FeatureTable:
                     raise CorruptArtifact(f"{path.name} line {line_no}: {exc}") from exc
                 segment_ids.append(line[0])
                 labels.append(line[1])
+        return FeatureTable(
+            segment_ids=segment_ids,
+            labels=np.asarray(labels, dtype=str),
+            X=np.asarray(rows, dtype=np.float64),
+            mfcc=config,
+            plan=plan,
+        )
     except UnicodeDecodeError as exc:
-        # the file is decoded in blocks, so the failing line is not known here
-        raise CorruptArtifact(f"{path.name} is not UTF-8 text ({exc.reason})") from exc
-    return FeatureTable(
-        segment_ids=segment_ids,
-        labels=np.asarray(labels, dtype=str),
-        X=np.asarray(rows, dtype=np.float64),
-        mfcc=config,
-        plan=plan,
-    )
+        # the files are decoded in blocks, so the failing line is not known here
+        raise CorruptArtifact(f"{path.name} or its sidecar is not UTF-8 text ({exc.reason})") from exc
+    except (AttributeError, LookupError, TypeError, ValueError, ValidationError) as exc:
+        raise CorruptArtifact(f"store {path.name} is corrupt: {exc!r}") from exc
 
 
 def write_correlation_csv(matrix, path) -> None:

@@ -6,8 +6,11 @@ import pytest
 
 from raga_moodkit.audio import AudioBuffer, write_wav
 from raga_moodkit.bundle import ModelBundle
+from raga_moodkit.catalog import FeatureScaler
 from raga_moodkit.cli import main, parse_grid, parse_params
 from raga_moodkit.errors import CorruptArtifact, ValidationError
+from raga_moodkit.experiments import ExperimentConfig
+from raga_moodkit.models import FAMILIES
 from raga_moodkit.store import read_store, sidecar_path
 
 
@@ -37,6 +40,30 @@ def extracted(small_corpus, tmp_path_factory):
     )
     assert code == 0
     return store
+
+
+#: Quick-to-train parameters for one bundle of each family.
+QUICK_PARAMS = {
+    "knn": ["k=3"],
+    "gnb": [],
+    "logreg": ["max_iter=20"],
+    "svm": [],
+    "forest": ["n_estimators=3"],
+    "mlp": ["hidden=4,4,4,4", "epochs=1"],
+}
+
+
+@pytest.fixture(scope="module")
+def family_bundles(extracted, tmp_path_factory):
+    """One bundle per family, trained through the CLI on the shared store."""
+    out = tmp_path_factory.mktemp("family_bundles")
+    bundles = {}
+    for family, params in QUICK_PARAMS.items():
+        bundles[family] = out / f"{family}.json"
+        code = main(["train", "--features", str(extracted), "--out", str(bundles[family]),
+                     "--family", family, "--params", *params])
+        assert code == 0
+    return bundles
 
 
 @pytest.fixture(scope="module")
@@ -336,20 +363,41 @@ class TestCorruptInputs:
 
     @pytest.mark.parametrize(
         "damage",
-        ["list", "no_model", "no_class_order", "scaler_without_kind"],
+        ["list", "no_model", "no_class_order", "scaler_without_kind", "bundle_version_2",
+         "model_version_2", "family_hmm", "no_support_vectors", "svm_two_classes",
+         "knn_two_classes", "short_scaler"],
     )
-    def test_wrong_shape_bundle(self, small_corpus, extracted, trained, tmp_path, capsys, damage):
-        payload = json.loads(trained.read_text(encoding="utf-8"))
+    def test_wrong_shape_bundle(
+        self, small_corpus, extracted, trained, family_bundles, tmp_path, capsys, damage
+    ):
+        source = family_bundles["knn"] if damage.startswith("knn") else trained
+        payload = json.loads(source.read_text(encoding="utf-8"))
         if damage == "list":
             payload = [1, 2]
         elif damage == "no_model":
             payload = {"format_version": 1}
         elif damage == "no_class_order":
             del payload["model"]["class_order"]
-        else:
+        elif damage == "scaler_without_kind":
             del payload["scaler"]["kind"]
+        elif damage == "bundle_version_2":
+            payload["format_version"] = 2
+        elif damage == "model_version_2":
+            payload["model"]["format_version"] = 2
+        elif damage == "family_hmm":
+            payload["model"]["family"] = "hmm"
+        elif damage == "no_support_vectors":
+            for pair in payload["model"]["params"]["pairs"]:
+                pair["support_vectors"] = pair["dual_coef"] = {"shape": [0], "data": ""}
+        elif damage.endswith("two_classes"):
+            payload["model"]["class_order"] = payload["model"]["class_order"][:2]
+        else:
+            for key in ("offset", "scale"):
+                payload["scaler"][key] = payload["scaler"][key][:-1]
         model = tmp_path / "model.json"
         model.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CorruptArtifact):
+            ModelBundle.load(model)
         wav = small_corpus.base_dir / small_corpus.records[0].path
         runs = [
             ["classify", "--model", str(model), "--wav", str(wav)],
@@ -375,16 +423,32 @@ class TestCorruptInputs:
         ):
             assert "segment plan" in self.assert_data_error(main(argv), capsys)
 
-    @pytest.mark.parametrize("damage", ["no_mfcc", "unknown_mfcc_key"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["no_mfcc", "unknown_mfcc_key", "store_version_2", "fft_size_1000", "negative_cut_start",
+         "renamed_column"],
+    )
     def test_wrong_shape_sidecar(self, extracted, tmp_path, capsys, damage):
         store = tmp_path / "features.csv"
         store.write_bytes(extracted.read_bytes())
         meta = json.loads(sidecar_path(extracted).read_text(encoding="utf-8"))
         if damage == "no_mfcc":
             del meta["mfcc"]
-        else:
+        elif damage == "unknown_mfcc_key":
             meta["mfcc"]["bogus"] = 1
+        elif damage == "store_version_2":
+            meta["format_version"] = 2
+        elif damage == "fft_size_1000":
+            meta["mfcc"]["fft_size"] = 1000
+        elif damage == "negative_cut_start":
+            meta["segment_plan"][0][0] = -1
+        else:
+            store.write_text(
+                extracted.read_text(encoding="utf-8").replace(",c1,", ",c01,", 1), encoding="utf-8"
+            )
         sidecar_path(store).write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(CorruptArtifact):
+            read_store(store)
         code = main(["train", "--features", str(store), "--out", str(tmp_path / "m.json"),
                      "--family", "knn"])
         self.assert_data_error(code, capsys)
@@ -408,9 +472,10 @@ class TestCorruptInputs:
             ["train", "--family", "gnb", "--params", "var_floor=0"],
             ["train", "--family", "svm", "--params", "gamma=nan"],
             ["train", "--family", "svm", "--params", "C=nan"],
+            ["train", "--family", "svm", "--params", "max_passes=0"],
         ],
         ids=["unknown_param", "unknown_grid_name", "knn_k_text", "svm_C_text", "mlp_hidden_text",
-             "gnb_var_floor_zero", "svm_gamma_nan", "svm_C_nan"],
+             "gnb_var_floor_zero", "svm_gamma_nan", "svm_C_nan", "svm_max_passes_zero"],
     )
     def test_bad_model_params_are_validation_errors(self, extracted, tmp_path, capsys, argv):
         model = tmp_path / "m.json"
@@ -470,6 +535,80 @@ class TestCorruptInputs:
         write_wav(wav, AudioBuffer(samples=samples, sample_rate=22050), "float32")
         code = main(["classify", "--model", str(trained), "--wav", str(wav)])
         self.assert_data_error(code, capsys)
+
+
+#: Values no data could make valid: (family, or "scaler" for the feature
+#: scaler, parameter, value).
+INVALID_VALUES = [
+    ("knn", "k", 0),
+    ("knn", "k", True),
+    ("knn", "metric", "cosine"),
+    ("knn", "weights", "inverse"),
+    ("gnb", "var_floor", -1.0),
+    ("logreg", "max_iter", -1),
+    ("logreg", "learning_rate", 0.0),
+    ("svm", "max_passes", 0),
+    ("svm", "gamma", -0.5),
+    ("svm", "tol", -1e-3),
+    ("forest", "criterion", "mse"),
+    ("forest", "n_estimators", 0),
+    ("forest", "max_features", 1.5),
+    ("forest", "max_depth", 0),
+    ("forest", "min_samples_split", 1),
+    ("mlp", "hidden", (8, 8)),
+    ("mlp", "batch_size", 0),
+    ("mlp", "seed", -1),
+    ("scaler", "kind", "robust"),
+]
+
+
+@pytest.mark.parametrize(
+    "family, name, value", INVALID_VALUES, ids=[f"{f}_{n}_{v}" for f, n, v in INVALID_VALUES]
+)
+def test_invalid_value_is_refused_on_every_way_in(
+    small_corpus, extracted, family_bundles, tmp_path, capsys, family, name, value
+):
+    """The constructor, set_params, an experiment config, a loaded bundle and
+    the CLI all refuse the value, and a refused set_params changes nothing."""
+    cls = FeatureScaler if family == "scaler" else FAMILIES[family]
+    with pytest.raises(ValidationError):
+        cls(**{name: value})
+    estimator = cls()
+    with pytest.raises(ValidationError):
+        estimator.set_params(**{name: value})
+    assert estimator.get_params() == cls().get_params()
+    if family == "scaler":
+        configs = [{"scaler": value}]
+    else:
+        configs = [{"params": {name: value}}, {"grid": {name: [getattr(cls(), name), value]}}]
+    for config in configs:
+        with pytest.raises(ValidationError):
+            ExperimentConfig(family="knn" if family == "scaler" else family, **config)
+
+    source = family_bundles["knn" if family == "scaler" else family]
+    payload = json.loads(source.read_text(encoding="utf-8"))
+    stored = payload["scaler"] if family == "scaler" else payload["model"]["params"]
+    stored[name] = value
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(CorruptArtifact):
+        ModelBundle.load(bundle)
+
+    text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    if family == "scaler":
+        options = [["train", "--family", "knn", "--scaler", text],
+                   ["tune", "--family", "knn", "--grid", "k=3", "--scaler", text]]
+    else:
+        options = [["train", "--family", family, "--params", f"{name}={text}"],
+                   ["tune", "--family", family, "--grid", f"{name}={text}"]]
+    wav = small_corpus.base_dir / small_corpus.records[0].path
+    model = tmp_path / "m.json"
+    runs = [(argv + ["--features", str(extracted), "--out", str(model)], 1) for argv in options]
+    runs.append((["classify", "--model", str(bundle), "--wav", str(wav)], 2))
+    capsys.readouterr()
+    for argv, expected_code in runs:
+        TestCorruptInputs.assert_data_error(main(argv), capsys, expected_code)
+    assert not model.exists()
 
 
 class TestSynthCommand:
