@@ -74,10 +74,10 @@ class SegmentPlan:
         if not self.cuts:
             raise ValidationError("segment plan must contain at least one cut")
         for start, duration in self.cuts:
-            if start < 0:
-                raise ValidationError(f"cut start must be >= 0, got {start}")
-            if duration <= 0:
-                raise ValidationError(f"cut duration must be > 0, got {duration}")
+            if not 0 <= start < np.inf:
+                raise ValidationError(f"cut start must be finite and >= 0, got {start}")
+            if not 0 < duration < np.inf:
+                raise ValidationError(f"cut duration must be finite and > 0, got {duration}")
 
     def describe(self) -> str:
         if len(self.cuts) == 1:
@@ -121,29 +121,29 @@ def _decode_pcm16(payload) -> np.ndarray:
 
 
 def _decode_pcm24(payload) -> np.ndarray:
-    # Each 3-byte sample lands in the top bytes of a little-endian int32,
-    # which sign-extends it as sample * 2**8; scaling by 2**-31 is exact.
+    # Behind one pad byte, sample i is the top of the little-endian int32 at
+    # byte 3*i; ">> 8" drops the byte below it and sign-extends, exactly.
     n = len(payload) // 3
-    wide = np.zeros((n, 4), dtype=np.uint8)
-    wide[:, 1:] = np.frombuffer(payload, dtype=np.uint8, count=3 * n).reshape(n, 3)
-    samples = wide.view("<i4").reshape(n).astype(np.float64)
-    samples *= 2.0**-31
-    return samples
+    padded = np.empty(3 * n + 1, dtype=np.uint8)
+    padded[1:] = np.frombuffer(payload, dtype=np.uint8, count=3 * n)
+    words = np.ndarray((n,), dtype="<i4", buffer=padded, strides=(3,))
+    return (words >> 8) * 2.0**-23
 
 
 def _decode_float32(payload) -> np.ndarray:
     values = np.frombuffer(payload, dtype="<f4", count=len(payload) // 4)
     if not np.isfinite(values).all():
         raise NonFiniteSample("float32 data holds NaN or infinite samples")
-    return np.clip(values.astype(np.float64), -1.0, 1.0)
+    return np.clip(values, -1.0, 1.0, dtype=np.float64)
 
 
 def decode_wav(data: bytes) -> AudioBuffer:
     """Decode a RIFF/WAVE byte stream.
 
-    Integer PCM is scaled to [-1, 1] by dividing by 2**(bits-1); float
-    samples are clipped into the same range. Multi-channel audio stays
-    interleave-resolved as an ``(n, channels)`` array for ``to_mono``.
+    Integer PCM is scaled to [-1, 1] by dividing by 2**(bits-1); PCM24 is
+    read as int32 words at a 3-byte stride, shifted right by 8 bits. Float
+    samples are clipped into the same range as they are widened to float64.
+    Multi-channel audio stays an ``(n, channels)`` array for ``to_mono``.
     A WAVE_FORMAT_EXTENSIBLE header is read through its sub-format GUID.
 
     Raises:
@@ -263,9 +263,11 @@ def to_mono(buffer: AudioBuffer) -> AudioBuffer:
     """
     if buffer.samples.ndim == 1:
         return buffer
-    mixed = np.zeros(buffer.n_frames)
-    for column in buffer.samples.T:
+    columns = iter(buffer.samples.T)
+    mixed = next(columns) + next(columns, 0.0)
+    for column in columns:
         mixed += column
+    mixed += 0.0  # turns -0.0 into +0.0, as a sum started from +0.0 gives
     mixed /= buffer.n_channels
     return AudioBuffer(
         samples=mixed,
@@ -278,9 +280,12 @@ def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Linear-interpolation resampling of mono audio with edge hold past the
     last sample.
 
-    The output has ``floor(n * target / source)`` frames; output frame ``i``
-    is the interpolant at source position ``i * source / target``. Identical
-    rates return the input unchanged.
+    The output has ``floor(n * target / source)`` frames. Frame ``i`` sits at
+    source position ``p = i * (source / target)``. With ``j = floor(p)`` it is
+    ``x[j] + (x[j+1] - x[j]) * (p - j)``, or ``x[j]`` when ``p`` is whole, and
+    ``x[-1]`` from ``p >= n - 1`` on: bit for bit ``np.interp(p, arange(n), x)``.
+    A whole rate ratio gives a strided view of the input; equal rates return
+    the input itself.
     """
     if target_rate <= 0:
         raise ValidationError(f"target_rate must be positive, got {target_rate}")
@@ -288,10 +293,26 @@ def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
         raise ValidationError("resample expects mono audio; call to_mono first")
     if target_rate == buffer.sample_rate:
         return buffer
-    n_in = buffer.n_frames
+    x = buffer.samples
+    n_in = len(x)
     n_out = n_in * target_rate // buffer.sample_rate
-    positions = np.arange(n_out) * (buffer.sample_rate / target_rate)
-    samples = np.interp(positions, np.arange(n_in), buffer.samples)
+    step, remainder = divmod(buffer.sample_rate, target_rate)
+    if remainder == 0:
+        samples = x[: n_out * step : step]
+    else:
+        positions = np.arange(n_out, dtype=np.float64)
+        positions *= buffer.sample_rate / target_rate
+        head = int(np.searchsorted(positions, n_in - 1))
+        j = positions[:head].astype(np.intp)
+        frac = positions[:head]
+        frac -= j
+        samples = np.empty(n_out)
+        samples[head:] = x[-1:]
+        lo = np.take(x, j, out=samples[:head])
+        delta = x[1:][j] - lo
+        delta *= frac
+        # a whole position keeps x[j] as it is, sign of zero included
+        np.add(lo, delta, out=lo, where=frac != 0)
     return AudioBuffer(samples=samples, sample_rate=target_rate, short=buffer.short)
 
 
@@ -303,10 +324,10 @@ def extract_segment(buffer: AudioBuffer, start_s: float, duration_s: float) -> A
     Raises:
         StartBeyondEnd: ``start_s`` is at or past the end of the buffer.
     """
-    if start_s < 0:
-        raise ValidationError(f"start_s must be >= 0, got {start_s}")
-    if duration_s <= 0:
-        raise ValidationError(f"duration_s must be > 0, got {duration_s}")
+    if not 0 <= start_s < np.inf:
+        raise ValidationError(f"start_s must be finite and >= 0, got {start_s}")
+    if not 0 < duration_s < np.inf:
+        raise ValidationError(f"duration_s must be finite and > 0, got {duration_s}")
     start = int(round(start_s * buffer.sample_rate))
     if start >= buffer.n_frames:
         raise StartBeyondEnd(

@@ -192,6 +192,8 @@ class ExperimentConfig:
             raise ValidationError(f"scaler must be one of {SCALER_KINDS}, got {self.scaler!r}")
         if self.grid is not None and not self.grid:
             raise ValidationError("grid, when given, must be non-empty")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.cv is not None and self.cv < 2:
             raise ValidationError(f"cv must be >= 2 folds, got {self.cv}")
         # the family's fields check every name, type and allowed value

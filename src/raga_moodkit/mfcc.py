@@ -67,7 +67,7 @@ class MfccConfig:
             raise ValidationError(
                 f"need 1 <= n_coeffs <= n_filters, got {self.n_coeffs} > {self.n_filters}"
             )
-        if self.log_floor <= 0:
+        if not self.log_floor > 0:
             raise ValidationError(f"log_floor must be positive, got {self.log_floor}")
 
     def as_dict(self) -> dict:

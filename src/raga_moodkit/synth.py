@@ -54,8 +54,10 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.files_per_class < 1:
             raise ValidationError(f"files_per_class must be >= 1, got {self.files_per_class}")
-        if self.duration_s <= 0:
-            raise ValidationError(f"duration_s must be > 0, got {self.duration_s}")
+        if not 0 < self.duration_s < np.inf:
+            raise ValidationError(f"duration_s must be finite and > 0, got {self.duration_s}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 #: Samples per block when summing the harmonics: the complex temporaries of

@@ -153,10 +153,12 @@ class TestPcm24Edges:
         np.testing.assert_array_equal(decoded, np.array(codes) / 2.0**23)
 
     def test_random_stereo_matches_widening_formula(self):
-        payload = np.random.default_rng(4).integers(0, 256, 3 * 2 * 500, dtype=np.uint8).tobytes()
+        frames = np.random.default_rng(4).integers(0, 256, 3 * 2 * 500, dtype=np.uint8).tobytes()
         fmt = struct.pack("<HHIIHH", 1, 2, 8000, 48000, 6, 24)
-        decoded = decode_wav(wav_with(fmt, payload)).samples
-        np.testing.assert_array_equal(decoded, self.int64_reference(payload).reshape(-1, 2))
+        # an odd trailing byte is not a sample; a lone trailing sample is not a frame
+        for tail in (b"", b"\x5a", b"\x01\x80\xff\xa5"):
+            decoded = decode_wav(wav_with(fmt, frames + tail)).samples
+            np.testing.assert_array_equal(decoded, self.int64_reference(frames).reshape(-1, 2))
 
     def test_encoder_writes_the_rounded_clipped_codes(self):
         samples = np.concatenate([
@@ -207,6 +209,13 @@ class TestNonFinite:
         with pytest.raises(NonFiniteSample):
             decode_wav(blob)
 
+    def test_float32_out_of_range_is_clipped(self):
+        samples = np.array([1.5, -1.5, 1.0, -1.0, 0.25, -0.0, 0.0, 3e38, -3e38])
+        blob = encode_wav(AudioBuffer(samples=samples, sample_rate=8000), "float32")
+        decoded = decode_wav(blob).samples
+        expected = np.array([1.0, -1.0, 1.0, -1.0, 0.25, -0.0, 0.0, 1.0, -1.0])
+        np.testing.assert_array_equal(decoded.view(np.int64), expected.view(np.int64))
+
 
 def test_pcm16_trailing_odd_byte_dropped():
     fmt = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)
@@ -229,7 +238,7 @@ class TestMono:
         )
         np.testing.assert_allclose(to_mono(buffer).samples, [0.4, 0.2])
 
-    @pytest.mark.parametrize("channels", [2, 3, 8, 11])
+    @pytest.mark.parametrize("channels", [1, 2, 3, 8, 11])
     def test_bitwise_equal_to_sequential_sum(self, channels):
         rng = np.random.default_rng(channels)
         samples = rng.standard_normal((500, channels)) * 10.0 ** rng.integers(-6, 6, (500, channels))
@@ -254,7 +263,37 @@ class TestMono:
         assert to_mono(mono) is mono
 
 
+def interp_oracle(samples, source, target):
+    """The resampling rule written as ``np.interp`` over a float sample grid."""
+    positions = np.arange(len(samples) * target // source) * (source / target)
+    return np.interp(positions, np.arange(len(samples)), samples)
+
+
 class TestResample:
+    @pytest.mark.parametrize("target", [22050, 16000])
+    @pytest.mark.parametrize(
+        "source", [8000, 11025, 16000, 22050, 32000, 44100, 48000, 88200, 96000]
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 1001, 48001])
+    def test_bitwise_equal_to_np_interp(self, source, target, n):
+        # whole ratios (44.1 and 88.2 kHz to 22.05, 32, 48 and 96 kHz to 16)
+        # take every k-th sample; upsampling reaches the edge-hold tail
+        rng = np.random.default_rng(n)
+        samples = rng.uniform(-1.0, 1.0, n)
+        samples[rng.random(n) < 0.2] = 0.0
+        samples[rng.random(n) < 0.2] = -0.0
+        samples[:2] = [-0.0, 0.5][:n]  # position 0 is whole and next to a larger sample
+        samples[-1] = -0.0
+        out = resample(AudioBuffer(samples=samples, sample_rate=source), target)
+        assert out.sample_rate == target
+        expected = interp_oracle(samples, source, target)
+        np.testing.assert_array_equal(out.samples.view(np.int64), expected.view(np.int64))
+
+    def test_empty_input_gives_empty_output(self):
+        for source in (44100, 48000, 8000):
+            out = resample(AudioBuffer(samples=np.zeros(0), sample_rate=source), 22050)
+            assert out.n_frames == 0
+
     def test_identity_rate(self):
         buffer = AudioBuffer(samples=np.array([0.0, 1.0, 0.0, -1.0]), sample_rate=4)
         assert resample(buffer, 4) is buffer
@@ -330,6 +369,11 @@ class TestSegments:
             SegmentPlan(((0, 0),))
         with pytest.raises(ValidationError):
             SegmentPlan(((-1, 10),))
+        for cut in ((np.nan, 5), (0, np.inf), (np.inf, 5), (0, np.nan), (0, -np.inf)):
+            with pytest.raises(ValidationError):
+                SegmentPlan((cut,))
+            with pytest.raises(ValidationError):
+                extract_segment(self._buffer(30), *cut)
 
     def test_parse_plan(self):
         assert parse_plan("bisample") is DEFAULT_BI_SAMPLE_PLAN

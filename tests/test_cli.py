@@ -484,6 +484,30 @@ class TestCorruptInputs:
         assert not model.exists()
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extract", "--plan", "nan:5"],
+            ["extract", "--plan", "0:inf"],
+            ["extract", "--log-floor", "nan"],
+            ["train", "--family", "knn", "--seed", "-1"],
+            ["synth", "--seed", "-1"],
+            ["synth", "--duration", "nan"],
+        ],
+        ids=["plan_start_nan", "plan_duration_inf", "log_floor_nan", "train_seed_negative",
+             "synth_seed_negative", "synth_duration_nan"],
+    )
+    def test_bad_settings_are_validation_errors(self, small_corpus, extracted, tmp_path, capsys, argv):
+        inputs = {
+            "extract": ["--manifest", str(small_corpus.manifest_path)],
+            "train": ["--features", str(extracted)],
+            "synth": ["--files-per-class", "1"],
+        }
+        out = tmp_path / "out"
+        code = main(argv + inputs[argv[0]] + ["--out", str(out)])
+        self.assert_data_error(code, capsys, expected_code=1)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "family, params, damage",
         [
             ("svm", ["C=10", "gamma=0.1"], lambda stored: stored.update(C="abc")),
