@@ -11,9 +11,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
+from .base import CheckedFields, FiniteNonNegativeFloat, FinitePositiveFloat
 from .errors import (
     MalformedHeader,
     NonFiniteSample,
@@ -64,20 +66,17 @@ class AudioBuffer:
 
 
 @dataclass(frozen=True)
-class SegmentPlan:
+class SegmentPlan(CheckedFields):
     """Ordered (start_s, duration_s) cuts taken from every file."""
 
-    cuts: tuple[tuple[float, float], ...]
+    cuts: Annotated[
+        tuple[tuple[FiniteNonNegativeFloat, FinitePositiveFloat], ...],
+        ("non-empty", lambda cuts: len(cuts) > 0),
+    ]
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "cuts", tuple((float(s), float(d)) for s, d in self.cuts))
-        if not self.cuts:
-            raise ValidationError("segment plan must contain at least one cut")
-        for start, duration in self.cuts:
-            if not 0 <= start < np.inf:
-                raise ValidationError(f"cut start must be finite and >= 0, got {start}")
-            if not 0 < duration < np.inf:
-                raise ValidationError(f"cut duration must be finite and > 0, got {duration}")
 
     def describe(self) -> str:
         if len(self.cuts) == 1:
@@ -328,17 +327,20 @@ def extract_segment(buffer: AudioBuffer, start_s: float, duration_s: float) -> A
         raise ValidationError(f"start_s must be finite and >= 0, got {start_s}")
     if not 0 < duration_s < np.inf:
         raise ValidationError(f"duration_s must be finite and > 0, got {duration_s}")
-    start = int(round(start_s * buffer.sample_rate))
-    if start >= buffer.n_frames:
+    # Sample positions are clamped while still floats, so a huge finite cut
+    # cannot overflow int(); a start past the end stays past it, and a stop
+    # past the end stays past it.
+    n = buffer.n_frames
+    start = int(round(min(start_s * buffer.sample_rate, n)))
+    if start >= n:
         raise StartBeyondEnd(
             f"segment start {start_s:g}s is beyond the {buffer.duration_s:.3f}s buffer"
         )
-    stop = start + int(round(duration_s * buffer.sample_rate))
-    short = stop > buffer.n_frames
+    stop = start + int(round(min(duration_s * buffer.sample_rate, n + 1)))
     return AudioBuffer(
-        samples=buffer.samples[start : min(stop, buffer.n_frames)],
+        samples=buffer.samples[start : min(stop, n)],
         sample_rate=buffer.sample_rate,
-        short=short,
+        short=stop > n,
     )
 
 

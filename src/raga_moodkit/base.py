@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
+import math
 import numbers
 import typing
 from typing import Annotated
@@ -13,46 +14,67 @@ import numpy as np
 from .errors import NotFitted, ValidationError
 
 # Field annotations carrying a range rule: (text for errors, test). Every
-# test is a comparison that NaN fails.
+# test is a comparison that NaN fails; the finite ones fail infinity too.
 PositiveInt = Annotated[int, (">= 1", lambda v: v >= 1)]
 NonNegativeInt = Annotated[int, (">= 0", lambda v: v >= 0)]
 PositiveFloat = Annotated[float, ("> 0", lambda v: v > 0)]
 NonNegativeFloat = Annotated[float, (">= 0", lambda v: v >= 0)]
+FinitePositiveFloat = Annotated[float, ("finite and > 0", lambda v: 0 < v < math.inf)]
+FiniteNonNegativeFloat = Annotated[float, ("finite and >= 0", lambda v: 0 <= v < math.inf)]
 
 
 def _has_type(value, annotation) -> bool:
     """Whether ``value`` fits a field annotation: ``int``, ``float`` (which
-    takes an int too; neither takes a bool), ``str``, a ``Literal`` of
-    strings, a union of those with ``None``, or ``tuple[T, ...]`` (a list or
-    tuple of ``T``)."""
+    takes an int too; neither takes a bool), ``str``, ``dict``, a ``Literal``
+    of strings, a union of those with ``None``, ``tuple[T, ...]`` or
+    ``tuple[A, B]`` (a list or tuple of ``T``, or of one ``A`` and one ``B``),
+    or any of these under ``Annotated`` with rules the value passes."""
     origin = typing.get_origin(annotation)
+    args = typing.get_args(annotation)
+    if origin is Annotated:
+        return _has_type(value, args[0]) and all(test(value) for _, test in args[1:])
     if origin is tuple:
-        item = typing.get_args(annotation)[0]
-        return isinstance(value, (tuple, list)) and all(_has_type(v, item) for v in value)
+        if not isinstance(value, (tuple, list)):
+            return False
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        return len(value) == len(items) and all(map(_has_type, value, items))
     if origin is typing.Literal:
-        return isinstance(value, str) and value in typing.get_args(annotation)
+        return isinstance(value, str) and value in args
     numeric = {int: numbers.Integral, float: numbers.Real}
     return any(
         isinstance(value, numeric[option]) and not isinstance(value, bool)
         if option in numeric
         else isinstance(value, option)
-        for option in typing.get_args(annotation) or (annotation,)
+        for option in args or (annotation,)
     )
 
 
-class ParamsMixin:
-    """``get_params``/``set_params`` over the fields of a dataclass.
+def _describe(annotation) -> str:
+    """An annotation as error text, with the text of each nested rule."""
+    origin = typing.get_origin(annotation)
+    args = typing.get_args(annotation)
+    if origin is Annotated:
+        return f"{_describe(args[0])} ({' and '.join(text for text, _ in args[1:])})"
+    if origin is tuple:
+        return "tuple[" + ", ".join("..." if a is Ellipsis else _describe(a) for a in args) + "]"
+    if origin is typing.Literal:
+        return f"one of {args}"
+    return inspect.formatannotation(annotation)
 
-    A subclass's field list is its whole parameter contract: names, types,
+
+class CheckedFields:
+    """A dataclass whose field list is its whole contract: names, types,
     closed choices as ``Literal`` and numeric ranges as ``Annotated`` rules.
-    The constructor and ``set_params`` both pass through ``_check_params``,
-    so an estimator built or changed through them holds no value outside
-    its contract and ``fit`` need not check one. Fitted state uses
-    trailing-underscore attributes.
+
+    The constructor passes every field through ``_check_params``, so an
+    instance holds no value outside its contract. Frozen dataclasses may
+    derive from it; a subclass's own ``__post_init__`` calls this one first
+    and then checks only relations between fields.
     """
 
     def __post_init__(self):
-        self.set_params(**self.get_params())
+        for name, value in self._check_params(**self.get_params()).items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     @functools.cache
@@ -75,20 +97,24 @@ class ParamsMixin:
             hint = types[name]
             annotation, *rules = typing.get_args(hint) if typing.get_origin(hint) is Annotated else (hint,)
             if not _has_type(value, annotation):
-                expected = (
-                    f"one of {typing.get_args(annotation)}"
-                    if typing.get_origin(annotation) is typing.Literal
-                    else inspect.formatannotation(annotation)
+                raise ValidationError(
+                    f"{cls.__name__} parameter {name}={value!r} must be {_describe(annotation)}"
                 )
-                raise ValidationError(f"{cls.__name__} parameter {name}={value!r} must be {expected}")
             for text, test in rules:
                 if not test(value):
                     raise ValidationError(f"{cls.__name__} parameter {name}={value!r} must be {text}")
             checked[name] = tuple(value) if isinstance(value, list) else value
         return checked
 
-    def get_params(self):
+    def get_params(self) -> dict:
         return {name: getattr(self, name) for name in self._param_types()}
+
+
+class ParamsMixin(CheckedFields):
+    """Adds ``set_params``, which checks as the constructor does, so an
+    estimator built or changed through them holds no value outside its
+    contract and ``fit`` need not check one. Fitted state uses
+    trailing-underscore attributes."""
 
     def set_params(self, **params):
         """Set parameters by name; nothing is set unless every value passes."""

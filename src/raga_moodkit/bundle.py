@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .audio import SegmentPlan
 from .catalog import FeatureScaler
 from .errors import CorruptArtifact, ScalerMismatch, ValidationError
+from .mfcc import MfccConfig
 from .models import from_envelope, to_envelope
 from .models.base import BaseClassifier
 
@@ -24,6 +26,12 @@ class ModelBundle:
     split: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # the feature setup the training rows were made with, checked by its
+        # dataclasses; None where the bundle records none
+        self.mfcc = MfccConfig(**self.feature_fingerprint) if self.feature_fingerprint else None
+        self.plan = SegmentPlan(self.config["plan"]) if "plan" in self.config else None
 
     @property
     def family(self) -> str:
@@ -63,9 +71,9 @@ class ModelBundle:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelBundle":
-        """Decode a bundle and check that its parts agree: the scaler takes
-        the model's features, and the model scores one row over its whole
-        class order."""
+        """Decode a bundle and check that its parts agree: the feature setup
+        passes its dataclasses' checks, the scaler takes the model's features,
+        and the model scores one row over its whole class order."""
         if payload.get("format_version") != BUNDLE_FORMAT_VERSION:
             raise ValidationError(
                 f"unsupported bundle format_version {payload.get('format_version')!r}"

@@ -8,7 +8,6 @@ from __future__ import annotations
 import csv
 import enum
 import io
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
@@ -284,7 +283,6 @@ class FeatureScaler(ParamsMixin):
     (x - min) / (max - min). Degenerate features (zero spread) map to 0.
     """
 
-    KINDS = typing.get_args(ScalerKind)
     kind: ScalerKind = "zscore"
 
     def fit(self, X):

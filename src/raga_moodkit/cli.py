@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import SegmentPlan, parse_plan, read_wav
+from .audio import parse_plan, read_wav
 from .bundle import ModelBundle
 from .catalog import load_manifest, parse_rasa
 from .errors import CorruptArtifact, DataError, MoodkitError, ValidationError
@@ -38,14 +38,6 @@ from .mfcc import MfccConfig, feature_correlation
 from .models import FAMILY_ORDER
 from .recommender import recommend_transition, score_library
 from .store import read_store, write_correlation_csv, write_store
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("RAGA_MOODKIT_SEED", "0"))
-
-
-def _resolve_seed(args) -> int:
-    return args.seed if args.seed is not None else _default_seed()
 
 
 def _parse_scalar(text: str):
@@ -79,8 +71,6 @@ def parse_grid(pairs) -> dict:
             raise ValidationError(f"bad grid entry {pair!r}; expected name=v1,v2,...")
         name, values = pair.split("=", 1)
         grid[name] = [_parse_scalar(v) for v in values.split(",")]
-    if not grid:
-        raise ValidationError("grid must contain at least one parameter")
     return grid
 
 
@@ -114,11 +104,10 @@ def _print_json(payload: dict) -> None:
 def cmd_synth(args) -> int:
     from .synth import SyntheticSpec, generate_corpus
 
-    seed = _resolve_seed(args)
     spec = SyntheticSpec(
         files_per_class=args.files_per_class,
         duration_s=args.duration,
-        seed=seed,
+        seed=args.seed,
     )
     manifest = generate_corpus(spec, args.out)
     _print_json(
@@ -127,7 +116,7 @@ def cmd_synth(args) -> int:
             "out": str(args.out),
             "files_per_class": args.files_per_class,
             "duration": args.duration,
-            "seed": seed,
+            "seed": args.seed,
             "manifest": str(manifest),
             "n_files": args.files_per_class * 6,
         }
@@ -154,7 +143,7 @@ def cmd_extract(args) -> int:
         "manifest": str(args.manifest),
         "out": str(args.out),
         "plan": [list(c) for c in plan.cuts],
-        "mfcc": config.as_dict(),
+        "mfcc": config.get_params(),
         "jobs": args.jobs,
         "strict": args.strict,
         "correlation_out": str(args.correlation_out) if args.correlation_out else None,
@@ -177,7 +166,7 @@ def _run_training(args, grid: dict | None) -> int:
         scaler=args.scaler,
         split_level=args.split_level,
         val_fraction=args.val_fraction,
-        seed=_resolve_seed(args),
+        seed=args.seed,
         cv=getattr(args, "cv", None),
     )
     report = run_on_features(table, config)
@@ -185,7 +174,7 @@ def _run_training(args, grid: dict | None) -> int:
         "command": "tune" if grid is not None else "train",
         "features": str(args.features),
         "out": str(args.out),
-        **config.describe(),
+        **config.get_params(),
     }
     report.bundle.config = {**report.bundle.config, **echo, "params": report.params}
     report.bundle.save(args.out)
@@ -250,10 +239,9 @@ def cmd_evaluate(args) -> int:
 
 def _bundle_feature_setup(bundle: ModelBundle):
     """The MFCC settings and segment plan the model's training rows were made with."""
-    if "plan" not in bundle.config:
-        raise CorruptArtifact("the model bundle records no segment plan")
-    plan = SegmentPlan(tuple(tuple(c) for c in bundle.config["plan"]))
-    return MfccConfig(**bundle.feature_fingerprint), plan
+    if bundle.mfcc is None or bundle.plan is None:
+        raise CorruptArtifact("the model bundle records no MFCC settings or no segment plan")
+    return bundle.mfcc, bundle.plan
 
 
 def cmd_classify(args) -> int:
@@ -302,12 +290,16 @@ def cmd_recommend(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="raga-moodkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse reads a string default through the option's type, so a
+    # malformed variable is refused like a malformed --seed
+    seed = {"type": int, "default": os.environ.get("RAGA_MOODKIT_SEED", 0),
+            "help": "default: $RAGA_MOODKIT_SEED, else 0"}
 
     p = sub.add_parser("synth", help="generate a labeled synthetic WAV corpus")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--files-per-class", type=int, default=20)
     p.add_argument("--duration", type=float, default=90.0, help="seconds per file")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", **seed)
     p.set_defaults(handler=cmd_synth)
 
     p = sub.add_parser("extract", help="extract per-segment features into a store")
@@ -337,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--split-level", default="file", choices=SPLIT_LEVELS)
         p.add_argument("--val-fraction", type=float, default=0.2)
         p.add_argument("--split-out", default=None, help="write id,role split CSV")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", **seed)
 
     p = sub.add_parser("train", help="fit one model with fixed parameters")
     add_fit_options(p, with_grid=False)

@@ -13,15 +13,18 @@ import functools
 import itertools
 import json
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Annotated, Literal
 
 import numpy as np
 
 from .audio import DEFAULT_BI_SAMPLE_PLAN, AudioBuffer, SegmentPlan, bi_sample, read_wav, resample, to_mono
+from .base import CheckedFields, NonNegativeInt
 from .bundle import ModelBundle
-from .catalog import RASAS, FeatureScaler, SongRecord, stratified_indices
+from .catalog import RASAS, FeatureScaler, ScalerKind, SongRecord, stratified_indices
 from .errors import (
     ClassTooSmall,
     DataError,
@@ -35,8 +38,10 @@ from .mfcc import MfccConfig, segment_features
 from .models import FAMILY_ORDER, make_classifier
 from .store import FeatureTable, segment_id
 
-SPLIT_LEVELS = ("file", "segment")
-SCALER_KINDS = (*FeatureScaler.KINDS, "none")
+SplitLevel = Literal["file", "segment"]
+ScalerChoice = Literal[ScalerKind, "none"]
+SPLIT_LEVELS = typing.get_args(SplitLevel)
+SCALER_KINDS = typing.get_args(ScalerChoice)
 
 
 # --- metrics -------------------------------------------------------------------
@@ -171,48 +176,28 @@ def kfold_indices(labels, n_folds: int, seed: int):
 # --- experiment runner -----------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(CheckedFields):
     """How to split, scale and fit. The segment plan and MFCC settings are
     not here: they belong to the feature table, and ``run_on_features``
     records the table's."""
 
     family: str = "svm"
     params: dict = field(default_factory=dict)
-    grid: dict | None = None
-    scaler: str = "zscore"
-    split_level: str = "file"
-    val_fraction: float = 0.2
-    seed: int = 0
-    cv: int | None = None  # when set, grid selection runs k-fold inside train
+    grid: Annotated[dict | None, ("None or non-empty", lambda v: v is None or len(v) > 0)] = None
+    scaler: ScalerChoice = "zscore"
+    split_level: SplitLevel = "file"
+    val_fraction: Annotated[float, ("in (0, 1)", lambda v: 0 < v < 1)] = 0.2
+    seed: NonNegativeInt = 0
+    # when set, grid selection runs k-fold inside train
+    cv: Annotated[int | None, ("None or >= 2", lambda v: v is None or v >= 2)] = None
 
     def __post_init__(self):
-        if self.split_level not in SPLIT_LEVELS:
-            raise ValidationError(f"split_level must be one of {SPLIT_LEVELS}, got {self.split_level!r}")
-        if self.scaler not in SCALER_KINDS:
-            raise ValidationError(f"scaler must be one of {SCALER_KINDS}, got {self.scaler!r}")
-        if self.grid is not None and not self.grid:
-            raise ValidationError("grid, when given, must be non-empty")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.cv is not None and self.cv < 2:
-            raise ValidationError(f"cv must be >= 2 folds, got {self.cv}")
+        super().__post_init__()
         # the family's fields check every name, type and allowed value
         model = make_classifier(self.family, **self.params)
         for name, values in (self.grid or {}).items():
             for value in values:
                 model.set_params(**{name: value})
-
-    def describe(self) -> dict:
-        return {
-            "family": self.family,
-            "params": dict(self.params),
-            "grid": None if self.grid is None else {k: list(v) for k, v in self.grid.items()},
-            "scaler": self.scaler,
-            "split_level": self.split_level,
-            "val_fraction": self.val_fraction,
-            "seed": self.seed,
-            "cv": self.cv,
-        }
 
 
 @dataclass
@@ -268,7 +253,7 @@ class ExperimentReport:
     def markdown_row(self) -> str:
         cuts = self.config.get("plan")
         if cuts:
-            plan = SegmentPlan(tuple(tuple(c) for c in cuts))
+            plan = SegmentPlan(cuts)
             start = f"{plan.cuts[0][0]:g}" if len(plan.cuts) == 1 else plan.describe()
             duration = f"{sum(d for _, d in plan.cuts):g}"
         else:
@@ -341,6 +326,8 @@ def extract_features(
     failed song id and path, otherwise the song is skipped and reported in
     ``failures`` as a ``(song_id, message)`` pair.
     """
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     calls = [functools.partial(extract_song_rows, r, plan, config, base_dir) for r in records]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -440,7 +427,7 @@ def run_on_features(table: FeatureTable, config: ExperimentConfig) -> Experiment
     model = make_classifier(config.family, **params)
     model.fit(X[train_idx], y[train_idx])
 
-    described = {**config.describe(), "params": params, "mfcc": table.mfcc.as_dict(),
+    described = {**config.get_params(), "params": params, "mfcc": table.mfcc.get_params(),
                  "plan": [list(cut) for cut in table.plan.cuts]}
     report = _scored_report(
         model.predict, X, y, train_idx, val_idx, sorted(set(y.tolist())),

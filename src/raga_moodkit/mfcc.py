@@ -13,11 +13,13 @@ fed through ``power_spectrum`` and those same stages.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import Annotated, Literal
 
 import numpy as np
 
 from .audio import AudioBuffer
+from .base import CheckedFields, FiniteNonNegativeFloat, FinitePositiveFloat, PositiveInt
 from .errors import (
     DegenerateBank,
     EmptySegment,
@@ -30,48 +32,37 @@ _BOUNDARY_MIN_GAP = 1e-9
 
 
 @dataclass(frozen=True)
-class MfccConfig:
+class MfccConfig(CheckedFields):
     """Framing, filterbank and transform parameters.
 
     ``f_high`` defaults to the Nyquist frequency of ``sample_rate``.
     """
 
-    fft_size: int = 2048
-    hop: int = 512
-    window: str = "hann"
-    n_filters: int = 40
-    n_coeffs: int = 40
-    f_low: float = 0.0
+    fft_size: Annotated[int, ("a power of two >= 2", lambda n: n >= 2 and n & (n - 1) == 0)] = 2048
+    hop: PositiveInt = 512
+    window: Literal["hann"] = "hann"
+    n_filters: PositiveInt = 40
+    n_coeffs: PositiveInt = 40
+    f_low: FiniteNonNegativeFloat = 0.0
     f_high: float | None = None
-    sample_rate: int = 22050
-    log_floor: float = 1e-10
+    sample_rate: PositiveInt = 22050
+    log_floor: FinitePositiveFloat = 1e-10
 
     def __post_init__(self):
+        super().__post_init__()
         if self.f_high is None:
             object.__setattr__(self, "f_high", self.sample_rate / 2.0)
-        n = self.fft_size
-        if n < 2 or n & (n - 1):
-            raise ValidationError(f"fft_size must be a power of two, got {n}")
-        if not 0 < self.hop <= n:
-            raise ValidationError(f"hop must be in (0, fft_size], got {self.hop}")
-        if self.window != "hann":
-            raise ValidationError(f"unsupported window {self.window!r}")
-        if self.sample_rate <= 0:
-            raise ValidationError(f"sample_rate must be positive, got {self.sample_rate}")
-        if not 0 <= self.f_low < self.f_high <= self.sample_rate / 2.0:
+        if self.hop > self.fft_size:
+            raise ValidationError(f"need hop <= fft_size, got {self.hop} > {self.fft_size}")
+        if not self.f_low < self.f_high <= self.sample_rate / 2.0:
             raise ValidationError(
-                f"need 0 <= f_low < f_high <= sample_rate/2, "
+                f"need f_low < f_high <= sample_rate/2, "
                 f"got f_low={self.f_low}, f_high={self.f_high}, rate={self.sample_rate}"
             )
-        if not 1 <= self.n_coeffs <= self.n_filters:
+        if self.n_coeffs > self.n_filters:
             raise ValidationError(
-                f"need 1 <= n_coeffs <= n_filters, got {self.n_coeffs} > {self.n_filters}"
+                f"need n_coeffs <= n_filters, got {self.n_coeffs} > {self.n_filters}"
             )
-        if not self.log_floor > 0:
-            raise ValidationError(f"log_floor must be positive, got {self.log_floor}")
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ class FeatureTable:
 
     @property
     def fingerprint(self) -> dict:
-        return self.mfcc.as_dict()
+        return self.mfcc.get_params()
 
     def select(self, index) -> "FeatureTable":
         index = np.asarray(index)
@@ -76,7 +76,7 @@ def write_store(table: FeatureTable, path, extra_meta: dict | None = None) -> No
             writer.writerow([seg, str(label)] + [repr(float(v)) for v in row])
     meta = {
         "format_version": STORE_FORMAT_VERSION,
-        "mfcc": table.mfcc.as_dict(),
+        "mfcc": table.mfcc.get_params(),
         "segment_plan": [list(cut) for cut in table.plan.cuts],
         "n_rows": len(table),
     }
@@ -99,7 +99,7 @@ def read_store(path) -> FeatureTable:
         if meta.get("format_version") != STORE_FORMAT_VERSION:
             raise ValidationError(f"unsupported store format_version {meta.get('format_version')!r}")
         config = MfccConfig(**meta["mfcc"])
-        plan = SegmentPlan(tuple(tuple(cut) for cut in meta["segment_plan"]))
+        plan = SegmentPlan(meta["segment_plan"])
         segment_ids: list[str] = []
         labels: list[str] = []
         rows: list[list[float]] = []

@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .audio import CANONICAL_RATE, AudioBuffer, write_wav
+from .base import CheckedFields, FinitePositiveFloat, NonNegativeInt, PositiveInt
 from .catalog import DEFAULT_RAGA_TABLE, Rasa, write_manifest
-from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -43,21 +43,13 @@ DEFAULT_RECIPES: dict[Rasa, RasaRecipe] = {
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(CheckedFields):
     """Corpus size and seed; every file is rendered at ``CANONICAL_RATE``
     from ``DEFAULT_RECIPES``."""
 
-    files_per_class: int = 20
-    duration_s: float = 90.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.files_per_class < 1:
-            raise ValidationError(f"files_per_class must be >= 1, got {self.files_per_class}")
-        if not 0 < self.duration_s < np.inf:
-            raise ValidationError(f"duration_s must be finite and > 0, got {self.duration_s}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+    files_per_class: PositiveInt = 20
+    duration_s: FinitePositiveFloat = 90.0
+    seed: NonNegativeInt = 0
 
 
 #: Samples per block when summing the harmonics: the complex temporaries of

@@ -362,6 +362,16 @@ class TestSegments:
         for seconds in (80, 90, 200):
             assert len(bi_sample(self._buffer(seconds))) == 2
 
+    def test_huge_finite_cut(self):
+        # start and duration times the rate overflow to inf; the cut does not
+        buffer = self._buffer(30, rate=22050)
+        with pytest.raises(StartBeyondEnd):
+            extract_segment(buffer, 1e305, 1)
+        tail = extract_segment(buffer, 0, 1e305)
+        same = extract_segment(buffer, 0, 1000)
+        assert tail.short and same.short
+        np.testing.assert_array_equal(tail.samples, same.samples)
+
     def test_plan_validation(self):
         with pytest.raises(ValidationError):
             SegmentPlan(())

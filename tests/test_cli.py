@@ -365,7 +365,8 @@ class TestCorruptInputs:
         "damage",
         ["list", "no_model", "no_class_order", "scaler_without_kind", "bundle_version_2",
          "model_version_2", "family_hmm", "no_support_vectors", "svm_two_classes",
-         "knn_two_classes", "short_scaler"],
+         "knn_two_classes", "short_scaler", "knn_mfcc_unknown_key", "knn_mfcc_hop_text",
+         "knn_mfcc_fft_size_1000", "knn_plan_triple", "knn_plan_text", "knn_plan_negative_start"],
     )
     def test_wrong_shape_bundle(
         self, small_corpus, extracted, trained, family_bundles, tmp_path, capsys, damage
@@ -391,6 +392,13 @@ class TestCorruptInputs:
                 pair["support_vectors"] = pair["dual_coef"] = {"shape": [0], "data": ""}
         elif damage.endswith("two_classes"):
             payload["model"]["class_order"] = payload["model"]["class_order"][:2]
+        elif damage.startswith("knn_mfcc"):
+            name, value = {"unknown_key": ("bogus", 1), "hop_text": ("hop", "x"),
+                           "fft_size_1000": ("fft_size", 1000)}[damage[len("knn_mfcc_"):]]
+            payload["feature_fingerprint"][name] = value
+        elif damage.startswith("knn_plan"):
+            payload["config"]["plan"] = {"triple": [[1, 2, 3]], "text": "abc",
+                                         "negative_start": [[-1, 5]]}[damage[len("knn_plan_"):]]
         else:
             for key in ("offset", "scale"):
                 payload["scaler"][key] = payload["scaler"][key][:-1]
@@ -484,28 +492,57 @@ class TestCorruptInputs:
         assert not model.exists()
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, env_seed",
         [
-            ["extract", "--plan", "nan:5"],
-            ["extract", "--plan", "0:inf"],
-            ["extract", "--log-floor", "nan"],
-            ["train", "--family", "knn", "--seed", "-1"],
-            ["synth", "--seed", "-1"],
-            ["synth", "--duration", "nan"],
+            (["extract", "--plan", "nan:5"], None),
+            (["extract", "--plan", "0:inf"], None),
+            (["extract", "--log-floor", "nan"], None),
+            (["extract", "--log-floor", "inf"], None),
+            (["extract", "--jobs", "0"], None),
+            (["extract", "--jobs", "-3"], None),
+            (["train", "--family", "knn", "--seed", "-1"], None),
+            (["tune", "--family", "knn", "--grid", "k=3,5", "--cv", "1"], None),
+            (["synth", "--seed", "-1"], None),
+            (["synth", "--duration", "nan"], None),
+            (["synth"], "abc"),
+            (["train", "--family", "knn"], "-1"),
         ],
-        ids=["plan_start_nan", "plan_duration_inf", "log_floor_nan", "train_seed_negative",
-             "synth_seed_negative", "synth_duration_nan"],
+        ids=["plan_start_nan", "plan_duration_inf", "log_floor_nan", "log_floor_inf", "jobs_zero",
+             "jobs_negative", "train_seed_negative", "tune_cv_one", "synth_seed_negative",
+             "synth_duration_nan", "env_seed_text", "env_seed_negative"],
     )
-    def test_bad_settings_are_validation_errors(self, small_corpus, extracted, tmp_path, capsys, argv):
+    def test_bad_settings_are_validation_errors(
+        self, small_corpus, extracted, tmp_path, capsys, monkeypatch, argv, env_seed
+    ):
+        if env_seed is not None:
+            monkeypatch.setenv("RAGA_MOODKIT_SEED", env_seed)
         inputs = {
             "extract": ["--manifest", str(small_corpus.manifest_path)],
             "train": ["--features", str(extracted)],
+            "tune": ["--features", str(extracted)],
             "synth": ["--files-per-class", "1"],
         }
         out = tmp_path / "out"
         code = main(argv + inputs[argv[0]] + ["--out", str(out)])
         self.assert_data_error(code, capsys, expected_code=1)
         assert not out.exists()
+
+    def test_huge_finite_cuts(self, small_corpus, tmp_path, capsys):
+        # a start past every file is that file's failure; a huge duration
+        # takes the whole file as a short tail, as 0:1000 does
+        manifest = str(small_corpus.manifest_path)
+        code = main(["extract", "--manifest", manifest, "--plan", "1e305:1",
+                     "--out", str(tmp_path / "late.csv")])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert err.count("is beyond the 21.000s buffer") == len(small_corpus.records)
+        assert err.endswith("error: no features extracted; every file failed\n")
+        stores = {}
+        for plan in ("0:1e305", "0:1000"):
+            stores[plan] = tmp_path / f"{plan}.csv"
+            code = main(["extract", "--manifest", manifest, "--plan", plan, "--out", str(stores[plan])])
+            assert code == 0
+        assert stores["0:1e305"].read_bytes() == stores["0:1000"].read_bytes()
 
     @pytest.mark.parametrize(
         "family, params, damage",

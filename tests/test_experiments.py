@@ -25,6 +25,7 @@ from raga_moodkit.experiments import (
 )
 from raga_moodkit.mfcc import MfccConfig
 from raga_moodkit.store import FeatureTable, segment_id
+from raga_moodkit.synth import SyntheticSpec
 
 
 class TestAccuracy:
@@ -369,6 +370,66 @@ class TestConfigParams:
     def test_unknown_family(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(family="hmm")
+
+
+NAN, INF = float("nan"), float("inf")
+
+#: One invalid value per row, for each settings dataclass: wrong types (a
+#: bool or a non-integral float for an int), NaN and infinity, values
+#: outside a range or a closed set, and broken relations between fields.
+INVALID_SETTINGS = [
+    (MfccConfig, {"hop": True}),
+    (MfccConfig, {"hop": 0}),
+    (MfccConfig, {"hop": 4096}),
+    (MfccConfig, {"n_filters": 2.5, "n_coeffs": 1}),
+    (MfccConfig, {"n_coeffs": 41}),
+    (MfccConfig, {"sample_rate": 22050.5}),
+    (MfccConfig, {"fft_size": 2048.0}),
+    (MfccConfig, {"fft_size": 1000}),
+    (MfccConfig, {"window": "hamming"}),
+    (MfccConfig, {"f_low": NAN}),
+    (MfccConfig, {"f_low": 12000.0}),
+    (MfccConfig, {"log_floor": 0.0}),
+    (MfccConfig, {"log_floor": NAN}),
+    (MfccConfig, {"log_floor": INF}),
+    (SegmentPlan, {"cuts": ()}),
+    (SegmentPlan, {"cuts": ((0, 0),)}),
+    (SegmentPlan, {"cuts": ((NAN, 5),)}),
+    (SegmentPlan, {"cuts": ((0, INF),)}),
+    (SegmentPlan, {"cuts": ((-1, 10),)}),
+    (SegmentPlan, {"cuts": ((0, 1, 2),)}),
+    (SegmentPlan, {"cuts": "abc"}),
+    (SyntheticSpec, {"files_per_class": True}),
+    (SyntheticSpec, {"files_per_class": 0}),
+    (SyntheticSpec, {"duration_s": INF}),
+    (SyntheticSpec, {"seed": -1}),
+    (ExperimentConfig, {"seed": 1.5}),
+    (ExperimentConfig, {"seed": True}),
+    (ExperimentConfig, {"seed": -1}),
+    (ExperimentConfig, {"cv": 2.5}),
+    (ExperimentConfig, {"cv": 1}),
+    (ExperimentConfig, {"scaler": "robust"}),
+    (ExperimentConfig, {"split_level": "song"}),
+    (ExperimentConfig, {"val_fraction": NAN}),
+    (ExperimentConfig, {"val_fraction": 1.0}),
+    (ExperimentConfig, {"grid": {}}),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs", INVALID_SETTINGS,
+    ids=[f"{cls.__name__}-{'-'.join(f'{k}={v}' for k, v in kw.items())}" for cls, kw in INVALID_SETTINGS],
+)
+def test_invalid_setting_is_refused(cls, kwargs):
+    with pytest.raises(ValidationError) as refused:
+        cls(**kwargs)
+    # a failed rule is named by its text, never by a typing repr
+    assert "typing" not in str(refused.value)
+
+
+def test_plan_cut_rules_are_named():
+    with pytest.raises(ValidationError, match=r"finite and >= 0.*finite and > 0"):
+        SegmentPlan(((NAN, 5),))
 
 
 def _report(family, params, validation_accuracy):

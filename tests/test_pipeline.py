@@ -43,7 +43,7 @@ def test_bundle_records_the_tables_plan_and_mfcc(tmp_path, capsys):
     report = run_on_features(table, ExperimentConfig())
     for config in (report.config, report.bundle.config):
         assert config["plan"] == [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]]
-        assert config["mfcc"] == mfcc.as_dict()
+        assert config["mfcc"] == mfcc.get_params()
     model = tmp_path / "model.json"
     report.bundle.save(model)
     assert main(["classify", "--model", str(model), "--wav", str(tmp_path / "veera_001.wav")]) == 0
