@@ -111,7 +111,9 @@ def grid_search(family: str, grid: dict, X, y, folds, base_params: dict | None =
     ``folds`` is a list of ``(train_idx, val_idx)`` row-index pairs into
     ``X``/``y``; a holdout search is a single fold. Failing points become
     rows with an error message instead of aborting the search. Ties go to
-    the earliest point in grid order. Returns ``(best_params, rows)``.
+    the earliest point in grid order. Returns ``(best_params, rows,
+    best_models)``, where ``best_models`` are the winning point's fitted
+    models, one per fold.
     """
     if not grid:
         raise ValidationError("grid must be non-empty")
@@ -119,15 +121,18 @@ def grid_search(family: str, grid: dict, X, y, folds, base_params: dict | None =
     y = np.asarray(y, dtype=str)
     rows: list[GridRow] = []
     best_params = None
+    best_models: list = []
     best_accuracy = -1.0
     for point in grid_points(grid):
         params = dict(base_params or {})
         params.update(point)
         try:
             fold_scores = []
+            models = []
             for train_idx, val_idx in folds:
                 model = make_classifier(family, **params)
                 model.fit(X[train_idx], y[train_idx])
+                models.append(model)
                 fold_scores.append(accuracy(model.predict(X[val_idx]), y[val_idx]))
             mean_accuracy = float(np.mean(fold_scores))
         except MoodkitError as exc:
@@ -137,11 +142,12 @@ def grid_search(family: str, grid: dict, X, y, folds, base_params: dict | None =
         if mean_accuracy > best_accuracy:
             best_accuracy = mean_accuracy
             best_params = point
+            best_models = models
     if best_params is None:
         raise MoodkitError(
             "every grid point failed: " + "; ".join(row.error or "?" for row in rows)
         )
-    return best_params, rows
+    return best_params, rows, best_models
 
 
 def kfold_indices(labels, n_folds: int, seed: int):
@@ -415,6 +421,7 @@ def run_on_features(table: FeatureTable, config: ExperimentConfig) -> Experiment
 
     params = dict(config.params)
     grid_rows = None
+    model = None
     if config.grid is not None:
         folds = [(train_idx, val_idx)]
         if config.cv is not None:
@@ -422,10 +429,16 @@ def run_on_features(table: FeatureTable, config: ExperimentConfig) -> Experiment
                 (train_idx[inner], train_idx[held_out])
                 for inner, held_out in kfold_indices(y[train_idx], config.cv, config.seed)
             ]
-        best, grid_rows = grid_search(config.family, config.grid, X, y, folds, base_params=params)
+        best, grid_rows, fold_models = grid_search(
+            config.family, config.grid, X, y, folds, base_params=params
+        )
         params.update(best)
-    model = make_classifier(config.family, **params)
-    model.fit(X[train_idx], y[train_idx])
+        if config.cv is None:
+            # the holdout search already fit the winner on exactly the train side
+            model = fold_models[0]
+    if model is None:
+        model = make_classifier(config.family, **params)
+        model.fit(X[train_idx], y[train_idx])
 
     described = {**config.get_params(), "params": params, "mfcc": table.mfcc.get_params(),
                  "plan": [list(cut) for cut in table.plan.cuts]}

@@ -44,7 +44,10 @@ class BinarySvmModel:
     alpha_i is its magnitude and y_i its sign; ``support_indices`` holds
     their positions in the training set, for optimality checks.
     ``objective_history`` records the dual objective after every accepted
-    update, starting from the zero initial point.
+    update, starting from the zero initial point. ``converged`` says whether
+    training stopped with every optimality condition within ``tol`` rather
+    than by running out of sweeps; a model loaded from a bundle does not
+    record it and holds None.
     """
 
     support_vectors: np.ndarray
@@ -55,6 +58,7 @@ class BinarySvmModel:
     support_indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     objective_history: list = field(default_factory=list, repr=False)
     n_sweeps: int = 0
+    converged: bool | None = None
 
     def decision_function(self, X) -> np.ndarray:
         X = as_float_matrix(X)
@@ -106,40 +110,47 @@ def smo_train_binary(
 
     n = X.shape[0]
     gram = rbf_kernel_matrix(X, X, gamma)
-    alphas = np.zeros(n)
+    # Scalars come from Python lists, which index faster than arrays.
+    # ``coef`` is kept equal to ``alphas * y`` bit for bit, signed zeros
+    # included: an accepted step rewrites its two changed entries, and with
+    # y = +-1 each product is exact. A margin is then one dot product.
+    rows = list(gram)
+    k = gram.tolist()
+    labels = y.tolist()
+    alphas = [0.0] * n
+    coef = np.zeros(n) * y
+    margin = coef.dot  # np.dot's product, without its dispatch cost per call
     bias = 0.0
     rng = np.random.default_rng(seed)
     objective = 0.0
     history = [objective]
 
-    def margins(i):
-        return float((alphas * y) @ gram[i] + bias)
-
     def delta_objective(i, j, t, g_i, g_j):
         # Change of the dual when alpha_j moves to t along the equality
         # constraint (g_* are kernel expansions without the bias).
-        s = y[i] * y[j]
+        s = labels[i] * labels[j]
         d_j = t - alphas[j]
         d_i = -s * d_j
         return (
             d_i
             + d_j
-            - d_i * y[i] * g_i
-            - d_j * y[j] * g_j
-            - 0.5 * (d_i * d_i * gram[i, i] + d_j * d_j * gram[j, j])
-            - s * d_i * d_j * gram[i, j]
+            - d_i * labels[i] * g_i
+            - d_j * labels[j] * g_j
+            - 0.5 * (d_i * d_i * k[i][i] + d_j * d_j * k[j][j])
+            - s * d_i * d_j * k[i][j]
         )
 
     def consolidated_bias() -> float:
         # Recompute b globally from the margin constraints: the mean over
         # free support vectors, or the midpoint of the feasible interval
         # when every multiplier sits at a bound.
-        expansion = (alphas * y) @ gram
-        free = (alphas > 1e-9) & (alphas < C - 1e-9)
+        expansion = coef @ gram
+        alpha = np.array(alphas)
+        free = (alpha > 1e-9) & (alpha < C - 1e-9)
         if free.any():
             return float(np.mean(y[free] - expansion[free]))
         boundary = y - expansion
-        at_zero = alphas <= 1e-9
+        at_zero = alpha <= 1e-9
         is_lower = (at_zero & (y > 0)) | (~at_zero & (y < 0))
         lower = boundary[is_lower]
         upper = boundary[~is_lower]
@@ -152,45 +163,55 @@ def smo_train_binary(
         return bias
 
     def worst_violation() -> float:
-        margins_all = y * ((alphas * y) @ gram + bias)
-        at_zero = alphas <= 1e-12
-        at_c = alphas >= C - 1e-12
+        margins_all = y * (coef @ gram + bias)
+        alpha = np.array(alphas)
+        at_zero = alpha <= 1e-12
+        at_c = alpha >= C - 1e-12
         slack = np.abs(margins_all - 1.0)
         slack[at_zero] = np.maximum(0.0, 1.0 - margins_all[at_zero])
         slack[at_c] = np.maximum(0.0, margins_all[at_c] - 1.0)
         return float(slack.max())
 
     sweeps = 0
+    converged = False
     while sweeps < max_sweeps:
         passes_clean = 0
         while passes_clean < max_passes and sweeps < max_sweeps:
             changed = 0
             for i in range(n):
-                f_i = margins(i)
-                e_i = f_i - y[i]
-                r_i = y[i] * e_i
-                if not ((r_i < -tol and alphas[i] < C) or (r_i > tol and alphas[i] > 0)):
+                f_i = float(margin(rows[i])) + bias
+                y_i = labels[i]
+                e_i = f_i - y_i
+                r_i = y_i * e_i
+                alpha_i = alphas[i]
+                if not ((r_i < -tol and alpha_i < C) or (r_i > tol and alpha_i > 0)):
                     continue
                 j = int(rng.integers(n - 1))
                 if j >= i:
                     j += 1
-                f_j = margins(j)
-                e_j = f_j - y[j]
+                f_j = float(margin(rows[j])) + bias
+                y_j = labels[j]
+                e_j = f_j - y_j
+                alpha_j = alphas[j]
 
-                if y[i] != y[j]:
-                    low = max(0.0, alphas[j] - alphas[i])
-                    high = min(C, C + alphas[j] - alphas[i])
+                if y_i != y_j:
+                    low = max(0.0, alpha_j - alpha_i)
+                    high = min(C, C + alpha_j - alpha_i)
                 else:
-                    low = max(0.0, alphas[i] + alphas[j] - C)
-                    high = min(C, alphas[i] + alphas[j])
+                    low = max(0.0, alpha_i + alpha_j - C)
+                    high = min(C, alpha_i + alpha_j)
                 if high - low < 1e-12:
                     continue
 
                 g_i = f_i - bias
                 g_j = f_j - bias
-                eta = 2.0 * gram[i, j] - gram[i, i] - gram[j, j]
+                k_i = k[i]
+                k_ij = k_i[j]
+                k_ii = k_i[i]
+                k_jj = k[j][j]
+                eta = 2.0 * k_ij - k_ii - k_jj
                 if eta < 0.0:
-                    candidate = alphas[j] - y[j] * (e_i - e_j) / eta
+                    candidate = alpha_j - y_j * (e_i - e_j) / eta
                     candidate = min(max(candidate, low), high)
                 else:
                     # Flat or concave-up direction: the pairwise optimum sits
@@ -199,32 +220,32 @@ def smo_train_binary(
                     gain_high = delta_objective(i, j, high, g_i, g_j)
                     candidate = low if gain_low > gain_high else high
 
-                if abs(candidate - alphas[j]) < 1e-9 * (candidate + alphas[j] + 1e-9):
+                if abs(candidate - alpha_j) < 1e-9 * (candidate + alpha_j + 1e-9):
                     continue
                 gain = delta_objective(i, j, candidate, g_i, g_j)
                 if gain < -1e-9:
                     continue
 
-                alpha_j_old = alphas[j]
-                alpha_i_old = alphas[i]
                 alphas[j] = candidate
-                alphas[i] = alpha_i_old + y[i] * y[j] * (alpha_j_old - candidate)
+                alphas[i] = new_i = alpha_i + y_i * y_j * (alpha_j - candidate)
+                coef[i] = new_i * y_i
+                coef[j] = candidate * y_j
 
                 b1 = (
                     bias
                     - e_i
-                    - y[i] * (alphas[i] - alpha_i_old) * gram[i, i]
-                    - y[j] * (alphas[j] - alpha_j_old) * gram[i, j]
+                    - y_i * (new_i - alpha_i) * k_ii
+                    - y_j * (candidate - alpha_j) * k_ij
                 )
                 b2 = (
                     bias
                     - e_j
-                    - y[i] * (alphas[i] - alpha_i_old) * gram[i, j]
-                    - y[j] * (alphas[j] - alpha_j_old) * gram[j, j]
+                    - y_i * (new_i - alpha_i) * k_ij
+                    - y_j * (candidate - alpha_j) * k_jj
                 )
-                if 0.0 < alphas[i] < C:
+                if 0.0 < new_i < C:
                     bias = b1
-                elif 0.0 < alphas[j] < C:
+                elif 0.0 < candidate < C:
                     bias = b2
                 else:
                     bias = 0.5 * (b1 + b2)
@@ -237,19 +258,21 @@ def smo_train_binary(
         # sweeping stalled: consolidate b and stop only if the optimality
         # conditions genuinely hold; otherwise resume with the better bias
         bias = consolidated_bias()
-        if worst_violation() <= tol:
+        converged = worst_violation() <= tol
+        if converged:
             break
 
-    keep = np.flatnonzero(alphas > 0.0)
+    keep = np.flatnonzero(np.array(alphas) > 0.0)
     return BinarySvmModel(
         support_vectors=X[keep].copy(),
-        dual_coef=(alphas * y)[keep],
+        dual_coef=coef[keep],
         bias=float(bias),
         gamma=gamma,
         C=C,
         support_indices=keep,
         objective_history=history,
         n_sweeps=sweeps,
+        converged=converged,
     )
 
 

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
 from .audio import CANONICAL_RATE, AudioBuffer, write_wav
 from .base import CheckedFields, FinitePositiveFloat, NonNegativeInt, PositiveInt
 from .catalog import DEFAULT_RAGA_TABLE, Rasa, write_manifest
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -42,13 +44,20 @@ DEFAULT_RECIPES: dict[Rasa, RasaRecipe] = {
 }
 
 
+#: A render length in seconds that holds at least one sample.
+RenderableDuration = Annotated[
+    FinitePositiveFloat,
+    (f"at least one sample at {CANONICAL_RATE} Hz", lambda v: round(v * CANONICAL_RATE) >= 1),
+]
+
+
 @dataclass(frozen=True)
 class SyntheticSpec(CheckedFields):
     """Corpus size and seed; every file is rendered at ``CANONICAL_RATE``
     from ``DEFAULT_RECIPES``."""
 
     files_per_class: PositiveInt = 20
-    duration_s: FinitePositiveFloat = 90.0
+    duration_s: RenderableDuration = 90.0
     seed: NonNegativeInt = 0
 
 
@@ -67,6 +76,8 @@ def synth_signal(recipe: RasaRecipe, duration_s: float, sample_rate: int, rng) -
     sample replaces a sine per harmonic.
     """
     n = int(round(duration_s * sample_rate))
+    if n < 1:
+        raise ValidationError(f"a render of {duration_s!r} s at {sample_rate} Hz holds no sample")
     t = np.arange(n) / sample_rate
     fundamental = recipe.fundamental_hz * (1.0 + rng.uniform(-0.01, 0.01))
     vibrato = 1.0 + recipe.vibrato_depth * np.sin(

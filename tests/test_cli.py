@@ -504,12 +504,13 @@ class TestCorruptInputs:
             (["tune", "--family", "knn", "--grid", "k=3,5", "--cv", "1"], None),
             (["synth", "--seed", "-1"], None),
             (["synth", "--duration", "nan"], None),
+            (["synth", "--duration", "1e-9"], None),
             (["synth"], "abc"),
             (["train", "--family", "knn"], "-1"),
         ],
         ids=["plan_start_nan", "plan_duration_inf", "log_floor_nan", "log_floor_inf", "jobs_zero",
              "jobs_negative", "train_seed_negative", "tune_cv_one", "synth_seed_negative",
-             "synth_duration_nan", "env_seed_text", "env_seed_negative"],
+             "synth_duration_nan", "synth_duration_tiny", "env_seed_text", "env_seed_negative"],
     )
     def test_bad_settings_are_validation_errors(
         self, small_corpus, extracted, tmp_path, capsys, monkeypatch, argv, env_seed

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,9 @@ from raga_moodkit.experiments import (
     select_final_model,
     split_table,
 )
+from raga_moodkit.catalog import FeatureScaler
 from raga_moodkit.mfcc import MfccConfig
+from raga_moodkit.models import RbfSvmClassifier, make_classifier
 from raga_moodkit.store import FeatureTable, segment_id
 from raga_moodkit.synth import SyntheticSpec
 
@@ -108,14 +113,14 @@ class TestGridSearch:
         ]
 
     def test_single_point(self):
-        best, rows = grid_search("knn", {"k": [3]}, *self._holdout())
+        best, rows, _ = grid_search("knn", {"k": [3]}, *self._holdout())
         assert best == {"k": 3}
         assert len(rows) == 1
 
     def test_best_equals_exhaustive_oracle(self):
         train, val = self._data()
         grid = {"C": [1, 10], "gamma": [0.01, 0.1]}
-        best, rows = grid_search("svm", grid, *self._holdout(), base_params={"seed": 0})
+        best, rows, _ = grid_search("svm", grid, *self._holdout(), base_params={"seed": 0})
         # independent exhaustive re-evaluation in the same order
         from raga_moodkit.models import make_classifier
 
@@ -131,13 +136,13 @@ class TestGridSearch:
         assert all(r.error is None for r in rows)
 
     def test_all_tie_takes_first(self):
-        best, rows = grid_search("knn", {"k": [3, 5, 7]}, *self._holdout())
+        best, rows, _ = grid_search("knn", {"k": [3, 5, 7]}, *self._holdout())
         accuracies = [r.validation_accuracy for r in rows]
         assert all(a == accuracies[0] for a in accuracies)
         assert best == {"k": 3}
 
     def test_failed_points_recorded_not_fatal(self):
-        best, rows = grid_search("knn", {"k": [3, 4000]}, *self._holdout())
+        best, rows, _ = grid_search("knn", {"k": [3, 4000]}, *self._holdout())
         assert best == {"k": 3}
         assert rows[1].error is not None and rows[1].validation_accuracy is None
 
@@ -300,7 +305,7 @@ class TestGridSearchCv:
         y = np.array(["lo"] * 15 + ["hi"] * 15)
         grid = {"k": [1, 3, 5]}
         folds = kfold_indices(y, 3, seed=4)
-        best, rows = grid_search("knn", grid, X, y, folds)
+        best, rows, _ = grid_search("knn", grid, X, y, folds)
 
         from raga_moodkit.models import make_classifier
 
@@ -331,6 +336,55 @@ class TestGridSearchCv:
     def test_bad_cv_rejected(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(cv=1)
+
+
+class TestHoldoutWinnerReuse:
+    """A holdout search already fit its winner on the train side; the run
+    keeps that model. A k-fold search refits the winner on the whole train
+    side."""
+
+    GRID = {"C": [1.0, 10.0], "gamma": [0.01, 0.1]}
+
+    @staticmethod
+    def _count_fits(monkeypatch):
+        fits = []
+        fit = RbfSvmClassifier.fit
+
+        def counted(self, X, y):
+            fits.append(self.get_params())
+            return fit(self, X, y)
+
+        monkeypatch.setattr(RbfSvmClassifier, "fit", counted)
+        return fits
+
+    @staticmethod
+    def _table():
+        return synthetic_table(classes=("Karuna", "Veera", "Shantha"), seed=5)
+
+    def test_holdout_fits_each_point_once(self, monkeypatch):
+        fits = self._count_fits(monkeypatch)
+        run_on_features(self._table(), ExperimentConfig(family="svm", grid=self.GRID, seed=2))
+        assert len(fits) == len(grid_points(self.GRID)) * 1
+
+    def test_cv_refits_the_winner(self, monkeypatch):
+        fits = self._count_fits(monkeypatch)
+        report = run_on_features(
+            self._table(), ExperimentConfig(family="svm", grid=self.GRID, seed=2, cv=3)
+        )
+        assert len(fits) == len(grid_points(self.GRID)) * 3 + 1
+        assert {k: fits[-1][k] for k in self.GRID} == {k: report.params[k] for k in self.GRID}
+
+    def test_holdout_bundle_equals_explicit_refit(self):
+        table = self._table()
+        config = ExperimentConfig(family="svm", grid=self.GRID, seed=2)
+        report = run_on_features(table, config)
+        train_idx, _ = split_table(table, config.split_level, config.val_fraction, config.seed)
+        X = FeatureScaler(kind=config.scaler).fit(table.X[train_idx]).transform(table.X)
+        refit = make_classifier("svm", **report.params).fit(X[train_idx], table.labels[train_idx])
+        explicit = dataclasses.replace(report.bundle, model=refit)
+        assert json.dumps(explicit.to_dict(), sort_keys=True) == json.dumps(
+            report.bundle.to_dict(), sort_keys=True
+        )
 
 
 class TestConfigParams:
@@ -402,6 +456,7 @@ INVALID_SETTINGS = [
     (SyntheticSpec, {"files_per_class": True}),
     (SyntheticSpec, {"files_per_class": 0}),
     (SyntheticSpec, {"duration_s": INF}),
+    (SyntheticSpec, {"duration_s": 1e-9}),
     (SyntheticSpec, {"seed": -1}),
     (ExperimentConfig, {"seed": 1.5}),
     (ExperimentConfig, {"seed": True}),

@@ -143,6 +143,227 @@ class TestSmoBinary:
             smo_train_binary(np.zeros((2, 2)), np.array([0.0, 1.0]))
 
 
+def reference_smo(X, y, C, gamma, tol=1e-3, max_passes=10, seed=0, max_sweeps=10000):
+    """The SMO loop as it stood before margins kept ``alphas * y`` between
+    steps, copied verbatim: every intermediate is built from numpy arrays.
+    Returns ``(dual_coef, bias, support_indices, n_sweeps, objective_history)``."""
+    n = X.shape[0]
+    gram = rbf_kernel_matrix(X, X, gamma)
+    alphas = np.zeros(n)
+    bias = 0.0
+    rng = np.random.default_rng(seed)
+    objective = 0.0
+    history = [objective]
+
+    def margins(i):
+        return float((alphas * y) @ gram[i] + bias)
+
+    def delta_objective(i, j, t, g_i, g_j):
+        # Change of the dual when alpha_j moves to t along the equality
+        # constraint (g_* are kernel expansions without the bias).
+        s = y[i] * y[j]
+        d_j = t - alphas[j]
+        d_i = -s * d_j
+        return (
+            d_i
+            + d_j
+            - d_i * y[i] * g_i
+            - d_j * y[j] * g_j
+            - 0.5 * (d_i * d_i * gram[i, i] + d_j * d_j * gram[j, j])
+            - s * d_i * d_j * gram[i, j]
+        )
+
+    def consolidated_bias() -> float:
+        # Recompute b globally from the margin constraints: the mean over
+        # free support vectors, or the midpoint of the feasible interval
+        # when every multiplier sits at a bound.
+        expansion = (alphas * y) @ gram
+        free = (alphas > 1e-9) & (alphas < C - 1e-9)
+        if free.any():
+            return float(np.mean(y[free] - expansion[free]))
+        boundary = y - expansion
+        at_zero = alphas <= 1e-9
+        is_lower = (at_zero & (y > 0)) | (~at_zero & (y < 0))
+        lower = boundary[is_lower]
+        upper = boundary[~is_lower]
+        if lower.size and upper.size:
+            return 0.5 * (float(lower.max()) + float(upper.min()))
+        if lower.size:
+            return float(lower.max())
+        if upper.size:
+            return float(upper.min())
+        return bias
+
+    def worst_violation() -> float:
+        margins_all = y * ((alphas * y) @ gram + bias)
+        at_zero = alphas <= 1e-12
+        at_c = alphas >= C - 1e-12
+        slack = np.abs(margins_all - 1.0)
+        slack[at_zero] = np.maximum(0.0, 1.0 - margins_all[at_zero])
+        slack[at_c] = np.maximum(0.0, margins_all[at_c] - 1.0)
+        return float(slack.max())
+
+    sweeps = 0
+    while sweeps < max_sweeps:
+        passes_clean = 0
+        while passes_clean < max_passes and sweeps < max_sweeps:
+            changed = 0
+            for i in range(n):
+                f_i = margins(i)
+                e_i = f_i - y[i]
+                r_i = y[i] * e_i
+                if not ((r_i < -tol and alphas[i] < C) or (r_i > tol and alphas[i] > 0)):
+                    continue
+                j = int(rng.integers(n - 1))
+                if j >= i:
+                    j += 1
+                f_j = margins(j)
+                e_j = f_j - y[j]
+
+                if y[i] != y[j]:
+                    low = max(0.0, alphas[j] - alphas[i])
+                    high = min(C, C + alphas[j] - alphas[i])
+                else:
+                    low = max(0.0, alphas[i] + alphas[j] - C)
+                    high = min(C, alphas[i] + alphas[j])
+                if high - low < 1e-12:
+                    continue
+
+                g_i = f_i - bias
+                g_j = f_j - bias
+                eta = 2.0 * gram[i, j] - gram[i, i] - gram[j, j]
+                if eta < 0.0:
+                    candidate = alphas[j] - y[j] * (e_i - e_j) / eta
+                    candidate = min(max(candidate, low), high)
+                else:
+                    # Flat or concave-up direction: the pairwise optimum sits
+                    # at a feasible endpoint.
+                    gain_low = delta_objective(i, j, low, g_i, g_j)
+                    gain_high = delta_objective(i, j, high, g_i, g_j)
+                    candidate = low if gain_low > gain_high else high
+
+                if abs(candidate - alphas[j]) < 1e-9 * (candidate + alphas[j] + 1e-9):
+                    continue
+                gain = delta_objective(i, j, candidate, g_i, g_j)
+                if gain < -1e-9:
+                    continue
+
+                alpha_j_old = alphas[j]
+                alpha_i_old = alphas[i]
+                alphas[j] = candidate
+                alphas[i] = alpha_i_old + y[i] * y[j] * (alpha_j_old - candidate)
+
+                b1 = (
+                    bias
+                    - e_i
+                    - y[i] * (alphas[i] - alpha_i_old) * gram[i, i]
+                    - y[j] * (alphas[j] - alpha_j_old) * gram[i, j]
+                )
+                b2 = (
+                    bias
+                    - e_j
+                    - y[i] * (alphas[i] - alpha_i_old) * gram[i, j]
+                    - y[j] * (alphas[j] - alpha_j_old) * gram[j, j]
+                )
+                if 0.0 < alphas[i] < C:
+                    bias = b1
+                elif 0.0 < alphas[j] < C:
+                    bias = b2
+                else:
+                    bias = 0.5 * (b1 + b2)
+
+                objective += gain
+                history.append(objective)
+                changed += 1
+            sweeps += 1
+            passes_clean = passes_clean + 1 if changed == 0 else 0
+        # sweeping stalled: consolidate b and stop only if the optimality
+        # conditions genuinely hold; otherwise resume with the better bias
+        bias = consolidated_bias()
+        if worst_violation() <= tol:
+            break
+
+    keep = np.flatnonzero(alphas > 0.0)
+    return (alphas * y)[keep], float(bias), keep, sweeps, history
+
+
+def _overlapping_blobs(n, seed):
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    X = np.vstack([rng.normal(0.0, 1.0, (half, 3)), rng.normal(1.5, 1.0, (n - half, 3))])
+    y = np.concatenate([np.ones(half), -np.ones(n - half)])
+    return X, y
+
+
+def _with_conflicting_duplicates(n, seed):
+    # three rows repeated with the opposite label: zero pairwise curvature,
+    # so the eta >= 0 endpoint branch runs
+    X, y = _overlapping_blobs(n, seed)
+    return np.vstack([X, X[:3]]), np.concatenate([y, -y[:3]])
+
+
+REFERENCE_TABLE = (
+    [
+        pytest.param(_overlapping_blobs, n, C, gamma, {}, id=f"blobs{n}-C{C}-g{gamma}")
+        for n in (10, 60)
+        for C in (0.5, 1.0, 10.0, 100.0)
+        for gamma in (0.001, 0.01, 0.1, 1.0)
+    ]
+    + [
+        pytest.param(_with_conflicting_duplicates, 25, C, gamma, {}, id=f"dup25-C{C}-g{gamma}")
+        for C, gamma in ((0.5, 0.1), (10.0, 1.0), (100.0, 0.01))
+    ]
+    + [
+        pytest.param(_overlapping_blobs, 30, 10.0, 0.1, {"max_passes": 1}, id="passes1"),
+        pytest.param(_with_conflicting_duplicates, 40, 1.0, 1.0, {"max_passes": 1}, id="dup40-passes1"),
+        pytest.param(_overlapping_blobs, 40, 100.0, 0.1, {"max_sweeps": 3}, id="sweeps3"),
+    ]
+)
+
+
+class TestMatchesReferenceLoop:
+    """The trainer's iterates equal the reference loop's bit for bit."""
+
+    @pytest.mark.parametrize("data, n, C, gamma, extra", REFERENCE_TABLE)
+    def test_bit_identical(self, data, n, C, gamma, extra):
+        X, y = data(n, seed=n + int(C))
+        kwargs = {"C": C, "gamma": gamma, "seed": 7, **extra}
+        dual_coef, bias, support, n_sweeps, history = reference_smo(X, y, **kwargs)
+        model = smo_train_binary(X, y, **kwargs)
+        assert np.array_equal(model.dual_coef, dual_coef)
+        assert model.bias == bias
+        assert np.array_equal(model.support_indices, support)
+        assert model.n_sweeps == n_sweeps
+        assert model.objective_history == history
+        if "max_sweeps" in extra:
+            assert n_sweeps == extra["max_sweeps"]  # the budget did run out
+            assert model.converged is False
+
+
+class TestConvergedFlag:
+    def test_converged_when_conditions_hold(self):
+        X, y = separable_blobs(np.random.default_rng(2))
+        model = smo_train_binary(X, y, C=10.0, gamma=0.1, tol=1e-3)
+        assert model.converged is True
+        assert np.max(kkt_violations(model, X, y)) <= 1e-3
+
+    def test_exhausted_budget_is_not_converged(self):
+        X, y = _overlapping_blobs(40, seed=3)
+        model = smo_train_binary(X, y, C=100.0, gamma=0.1, tol=1e-3, max_sweeps=1)
+        assert model.n_sweeps == 1
+        assert model.converged is False
+        assert np.max(kkt_violations(model, X, y)) > 1e-3
+
+    def test_pair_machines_report_it_and_bundles_leave_it_out(self):
+        X, y = _overlapping_blobs(30, seed=4)
+        clf = RbfSvmClassifier(C=10.0, gamma=0.1).fit(X, np.where(y > 0, "a", "b"))
+        assert all(m.converged is True for m in clf.pair_models_.values())
+        state = clf._encode_state()
+        assert "converged" not in state["pairs"][0]
+        clf._decode_state(state)
+        assert all(m.converged is None for m in clf.pair_models_.values())
+
+
 class TestOvo:
     def _blob_data(self, rng, classes, n_per_class=12, spread=0.5, radius=8.0):
         X, y = [], []

@@ -47,6 +47,15 @@ class TestSpec:
         with pytest.raises(ValidationError):
             SyntheticSpec(duration_s=0.0)
 
+    def test_render_shorter_than_one_sample_is_refused(self):
+        with pytest.raises(ValidationError, match="at least one sample"):
+            SyntheticSpec(duration_s=1e-9)
+        assert SyntheticSpec(duration_s=1 / 22050).duration_s == 1 / 22050
+        with pytest.raises(ValidationError, match="holds no sample"):
+            synth_signal(DEFAULT_RECIPES[Rasa.VEERA], 1e-9, 22050, np.random.default_rng(0))
+        one = synth_signal(DEFAULT_RECIPES[Rasa.VEERA], 1 / 22050, 22050, np.random.default_rng(0))
+        assert one.shape == (1,) and np.all(np.isfinite(one))
+
 
 class TestSignal:
     def test_amplitude_bounded_and_finite(self):
