@@ -2,7 +2,7 @@
 
 Subcommands: ``synth`` (labeled test corpus), ``extract`` (WAVs -> feature
 store), ``train`` / ``tune`` / ``evaluate`` (models and reports),
-``classify`` (one WAV -> rasa scores) and ``recommend`` (mood-transition
+``classify`` (one WAV -> rasa scores) and ``recommend`` (feature store ->
 playlist). Every artifact embeds the fully resolved configuration, and all
 randomness flows from explicit seeds (``--seed``, falling back to the
 ``RAGA_MOODKIT_SEED`` environment variable, then 0), so reruns are
@@ -267,13 +267,9 @@ def cmd_classify(args) -> int:
 def cmd_recommend(args) -> int:
     current = parse_rasa(args.from_rasa)
     aspired = parse_rasa(args.to_rasa)
-    if args.length < 1:
-        raise ValidationError(f"--length must be >= 1, got {args.length}")
     bundle = ModelBundle.load(args.model)
-    config, plan = _bundle_feature_setup(bundle)
-    records = load_manifest(args.manifest)
-    table, _ = extract_features(records, plan, config, base_dir=Path(args.manifest).parent)
-    library = score_library(bundle, table)
+    _bundle_feature_setup(bundle)
+    library = score_library(bundle, read_store(args.features))
     playlist = recommend_transition(library, current, aspired, args.length)
     print(
         f"transition {current.value} -> {aspired.value} "
@@ -350,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wav", required=True)
     p.set_defaults(handler=cmd_classify)
 
-    p = sub.add_parser("recommend", help="mood-transition playlist from a manifest")
+    p = sub.add_parser("recommend", help="mood-transition playlist from a feature store")
     p.add_argument("--model", required=True)
-    p.add_argument("--manifest", required=True)
+    p.add_argument("--features", required=True)
     p.add_argument("--from", dest="from_rasa", required=True, metavar="RASA")
     p.add_argument("--to", dest="to_rasa", required=True, metavar="RASA")
     p.add_argument("--length", type=int, default=5)

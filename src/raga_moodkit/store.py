@@ -120,6 +120,11 @@ def read_store(path) -> FeatureTable:
                     raise CorruptArtifact(f"{path.name} line {line_no}: {exc}") from exc
                 segment_ids.append(line[0])
                 labels.append(line[1])
+        # a cut-off store would silently drop songs from what is fit or scored
+        if not rows or len(rows) != meta["n_rows"]:
+            raise CorruptArtifact(
+                f"{path.name} holds {len(rows)} rows; its sidecar records {meta['n_rows']!r}"
+            )
         return FeatureTable(
             segment_ids=segment_ids,
             labels=np.asarray(labels, dtype=str),

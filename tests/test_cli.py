@@ -6,11 +6,12 @@ import pytest
 
 from raga_moodkit.audio import AudioBuffer, write_wav
 from raga_moodkit.bundle import ModelBundle
-from raga_moodkit.catalog import FeatureScaler
+from raga_moodkit.catalog import FeatureScaler, load_manifest
 from raga_moodkit.cli import main, parse_grid, parse_params
 from raga_moodkit.errors import CorruptArtifact, ValidationError
-from raga_moodkit.experiments import ExperimentConfig
+from raga_moodkit.experiments import ExperimentConfig, extract_features
 from raga_moodkit.models import FAMILIES
+from raga_moodkit.recommender import recommend_transition, score_library
 from raga_moodkit.store import read_store, sidecar_path
 
 
@@ -118,8 +119,9 @@ class TestExtract:
         strict = main(
             ["extract", "--manifest", str(bad_manifest), "--out", str(tmp_path / "s.csv"), "--strict"]
         )
+        err = capsys.readouterr().err
         assert strict == 2
-        assert "ghost (" in capsys.readouterr().err
+        assert "ghost (" in err and "missing.wav" in err and "Traceback" not in err
         lenient = main(
             ["extract", "--manifest", str(bad_manifest), "--out", str(tmp_path / "l.csv")]
         )
@@ -282,13 +284,13 @@ class TestClassifyRecommend:
         bogus.write_bytes(b"definitely not audio")
         assert main(["classify", "--model", str(trained), "--wav", str(bogus)]) == 2
 
-    def test_recommend_playlist(self, small_corpus, trained, tmp_path, capsys):
+    def test_recommend_playlist(self, extracted, trained, tmp_path, capsys):
         out = tmp_path / "playlist.json"
         code = main(
             [
                 "recommend",
                 "--model", str(trained),
-                "--manifest", str(small_corpus.manifest_path),
+                "--features", str(extracted),
                 "--from", "Karuna",
                 "--to", "Shantha",
                 "--length", "5",
@@ -301,25 +303,25 @@ class TestClassifyRecommend:
         assert len(ids) == 5
         assert len(set(ids)) == 5
 
-    def test_recommend_unknown_rasa(self, trained, small_corpus):
+    def test_recommend_unknown_rasa(self, trained, extracted):
         code = main(
             [
                 "recommend",
                 "--model", str(trained),
-                "--manifest", str(small_corpus.manifest_path),
+                "--features", str(extracted),
                 "--from", "Bogus",
                 "--to", "Shantha",
             ]
         )
         assert code == 1
 
-    def test_recommend_length_one_takes_top_aspired(self, small_corpus, trained, tmp_path):
+    def test_recommend_length_one_takes_top_aspired(self, extracted, trained, tmp_path):
         out = tmp_path / "one.json"
         code = main(
             [
                 "recommend",
                 "--model", str(trained),
-                "--manifest", str(small_corpus.manifest_path),
+                "--features", str(extracted),
                 "--from", "Karuna",
                 "--to", "Veera",
                 "--length", "1",
@@ -330,6 +332,28 @@ class TestClassifyRecommend:
         payload = json.loads(out.read_text())
         assert len(payload["slots"]) == 1
         assert payload["slots"][0]["weight"] == 1.0
+
+    def test_recommend_from_store_matches_extracting_the_manifest(
+        self, small_corpus, extracted, trained, tmp_path, capsys
+    ):
+        # the reference decodes and featurizes the corpus with the bundle's own
+        # feature setup; the store's repr floats read back to the same bits
+        bundle = ModelBundle.load(trained)
+        records = load_manifest(small_corpus.manifest_path)
+        table, _ = extract_features(records, bundle.plan, bundle.mfcc, small_corpus.base_dir)
+        library = score_library(bundle, table)
+        for current, aspired, length in [("Karuna", "Shantha", 5), ("Veera", "Adhbhutha", 40)]:
+            playlist = recommend_transition(library, current, aspired, length)
+            out = tmp_path / f"{current}-{aspired}.json"
+            code = main(["recommend", "--model", str(trained), "--features", str(extracted),
+                         "--from", current, "--to", aspired, "--length", str(length),
+                         "--out", str(out)])
+            assert code == 0
+            assert capsys.readouterr().out == (
+                f"transition {current} -> {aspired} ({len(playlist.slots)} of {len(library)} songs)\n"
+                + playlist.to_text()
+            )
+            assert out.read_text(encoding="utf-8") == playlist.to_json()
 
 
 class TestCorruptInputs:
@@ -410,13 +434,13 @@ class TestCorruptInputs:
         runs = [
             ["classify", "--model", str(model), "--wav", str(wav)],
             ["evaluate", "--model", str(model), "--features", str(extracted)],
-            ["recommend", "--model", str(model), "--manifest", str(small_corpus.manifest_path),
+            ["recommend", "--model", str(model), "--features", str(extracted),
              "--from", "Karuna", "--to", "Shantha"],
         ]
         for argv in runs:
             self.assert_data_error(main(argv), capsys)
 
-    def test_bundle_without_plan(self, small_corpus, trained, tmp_path, capsys):
+    def test_bundle_without_plan(self, small_corpus, extracted, trained, tmp_path, capsys):
         # every bundle the program saves records its table's segment plan;
         # serving one without it would have to guess how to cut the audio
         payload = json.loads(trained.read_text(encoding="utf-8"))
@@ -426,7 +450,7 @@ class TestCorruptInputs:
         wav = small_corpus.base_dir / small_corpus.records[0].path
         for argv in (
             ["classify", "--model", str(model), "--wav", str(wav)],
-            ["recommend", "--model", str(model), "--manifest", str(small_corpus.manifest_path),
+            ["recommend", "--model", str(model), "--features", str(extracted),
              "--from", "Karuna", "--to", "Shantha"],
         ):
             assert "segment plan" in self.assert_data_error(main(argv), capsys)
@@ -434,7 +458,7 @@ class TestCorruptInputs:
     @pytest.mark.parametrize(
         "damage",
         ["no_mfcc", "unknown_mfcc_key", "store_version_2", "fft_size_1000", "negative_cut_start",
-         "renamed_column"],
+         "renamed_column", "truncated_rows", "header_only"],
     )
     def test_wrong_shape_sidecar(self, extracted, tmp_path, capsys, damage):
         store = tmp_path / "features.csv"
@@ -450,10 +474,14 @@ class TestCorruptInputs:
             meta["mfcc"]["fft_size"] = 1000
         elif damage == "negative_cut_start":
             meta["segment_plan"][0][0] = -1
-        else:
+        elif damage == "renamed_column":
             store.write_text(
                 extracted.read_text(encoding="utf-8").replace(",c1,", ",c01,", 1), encoding="utf-8"
             )
+        else:
+            lines = extracted.read_text(encoding="utf-8").splitlines(keepends=True)
+            kept = lines[:-5] if damage == "truncated_rows" else lines[:1]
+            store.write_text("".join(kept), encoding="utf-8")
         sidecar_path(store).write_text(json.dumps(meta), encoding="utf-8")
         with pytest.raises(CorruptArtifact):
             read_store(store)
@@ -461,13 +489,19 @@ class TestCorruptInputs:
                      "--family", "knn"])
         self.assert_data_error(code, capsys)
 
-    def test_recommend_names_the_missing_file(self, small_corpus, trained, tmp_path, capsys):
-        manifest = manifest_with_ghost(small_corpus, tmp_path)
-        code = main(["recommend", "--model", str(trained), "--manifest", str(manifest),
-                     "--from", "Karuna", "--to", "Shantha"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "ghost" in err and "missing.wav" in err and "Traceback" not in err
+    def test_recommend_refuses_a_store_cut_by_another_plan(
+        self, small_corpus, trained, tmp_path, capsys
+    ):
+        store = tmp_path / "first60.csv"
+        assert main(["extract", "--manifest", str(small_corpus.manifest_path), "--out", str(store),
+                     "--plan", "first60"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "playlist.json"
+        code = main(["recommend", "--model", str(trained), "--features", str(store),
+                     "--from", "Karuna", "--to", "Shantha", "--out", str(out)])
+        err = self.assert_data_error(code, capsys)
+        assert "segment plan 0s-60s" in err and "0s-60s and 20s-80s" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -507,13 +541,16 @@ class TestCorruptInputs:
             (["synth", "--duration", "1e-9"], None),
             (["synth"], "abc"),
             (["train", "--family", "knn"], "-1"),
+            (["recommend", "--length", "0"], None),
+            (["recommend", "--length", "-3"], None),
         ],
         ids=["plan_start_nan", "plan_duration_inf", "log_floor_nan", "log_floor_inf", "jobs_zero",
              "jobs_negative", "train_seed_negative", "tune_cv_one", "synth_seed_negative",
-             "synth_duration_nan", "synth_duration_tiny", "env_seed_text", "env_seed_negative"],
+             "synth_duration_nan", "synth_duration_tiny", "env_seed_text", "env_seed_negative",
+             "recommend_length_zero", "recommend_length_negative"],
     )
     def test_bad_settings_are_validation_errors(
-        self, small_corpus, extracted, tmp_path, capsys, monkeypatch, argv, env_seed
+        self, small_corpus, extracted, trained, tmp_path, capsys, monkeypatch, argv, env_seed
     ):
         if env_seed is not None:
             monkeypatch.setenv("RAGA_MOODKIT_SEED", env_seed)
@@ -522,6 +559,8 @@ class TestCorruptInputs:
             "train": ["--features", str(extracted)],
             "tune": ["--features", str(extracted)],
             "synth": ["--files-per-class", "1"],
+            "recommend": ["--model", str(trained), "--features", str(extracted),
+                          "--from", "Karuna", "--to", "Shantha"],
         }
         out = tmp_path / "out"
         code = main(argv + inputs[argv[0]] + ["--out", str(out)])

@@ -111,17 +111,14 @@ class TestScoreLibrary:
         library = score_library(bundle, empty)
         assert len(library) == 0
 
-    def test_fingerprint_mismatch_refused(self, small_store):
+    @pytest.mark.parametrize("setting", ["mfcc", "plan"])
+    def test_fingerprint_mismatch_refused(self, small_store, setting):
         bundle = self._bundle(small_store)
-        other = FeatureTable(
-            segment_ids=small_store.segment_ids,
-            labels=small_store.labels,
-            X=small_store.X,
-            mfcc=MfccConfig(n_filters=40, n_coeffs=40, log_floor=1e-8),
-            plan=small_store.plan,
-        )
+        other = {"mfcc": MfccConfig(n_filters=40, n_coeffs=40, log_floor=1e-8),
+                 "plan": parse_plan("first60")}
+        table = dataclasses.replace(small_store, **{setting: other[setting]})
         with pytest.raises(ScalerMismatch):
-            score_library(bundle, other)
+            score_library(bundle, table)
 
 
 class TestTrainingDynamicsOnCorpusFeatures:
