@@ -14,11 +14,9 @@ import numpy as np
 from .errors import NotFitted, ValidationError
 
 # Field annotations carrying a range rule: (text for errors, test). Every
-# test is a comparison that NaN fails; the finite ones fail infinity too.
+# test is a comparison that NaN fails; the float ones fail infinity too.
 PositiveInt = Annotated[int, (">= 1", lambda v: v >= 1)]
 NonNegativeInt = Annotated[int, (">= 0", lambda v: v >= 0)]
-PositiveFloat = Annotated[float, ("> 0", lambda v: v > 0)]
-NonNegativeFloat = Annotated[float, (">= 0", lambda v: v >= 0)]
 FinitePositiveFloat = Annotated[float, ("finite and > 0", lambda v: 0 < v < math.inf)]
 FiniteNonNegativeFloat = Annotated[float, ("finite and >= 0", lambda v: 0 <= v < math.inf)]
 

@@ -37,11 +37,20 @@ class ModelBundle:
     def family(self) -> str:
         return self.model.family
 
-    def check_fingerprint(self, fingerprint: dict) -> None:
-        if self.feature_fingerprint and fingerprint != self.feature_fingerprint:
+    def check_table(self, table) -> None:
+        """Refuse feature rows made with other MFCC settings or cut by another
+        segment plan than the model's training rows; a bundle that records
+        neither takes no rows."""
+        if self.mfcc is None or self.plan is None:
+            raise ScalerMismatch("the model bundle records no MFCC settings or no segment plan")
+        if table.mfcc != self.mfcc:
             raise ScalerMismatch(
                 "feature configuration differs from the one the model was trained on; "
-                f"model={self.feature_fingerprint} features={fingerprint}"
+                f"model={self.feature_fingerprint} features={table.mfcc.get_params()}"
+            )
+        if table.plan != self.plan:
+            raise ScalerMismatch(
+                f"features cut by segment plan {table.plan.describe()}; the model's is {self.plan.describe()}"
             )
 
     def transform(self, X) -> np.ndarray:
@@ -72,12 +81,16 @@ class ModelBundle:
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelBundle":
         """Decode a bundle and check that its parts agree: the feature setup
-        passes its dataclasses' checks, the scaler takes the model's features,
-        and the model scores one row over its whole class order."""
+        is recorded and passes its dataclasses' checks, the scaler takes the
+        model's features, and the model scores one row over its whole class
+        order."""
         if payload.get("format_version") != BUNDLE_FORMAT_VERSION:
             raise ValidationError(
                 f"unsupported bundle format_version {payload.get('format_version')!r}"
             )
+        for key in ("split", "metrics", "config"):
+            if not isinstance(payload.get(key, {}), dict):
+                raise ValidationError(f"bundle {key} must be a JSON object")
         scaler = payload.get("scaler")
         bundle = cls(
             model=from_envelope(payload["model"]),
@@ -87,6 +100,8 @@ class ModelBundle:
             metrics=payload.get("metrics", {}),
             config=payload.get("config", {}),
         )
+        if bundle.mfcc is None or bundle.plan is None:
+            raise ValidationError("the model bundle records no MFCC settings or no segment plan")
         scores = bundle.predict_scores(np.zeros((1, bundle.model.n_features_)))
         if scores.shape != (1, len(bundle.model.classes_)) or not np.isclose(scores.sum(), 1.0):
             raise ValidationError(

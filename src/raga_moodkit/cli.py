@@ -24,7 +24,7 @@ import numpy as np
 from .audio import parse_plan, read_wav
 from .bundle import ModelBundle
 from .catalog import load_manifest, parse_rasa
-from .errors import CorruptArtifact, DataError, MoodkitError, ValidationError
+from .errors import DataError, MoodkitError, ValidationError
 from .experiments import (
     SCALER_KINDS,
     SPLIT_LEVELS,
@@ -237,17 +237,9 @@ def cmd_evaluate(args) -> int:
 
 # --- classify / recommend -----------------------------------------------------------
 
-def _bundle_feature_setup(bundle: ModelBundle):
-    """The MFCC settings and segment plan the model's training rows were made with."""
-    if bundle.mfcc is None or bundle.plan is None:
-        raise CorruptArtifact("the model bundle records no MFCC settings or no segment plan")
-    return bundle.mfcc, bundle.plan
-
-
 def cmd_classify(args) -> int:
     bundle = ModelBundle.load(args.model)
-    config, plan = _bundle_feature_setup(bundle)
-    vectors = song_features(read_wav(args.wav), plan, config, partial=True)
+    vectors = song_features(read_wav(args.wav), bundle.plan, bundle.mfcc, partial=True)
     scores = bundle.predict_scores(vectors).mean(axis=0)
     classes = [str(c) for c in bundle.model.classes_]
     predicted = classes[int(np.argmax(scores))]
@@ -268,7 +260,6 @@ def cmd_recommend(args) -> int:
     current = parse_rasa(args.from_rasa)
     aspired = parse_rasa(args.to_rasa)
     bundle = ModelBundle.load(args.model)
-    _bundle_feature_setup(bundle)
     library = score_library(bundle, read_store(args.features))
     playlist = recommend_transition(library, current, aspired, args.length)
     print(

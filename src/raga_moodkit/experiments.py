@@ -199,6 +199,8 @@ class ExperimentConfig(CheckedFields):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.cv is not None and self.grid is None:
+            raise ValidationError(f"cv={self.cv} selects among grid points; it needs a grid")
         # the family's fields check every name, type and allowed value
         model = make_classifier(self.family, **self.params)
         for name, values in (self.grid or {}).items():
@@ -257,13 +259,9 @@ class ExperimentReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     def markdown_row(self) -> str:
-        cuts = self.config.get("plan")
-        if cuts:
-            plan = SegmentPlan(cuts)
-            start = f"{plan.cuts[0][0]:g}" if len(plan.cuts) == 1 else plan.describe()
-            duration = f"{sum(d for _, d in plan.cuts):g}"
-        else:
-            start = duration = "?"
+        plan = SegmentPlan(self.config["plan"])
+        start = f"{plan.cuts[0][0]:g}" if len(plan.cuts) == 1 else plan.describe()
+        duration = f"{sum(d for _, d in plan.cuts):g}"
         params = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items())) or "defaults"
         scaler = self.config.get("scaler", "un")
         return (
@@ -326,17 +324,20 @@ def extract_features(
 ) -> tuple[FeatureTable, list]:
     """Featurize every cut of every song; returns ``(table, failures)``.
 
-    With ``jobs > 1`` the songs are spread over that many worker processes;
-    rows keep manifest order either way. A song that cannot be read or
-    featurized is a failure: under ``strict`` one ``DataError`` names every
-    failed song id and path, otherwise the song is skipped and reported in
-    ``failures`` as a ``(song_id, message)`` pair.
+    With ``jobs > 1`` the songs are spread over that many worker processes,
+    but no more than there are songs, since a pool starts every worker at
+    its first submit; rows keep manifest order either way. A song that
+    cannot be read or featurized is a failure: under ``strict`` one
+    ``DataError`` names every failed song id and path, otherwise the song
+    is skipped and reported in ``failures`` as a ``(song_id, message)``
+    pair.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
     calls = [functools.partial(extract_song_rows, r, plan, config, base_dir) for r in records]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(records))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             calls = [pool.submit(call).result for call in calls]
     rows: list = []
     failed: list = []
@@ -451,7 +452,7 @@ def run_on_features(table: FeatureTable, config: ExperimentConfig) -> Experiment
     report.bundle = ModelBundle(
         model=model,
         scaler=scaler,
-        feature_fingerprint=table.fingerprint,
+        feature_fingerprint=table.mfcc.get_params(),
         split={
             "level": config.split_level,
             "val_fraction": config.val_fraction,
@@ -471,13 +472,14 @@ def run_on_features(table: FeatureTable, config: ExperimentConfig) -> Experiment
 def evaluate_bundle(bundle: ModelBundle, table: FeatureTable) -> ExperimentReport:
     """Score an existing bundle against a feature store, without refitting.
 
-    When the bundle's recorded split covers every row of the store, rows are
-    evaluated on their recorded side (so re-evaluating the training store
-    reproduces the stored accuracies); otherwise every row counts as
-    validation and the train side is reported as absent.
+    The bundle's ``check_table`` decides whether the store's rows fit the
+    model. When the bundle's recorded split covers every row of the store,
+    rows are evaluated on their recorded side (so re-evaluating the
+    training store reproduces the stored accuracies); otherwise every row
+    counts as validation and the train side is reported as absent.
     """
     started = time.perf_counter()
-    bundle.check_fingerprint(table.fingerprint)
+    bundle.check_table(table)
     roles = bundle.split.get("roles", {})
     ids = table.segment_ids
     if roles and all(seg in roles for seg in ids):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..base import NonNegativeInt, PositiveFloat
+from ..base import FinitePositiveFloat, NonNegativeInt
 from ..errors import DivergenceDetected
 from .base import BaseClassifier
 from .serialize import decode_array, encode_array
@@ -36,7 +36,7 @@ class SoftmaxRegression(BaseClassifier):
 
     family = "logreg"
     max_iter: NonNegativeInt = 1000
-    learning_rate: PositiveFloat = 0.01
+    learning_rate: FinitePositiveFloat = 0.01
 
     def fit(self, X, y):
         X, y = self._check_fit_inputs(X, y)

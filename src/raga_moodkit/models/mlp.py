@@ -7,7 +7,7 @@ from typing import Annotated
 
 import numpy as np
 
-from ..base import NonNegativeInt, PositiveFloat, PositiveInt
+from ..base import FinitePositiveFloat, NonNegativeInt, PositiveInt
 from ..errors import DivergenceDetected
 from .base import BaseClassifier
 from .linear import softmax
@@ -70,7 +70,7 @@ class MlpClassifier(BaseClassifier):
     hidden: HiddenSizes = (256, 128, 64, 32)
     epochs: NonNegativeInt = 100
     batch_size: PositiveInt = 50
-    learning_rate: PositiveFloat = 1e-3
+    learning_rate: FinitePositiveFloat = 1e-3
     seed: NonNegativeInt = 0
 
     def fit(self, X, y):

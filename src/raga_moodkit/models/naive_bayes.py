@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..base import PositiveFloat
+from ..base import FinitePositiveFloat
 from ..errors import ClassTooSmall
 from .base import BaseClassifier
 from .serialize import decode_array, encode_array
@@ -20,7 +20,7 @@ class GaussianNbClassifier(BaseClassifier):
     """
 
     family = "gnb"
-    var_floor: PositiveFloat = 1e-9
+    var_floor: FinitePositiveFloat = 1e-9
 
     def fit(self, X, y):
         X, y = self._check_fit_inputs(X, y)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..base import NonNegativeFloat, NonNegativeInt, PositiveFloat, PositiveInt, as_float_matrix
+from ..base import FiniteNonNegativeFloat, FinitePositiveFloat, NonNegativeInt, PositiveInt, as_float_matrix
 from ..errors import SingleClass, ValidationError
 from .base import BaseClassifier
 from .serialize import decode_array, encode_array
@@ -319,9 +319,9 @@ class RbfSvmClassifier(BaseClassifier):
     """
 
     family = "svm"
-    C: PositiveFloat = 10.0
-    gamma: PositiveFloat = 0.1
-    tol: NonNegativeFloat = 1e-3  # a NaN tolerance is never met
+    C: FinitePositiveFloat = 10.0
+    gamma: FinitePositiveFloat = 0.1
+    tol: FiniteNonNegativeFloat = 1e-3  # a NaN tolerance is never met
     max_passes: PositiveInt = 10  # with 0 no sweep runs and training never ends
     seed: NonNegativeInt = 0
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bundle import ModelBundle
 from .catalog import RASAS, parse_rasa
-from .errors import EmptyLibrary, ScalerMismatch, ValidationError
+from .errors import EmptyLibrary, ValidationError
 from .store import FeatureTable
 
 _SCORE_SUM_TOL = 1e-9
@@ -95,11 +95,7 @@ def score_library(bundle: ModelBundle, table: FeatureTable) -> ScoredLibrary:
     Refuses feature rows whose MFCC settings or segment plan differ from the
     ones the model was trained on.
     """
-    bundle.check_fingerprint(table.fingerprint)
-    if bundle.plan is not None and table.plan != bundle.plan:
-        raise ScalerMismatch(
-            f"features cut by segment plan {table.plan.describe()}; the model's is {bundle.plan.describe()}"
-        )
+    bundle.check_table(table)
     classes = tuple(str(c) for c in bundle.model.classes_)
     if len(table) == 0:
         return ScoredLibrary(song_ids=(), scores=np.empty((0, len(classes))), classes=classes)

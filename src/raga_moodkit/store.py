@@ -3,7 +3,7 @@
 CSV header is ``segment_id, rasa, c0..c{n-1}``. Segment ids are
 ``<song_id>:<cut_index>`` so rows can be grouped back to their source file.
 The sidecar (``<store>.meta.json``) records the full extraction
-configuration, which doubles as the fingerprint models use to refuse
+configuration, which a model bundle compares with its own to refuse
 mismatched features.
 """
 from __future__ import annotations
@@ -50,10 +50,6 @@ class FeatureTable:
     @property
     def song_ids(self) -> list:
         return [song_id_of(s) for s in self.segment_ids]
-
-    @property
-    def fingerprint(self) -> dict:
-        return self.mfcc.get_params()
 
     def select(self, index) -> "FeatureTable":
         index = np.asarray(index)

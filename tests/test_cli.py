@@ -390,7 +390,8 @@ class TestCorruptInputs:
         ["list", "no_model", "no_class_order", "scaler_without_kind", "bundle_version_2",
          "model_version_2", "family_hmm", "no_support_vectors", "svm_two_classes",
          "knn_two_classes", "short_scaler", "knn_mfcc_unknown_key", "knn_mfcc_hop_text",
-         "knn_mfcc_fft_size_1000", "knn_plan_triple", "knn_plan_text", "knn_plan_negative_start"],
+         "knn_mfcc_fft_size_1000", "knn_plan_triple", "knn_plan_text", "knn_plan_negative_start",
+         "split_list", "metrics_list", "config_list"],
     )
     def test_wrong_shape_bundle(
         self, small_corpus, extracted, trained, family_bundles, tmp_path, capsys, damage
@@ -423,6 +424,9 @@ class TestCorruptInputs:
         elif damage.startswith("knn_plan"):
             payload["config"]["plan"] = {"triple": [[1, 2, 3]], "text": "abc",
                                          "negative_start": [[-1, 5]]}[damage[len("knn_plan_"):]]
+        elif damage.endswith("_list"):
+            key = damage[:-len("_list")]
+            payload[key] = list(payload[key].items())
         else:
             for key in ("offset", "scale"):
                 payload["scaler"][key] = payload["scaler"][key][:-1]
@@ -441,19 +445,27 @@ class TestCorruptInputs:
             self.assert_data_error(main(argv), capsys)
 
     def test_bundle_without_plan(self, small_corpus, extracted, trained, tmp_path, capsys):
-        # every bundle the program saves records its table's segment plan;
-        # serving one without it would have to guess how to cut the audio
-        payload = json.loads(trained.read_text(encoding="utf-8"))
-        del payload["config"]["plan"]
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps(payload), encoding="utf-8")
+        # every bundle the program saves records its table's segment plan and
+        # MFCC settings; serving one without them would have to guess how to
+        # cut and featurize the audio, and could not tell which rows fit it
         wav = small_corpus.base_dir / small_corpus.records[0].path
-        for argv in (
-            ["classify", "--model", str(model), "--wav", str(wav)],
-            ["recommend", "--model", str(model), "--features", str(extracted),
-             "--from", "Karuna", "--to", "Shantha"],
-        ):
-            assert "segment plan" in self.assert_data_error(main(argv), capsys)
+        for missing in ("plan", "feature_fingerprint"):
+            payload = json.loads(trained.read_text(encoding="utf-8"))
+            if missing == "plan":
+                del payload["config"]["plan"]
+            else:
+                del payload["feature_fingerprint"]
+            model = tmp_path / f"no_{missing}.json"
+            model.write_text(json.dumps(payload), encoding="utf-8")
+            with pytest.raises(CorruptArtifact):
+                ModelBundle.load(model)
+            for argv in (
+                ["classify", "--model", str(model), "--wav", str(wav)],
+                ["evaluate", "--model", str(model), "--features", str(extracted)],
+                ["recommend", "--model", str(model), "--features", str(extracted),
+                 "--from", "Karuna", "--to", "Shantha"],
+            ):
+                assert "segment plan" in self.assert_data_error(main(argv), capsys)
 
     @pytest.mark.parametrize(
         "damage",
@@ -492,16 +504,20 @@ class TestCorruptInputs:
     def test_recommend_refuses_a_store_cut_by_another_plan(
         self, small_corpus, trained, tmp_path, capsys
     ):
+        # the first cut's segment ids match the bisample store's, so evaluate
+        # would score them on the recorded split roles if it let them in
         store = tmp_path / "first60.csv"
         assert main(["extract", "--manifest", str(small_corpus.manifest_path), "--out", str(store),
                      "--plan", "first60"]) == 0
         capsys.readouterr()
-        out = tmp_path / "playlist.json"
-        code = main(["recommend", "--model", str(trained), "--features", str(store),
-                     "--from", "Karuna", "--to", "Shantha", "--out", str(out)])
-        err = self.assert_data_error(code, capsys)
-        assert "segment plan 0s-60s" in err and "0s-60s and 20s-80s" in err
-        assert not out.exists()
+        for command, options in (("recommend", ["--from", "Karuna", "--to", "Shantha"]),
+                                 ("evaluate", [])):
+            out = tmp_path / f"{command}.json"
+            code = main([command, "--model", str(trained), "--features", str(store),
+                         "--out", str(out), *options])
+            err = self.assert_data_error(code, capsys)
+            assert "segment plan 0s-60s" in err and "0s-60s and 20s-80s" in err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -515,9 +531,12 @@ class TestCorruptInputs:
             ["train", "--family", "svm", "--params", "gamma=nan"],
             ["train", "--family", "svm", "--params", "C=nan"],
             ["train", "--family", "svm", "--params", "max_passes=0"],
+            ["train", "--family", "svm", "--params", "gamma=inf"],
+            ["train", "--family", "gnb", "--params", "var_floor=inf"],
         ],
         ids=["unknown_param", "unknown_grid_name", "knn_k_text", "svm_C_text", "mlp_hidden_text",
-             "gnb_var_floor_zero", "svm_gamma_nan", "svm_C_nan", "svm_max_passes_zero"],
+             "gnb_var_floor_zero", "svm_gamma_nan", "svm_C_nan", "svm_max_passes_zero",
+             "svm_gamma_inf", "gnb_var_floor_inf"],
     )
     def test_bad_model_params_are_validation_errors(self, extracted, tmp_path, capsys, argv):
         model = tmp_path / "m.json"

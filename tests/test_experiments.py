@@ -468,6 +468,7 @@ INVALID_SETTINGS = [
     (ExperimentConfig, {"val_fraction": NAN}),
     (ExperimentConfig, {"val_fraction": 1.0}),
     (ExperimentConfig, {"grid": {}}),
+    (ExperimentConfig, {"cv": 3}),
 ]
 
 

@@ -1,14 +1,17 @@
 """Library-level pipeline pieces that need real (small) corpora."""
+import concurrent.futures
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from raga_moodkit import experiments
 from raga_moodkit.audio import SegmentPlan, parse_plan
+from raga_moodkit.bundle import ModelBundle
 from raga_moodkit.cli import main
 from raga_moodkit.errors import DataError, ScalerMismatch
-from raga_moodkit.experiments import ExperimentConfig, extract_features, run_on_features
+from raga_moodkit.experiments import ExperimentConfig, evaluate_bundle, extract_features, run_on_features
 from raga_moodkit.mfcc import MfccConfig
 from raga_moodkit.models import MlpClassifier, SoftmaxRegression
 from raga_moodkit.recommender import score_library
@@ -59,6 +62,37 @@ class TestExtractFeatures:
         assert parallel.segment_ids == serial.segment_ids
         np.testing.assert_array_equal(parallel.labels, serial.labels)
         np.testing.assert_array_equal(parallel.X, serial.X)
+
+    def test_pool_is_no_larger_than_the_work(self, small_corpus, monkeypatch):
+        # a process pool starts all its workers at the first submit, so the
+        # fake records the size asked for and runs each call inline
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, call):
+                future = concurrent.futures.Future()
+                future.set_result(call())
+                return future
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        records = small_corpus.records[:2]
+        serial, _ = extract_features(records, base_dir=small_corpus.base_dir)
+        pooled, _ = extract_features(records, base_dir=small_corpus.base_dir, jobs=10**6)
+        assert sizes == [2]
+        assert pooled.segment_ids == serial.segment_ids
+        np.testing.assert_array_equal(pooled.labels, serial.labels)
+        np.testing.assert_array_equal(pooled.X, serial.X)
+        extract_features(records[:1], base_dir=small_corpus.base_dir, jobs=10**6)
+        assert sizes == [2]
 
     def test_failures_skipped_or_named(self, small_corpus, tmp_path):
         good = small_corpus.records[:2]
@@ -111,14 +145,22 @@ class TestScoreLibrary:
         library = score_library(bundle, empty)
         assert len(library) == 0
 
+    def test_bundle_without_feature_setup_takes_no_table(self, small_store):
+        trained = self._bundle(small_store)
+        bare = ModelBundle(model=trained.model, scaler=trained.scaler, feature_fingerprint={})
+        for reader in (score_library, evaluate_bundle):
+            with pytest.raises(ScalerMismatch, match="records no MFCC settings or no segment plan"):
+                reader(bare, small_store)
+
     @pytest.mark.parametrize("setting", ["mfcc", "plan"])
     def test_fingerprint_mismatch_refused(self, small_store, setting):
         bundle = self._bundle(small_store)
         other = {"mfcc": MfccConfig(n_filters=40, n_coeffs=40, log_floor=1e-8),
                  "plan": parse_plan("first60")}
         table = dataclasses.replace(small_store, **{setting: other[setting]})
-        with pytest.raises(ScalerMismatch):
-            score_library(bundle, table)
+        for reader in (score_library, evaluate_bundle):
+            with pytest.raises(ScalerMismatch):
+                reader(bundle, table)
 
 
 class TestTrainingDynamicsOnCorpusFeatures:

@@ -88,7 +88,6 @@ class TestScoreLibrary:
         rng = np.random.default_rng(seed)
         classes = np.array(["a", "b", "c"])
         model = GaussianNbClassifier().fit(rng.standard_normal((30, 4)), np.repeat(classes, 10))
-        bundle = ModelBundle(model=model, scaler=None, feature_fingerprint={})
         # 1-3 rows per song, songs interleaved so first-seen order is not sorted order
         rows = [(f"s{song:03d}", cut) for song in range(200) for cut in range(rng.integers(1, 4))]
         rows = [rows[i] for i in rng.permutation(len(rows))]
@@ -98,6 +97,10 @@ class TestScoreLibrary:
             X=rng.standard_normal((len(rows), 4)),
             mfcc=MfccConfig(),
             plan=DEFAULT_BI_SAMPLE_PLAN,
+        )
+        bundle = ModelBundle(
+            model=model, scaler=None, feature_fingerprint=table.mfcc.get_params(),
+            config={"plan": [list(cut) for cut in table.plan.cuts]},
         )
         library = score_library(bundle, table)
         song_ids, scores = score_library_reference(bundle, table)
