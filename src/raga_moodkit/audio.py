@@ -35,6 +35,10 @@ _FORMAT_EXTENSIBLE = 0xFFFE
 #: {000000XX-0000-0010-8000-00AA00389B71}; bytes 0..1 hold the format code.
 _SUBFORMAT_GUID_TAIL = bytes.fromhex("0000" "0000" "1000" "8000" "00aa00389b71")
 
+#: Samples per block in ``encode_wav``, ``resample`` and ``synth.synth_signal``:
+#: their temporaries span one block, not the whole signal. Results do not depend on it.
+_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class AudioBuffer:
@@ -205,45 +209,49 @@ def decode_wav(data: bytes) -> AudioBuffer:
     return AudioBuffer(samples=samples, sample_rate=sample_rate)
 
 
-def encode_wav(buffer: AudioBuffer, encoding: str = "pcm16") -> bytes:
-    """Serialize a buffer as RIFF/WAVE (``pcm16``, ``pcm24`` or ``float32``)."""
+def encode_wav(buffer: AudioBuffer, encoding: str = "pcm16") -> bytearray:
+    """Serialize a buffer as RIFF/WAVE (``pcm16``, ``pcm24`` or ``float32``).
+
+    The stream is one allocation: samples are quantized one block at a time
+    straight into the returned buffer, behind its 44-byte header. A separate
+    body joined onto the header would leave a body-sized hole in the heap
+    when freed.
+    """
     samples = buffer.samples if buffer.samples.ndim == 2 else buffer.samples.reshape(-1, 1)
     channels = samples.shape[1]
     flat = samples.reshape(-1)
 
     if encoding == "pcm16":
         format_tag, bits = _FORMAT_PCM, 16
-        quantized = np.clip(np.rint(flat * 2.0**15), -(2**15), 2**15 - 1)
-        body = quantized.astype("<i2").tobytes()
     elif encoding == "pcm24":
         format_tag, bits = _FORMAT_PCM, 24
-        # the low three bytes of a little-endian int32 are its 24-bit two's complement
-        scaled = flat * 2.0**23
-        np.clip(np.rint(scaled, out=scaled), -(2**23), 2**23 - 1, out=scaled)
-        body = scaled.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
     elif encoding == "float32":
         format_tag, bits = _FORMAT_IEEE_FLOAT, 32
-        body = flat.astype("<f4").tobytes()
     else:
         raise ValidationError(f"unknown encoding {encoding!r}")
 
     block_align = channels * bits // 8
-    byte_rate = buffer.sample_rate * block_align
-    fmt = struct.pack(
-        "<HHIIHH", format_tag, channels, buffer.sample_rate, byte_rate, block_align, bits
+    size = len(flat) * bits // 8
+    stream = bytearray(44 + size + (size & 1))
+    stream[:44] = struct.pack(
+        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + size + (size & 1), b"WAVE", b"fmt ", 16, format_tag,
+        channels, buffer.sample_rate, buffer.sample_rate * block_align, block_align, bits, b"data", size,
     )
-    chunks = b"".join(
-        [
-            b"fmt ",
-            struct.pack("<I", len(fmt)),
-            fmt,
-            b"data",
-            struct.pack("<I", len(body)),
-            body,
-            b"\x00" if len(body) & 1 else b"",
-        ]
-    )
-    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+    if bits == 24:
+        body = np.frombuffer(stream, np.uint8, size, 44).reshape(-1, 3)
+    else:
+        body = np.frombuffer(stream, "<i2" if bits == 16 else "<f4", len(flat), 44)
+    full_scale = 2.0 ** (bits - 1)
+    for start in range(0, len(flat), _BLOCK):
+        block = flat[start : start + _BLOCK]
+        if format_tag == _FORMAT_PCM:
+            block = block * full_scale
+            np.clip(np.rint(block, out=block), -full_scale, full_scale - 1, out=block)
+        if bits == 24:
+            # the low three bytes of a little-endian int32 are its 24-bit two's complement
+            block = block.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3]
+        body[start : start + _BLOCK] = block
+    return stream
 
 
 def read_wav(path) -> AudioBuffer:
@@ -299,19 +307,24 @@ def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
     if remainder == 0:
         samples = x[: n_out * step : step]
     else:
-        positions = np.arange(n_out, dtype=np.float64)
-        positions *= buffer.sample_rate / target_rate
-        head = int(np.searchsorted(positions, n_in - 1))
-        j = positions[:head].astype(np.intp)
-        frac = positions[:head]
-        frac -= j
+        ratio = buffer.sample_rate / target_rate
         samples = np.empty(n_out)
-        samples[head:] = x[-1:]
-        lo = np.take(x, j, out=samples[:head])
-        delta = x[1:][j] - lo
-        delta *= frac
-        # a whole position keeps x[j] as it is, sign of zero included
-        np.add(lo, delta, out=lo, where=frac != 0)
+        for start in range(0, n_out, _BLOCK):
+            positions = np.arange(start, min(start + _BLOCK, n_out), dtype=np.float64)
+            positions *= ratio
+            head = int(np.searchsorted(positions, n_in - 1))
+            j = positions[:head].astype(np.intp)
+            frac = positions[:head]
+            frac -= j
+            lo = np.take(x, j, out=samples[start : start + head])
+            delta = np.take(x[1:], j)
+            delta -= lo
+            delta *= frac
+            # a whole position keeps x[j] as it is, sign of zero included
+            np.add(lo, delta, out=lo, where=frac != 0)
+            if head < len(positions):
+                samples[start + head :] = x[-1]
+                break
     return AudioBuffer(samples=samples, sample_rate=target_rate, short=buffer.short)
 
 

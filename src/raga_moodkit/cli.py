@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import parse_plan, read_wav
+from .audio import parse_plan, read_wav, to_mono
 from .bundle import ModelBundle
 from .catalog import load_manifest, parse_rasa
 from .errors import DataError, MoodkitError, ValidationError
@@ -109,7 +109,7 @@ def cmd_synth(args) -> int:
         duration_s=args.duration,
         seed=args.seed,
     )
-    manifest = generate_corpus(spec, args.out)
+    manifest = generate_corpus(spec, args.out, jobs=args.jobs)
     _print_json(
         {
             "command": "synth",
@@ -144,14 +144,13 @@ def cmd_extract(args) -> int:
         "out": str(args.out),
         "plan": [list(c) for c in plan.cuts],
         "mfcc": config.get_params(),
-        "jobs": args.jobs,
         "strict": args.strict,
         "correlation_out": str(args.correlation_out) if args.correlation_out else None,
     }
     write_store(table, args.out, extra_meta={"config": echo, "failures": sorted(s for s, _ in failures)})
     if args.correlation_out:
         write_correlation_csv(feature_correlation(table.X), args.correlation_out)
-    _print_json({**echo, "n_rows": len(table), "n_failures": len(failures)})
+    _print_json({**echo, "jobs": args.jobs, "n_rows": len(table), "n_failures": len(failures)})
     return 0
 
 
@@ -239,7 +238,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_classify(args) -> int:
     bundle = ModelBundle.load(args.model)
-    vectors = song_features(read_wav(args.wav), bundle.plan, bundle.mfcc, partial=True)
+    vectors = song_features(to_mono(read_wav(args.wav)), bundle.plan, bundle.mfcc, partial=True)
     scores = bundle.predict_scores(vectors).mean(axis=0)
     classes = [str(c) for c in bundle.model.classes_]
     predicted = classes[int(np.argmax(scores))]
@@ -287,6 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--files-per-class", type=int, default=20)
     p.add_argument("--duration", type=float, default=90.0, help="seconds per file")
     p.add_argument("--seed", **seed)
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.set_defaults(handler=cmd_synth)
 
     p = sub.add_parser("extract", help="extract per-segment features into a store")

@@ -288,13 +288,15 @@ def resolve_audio_path(record: SongRecord, base_dir) -> Path:
 def song_features(
     buffer: AudioBuffer, plan: SegmentPlan, config: MfccConfig, partial: bool = False
 ) -> np.ndarray:
-    """Mix down, resample, cut and featurize one decoded song: one row of
-    mean coefficients per cut of ``plan``, in plan order.
+    """Resample, cut and featurize one decoded mono song: one row of mean
+    coefficients per cut of ``plan``, in plan order.
 
-    With ``partial``, cuts that start past the end of the audio are left out
-    instead of failing; at least one must remain.
+    Callers mix a file down where they decode it, ``to_mono(read_wav(path))``,
+    so a multi-channel decode is gone before resampling. With ``partial``,
+    cuts that start past the end of the audio are left out instead of
+    failing; at least one must remain.
     """
-    buffer = resample(to_mono(buffer), config.sample_rate)
+    buffer = resample(buffer, config.sample_rate)
     if partial:
         cuts = tuple((s, d) for s, d in plan.cuts if s < buffer.duration_s)
         if not cuts:
@@ -310,8 +312,25 @@ def extract_song_rows(
 ) -> list:
     """Decode and featurize one song: ``(segment_id, rasa, values)`` triples,
     one per cut of the plan."""
-    rows = song_features(read_wav(resolve_audio_path(record, base_dir)), plan, config)
+    rows = song_features(to_mono(read_wav(resolve_audio_path(record, base_dir))), plan, config)
     return [(segment_id(record.id, i), record.rasa.value, row) for i, row in enumerate(rows)]
+
+
+def _pool_calls(calls: list, jobs: int) -> list:
+    """One zero-argument callable per call, in order, each giving that call's
+    result or raising its exception.
+
+    With ``jobs > 1`` the calls run in that many worker processes, but no
+    more than there are calls, since a pool starts every worker at its first
+    submit; otherwise each runs here when its callable is called.
+    """
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, len(calls))
+    if workers <= 1:
+        return calls
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [pool.submit(call).result for call in calls]
 
 
 def extract_features(
@@ -324,21 +343,16 @@ def extract_features(
 ) -> tuple[FeatureTable, list]:
     """Featurize every cut of every song; returns ``(table, failures)``.
 
-    With ``jobs > 1`` the songs are spread over that many worker processes,
-    but no more than there are songs, since a pool starts every worker at
-    its first submit; rows keep manifest order either way. A song that
+    With ``jobs > 1`` the songs are spread over up to that many worker
+    processes; rows keep manifest order either way. A song that
     cannot be read or featurized is a failure: under ``strict`` one
     ``DataError`` names every failed song id and path, otherwise the song
     is skipped and reported in ``failures`` as a ``(song_id, message)``
     pair.
     """
-    if jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    calls = [functools.partial(extract_song_rows, r, plan, config, base_dir) for r in records]
-    workers = min(jobs, len(records))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            calls = [pool.submit(call).result for call in calls]
+    calls = _pool_calls(
+        [functools.partial(extract_song_rows, r, plan, config, base_dir) for r in records], jobs
+    )
     rows: list = []
     failed: list = []
     for record, call in zip(records, calls):

@@ -14,7 +14,7 @@ from .mlp import MlpClassifier
 from .naive_bayes import GaussianNbClassifier
 from .neighbors import KnnClassifier
 from .serialize import FORMAT_VERSION, from_envelope, to_envelope
-from .svm import BinarySvmModel, RbfSvmClassifier, kkt_violations, rbf_kernel, smo_train_binary
+from .svm import BinarySvmModel, RbfSvmClassifier, smo_train_binary
 from .tree import DecisionTreeClassifier
 
 #: Family tag -> class, in canonical family order (used for tie-breaking).
@@ -50,9 +50,7 @@ __all__ = [
     "RbfSvmClassifier",
     "SoftmaxRegression",
     "from_envelope",
-    "kkt_violations",
     "make_classifier",
-    "rbf_kernel",
     "smo_train_binary",
     "to_envelope",
 ]

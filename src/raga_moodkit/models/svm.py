@@ -13,17 +13,6 @@ from .base import BaseClassifier
 from .serialize import decode_array, encode_array
 
 
-def rbf_kernel(a, b, gamma: float) -> float:
-    """exp(-gamma * ||a - b||^2) for two vectors."""
-    RbfSvmClassifier._check_params(gamma=gamma)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValidationError(f"vectors must share a dimension, got {a.shape} vs {b.shape}")
-    delta = a - b
-    return float(np.exp(-gamma * np.dot(delta, delta)))
-
-
 def rbf_kernel_matrix(A, B, gamma: float) -> np.ndarray:
     """Kernel values between every row of A and every row of B."""
     A = np.asarray(A, dtype=np.float64)
@@ -66,11 +55,6 @@ class BinarySvmModel:
             return np.full(X.shape[0], self.bias)
         k = rbf_kernel_matrix(X, self.support_vectors, self.gamma)
         return k @ self.dual_coef + self.bias
-
-
-def _dual_objective(alphas, labels, gram) -> float:
-    coef = alphas * labels
-    return float(alphas.sum() - 0.5 * coef @ gram @ coef)
 
 
 def smo_train_binary(
@@ -274,29 +258,6 @@ def smo_train_binary(
         n_sweeps=sweeps,
         converged=converged,
     )
-
-
-def kkt_violations(model: BinarySvmModel, X, y) -> np.ndarray:
-    """Per-row slack by which the optimality conditions are violated.
-
-    ``X``/``y`` must be the training rows in their original order; the
-    bound for each row depends on whether its multiplier is 0, C, or
-    strictly between. A trained model should have every slack within the
-    training tolerance.
-    """
-    X = as_float_matrix(X)
-    y = np.asarray(y, dtype=np.float64)
-    margins = y * model.decision_function(X)
-    alphas = np.zeros(len(y))
-    alphas[model.support_indices] = np.abs(model.dual_coef)
-    violations = np.zeros(len(y))
-    at_zero = alphas <= 1e-12
-    at_c = alphas >= model.C - 1e-12
-    interior = ~at_zero & ~at_c
-    violations[at_zero] = np.maximum(0.0, 1.0 - margins[at_zero])
-    violations[at_c] = np.maximum(0.0, margins[at_c] - 1.0)
-    violations[interior] = np.abs(margins[interior] - 1.0)
-    return violations
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

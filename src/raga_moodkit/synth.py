@@ -7,16 +7,18 @@ for a private labeled corpus when exercising the pipeline end to end.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Annotated
 
 import numpy as np
 
-from .audio import CANONICAL_RATE, AudioBuffer, write_wav
+from .audio import _BLOCK, CANONICAL_RATE, AudioBuffer, write_wav
 from .base import CheckedFields, FinitePositiveFloat, NonNegativeInt, PositiveInt
-from .catalog import DEFAULT_RAGA_TABLE, Rasa, write_manifest
+from .catalog import DEFAULT_RAGA_TABLE, Rasa, SongRecord, write_manifest
 from .errors import ValidationError
+from .experiments import _pool_calls
 
 
 @dataclass(frozen=True)
@@ -61,29 +63,22 @@ class SyntheticSpec(CheckedFields):
     seed: NonNegativeInt = 0
 
 
-#: Samples per block when summing the harmonics: the complex temporaries of
-#: one block (256 KB each) stay in cache instead of spanning the whole render.
-_BLOCK = 1 << 14
-
-
 def synth_signal(recipe: RasaRecipe, duration_s: float, sample_rate: int, rng) -> np.ndarray:
     """One harmonic tone with vibrato, per-render jitter and a noise floor.
 
     Harmonic k below 0.95 * Nyquist contributes ``a_k * sin(k * phase + theta_k)``
     with jittered amplitude ``a_k``. The sum is evaluated as
     ``Im(sum_k c_k z^k)`` with ``c_k = a_k * exp(i * theta_k)`` and
-    ``z = exp(i * phase)`` by Horner's rule, so one complex exponential per
-    sample replaces a sine per harmonic.
+    ``z = exp(i * phase)`` by Horner's rule, so one cosine and one sine per
+    sample replace a sine per harmonic. The render proceeds one block of
+    samples at a time, carrying the phase sum across blocks, so no temporary
+    spans the whole signal.
     """
     n = int(round(duration_s * sample_rate))
     if n < 1:
         raise ValidationError(f"a render of {duration_s!r} s at {sample_rate} Hz holds no sample")
-    t = np.arange(n) / sample_rate
     fundamental = recipe.fundamental_hz * (1.0 + rng.uniform(-0.01, 0.01))
-    vibrato = 1.0 + recipe.vibrato_depth * np.sin(
-        2.0 * np.pi * recipe.vibrato_hz * t + rng.uniform(0.0, 2.0 * np.pi)
-    )
-    phase = 2.0 * np.pi * np.cumsum(fundamental * vibrato) / sample_rate
+    vibrato_phase = rng.uniform(0.0, 2.0 * np.pi)
 
     coeffs = []
     nyquist = sample_rate / 2.0
@@ -93,58 +88,81 @@ def synth_signal(recipe: RasaRecipe, duration_s: float, sample_rate: int, rng) -
         jitter = amp * rng.uniform(0.85, 1.15)
         coeffs.append(jitter * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
 
-    signal = np.zeros(n)
+    signal = np.empty(n)
+    z = np.empty(min(n, _BLOCK), dtype=np.complex128)
+    acc = np.empty_like(z)
+    phase_sum = 0.0
     for start in range(0, n, _BLOCK):
-        z = np.exp(1j * phase[start : start + _BLOCK])
-        acc = np.zeros_like(z)
-        for c in reversed(coeffs):
-            acc += c
-            acc *= z
-        signal[start : start + _BLOCK] = acc.imag
+        stop = min(start + _BLOCK, n)
+        t = np.arange(start, stop) / sample_rate
+        vibrato = 1.0 + recipe.vibrato_depth * np.sin(2.0 * np.pi * recipe.vibrato_hz * t + vibrato_phase)
+        steps = fundamental * vibrato
+        steps[0] += phase_sum  # the running sum carries on from the previous block
+        cumulative = np.cumsum(steps)
+        phase_sum = cumulative[-1]
+        phase = 2.0 * np.pi * cumulative / sample_rate
 
-    peak = np.max(np.abs(signal))
+        block_z, block_acc = z[: stop - start], acc[: stop - start]
+        np.cos(phase, out=block_z.real)
+        np.sin(phase, out=block_z.imag)
+        block_acc.fill(0.0)
+        for c in reversed(coeffs):
+            block_acc += c
+            block_acc *= block_z
+        signal[start:stop] = block_acc.imag
+
+    peak = max(signal.max(), -signal.min())
     if peak > 0:
         signal *= rng.uniform(0.6, 0.8) / peak
-    signal += recipe.noise_floor * rng.standard_normal(n)
-    return np.clip(signal, -0.98, 0.98)
+    noise = np.empty(len(z))
+    for start in range(0, n, _BLOCK):
+        block = signal[start : start + _BLOCK]
+        draws = rng.standard_normal(out=noise[: len(block)])
+        draws *= recipe.noise_floor
+        block += draws
+    return np.clip(signal, -0.98, 0.98, out=signal)
 
 
-def generate_corpus(spec: SyntheticSpec, out_dir) -> Path:
+def _render_song(rasa: Rasa, file_index: int, seed, duration_s: float, out_dir: Path) -> SongRecord:
+    """Render one corpus file from its own seed, write it into ``out_dir``
+    (made if missing) and return its record."""
+    samples = synth_signal(DEFAULT_RECIPES[rasa], duration_s, CANONICAL_RATE, np.random.default_rng(seed))
+    raga = DEFAULT_RAGA_TABLE.ragas_for_rasa(rasa)[0]
+    song_id = f"{rasa.value.lower()}_{file_index:03d}"
+    filename = f"{song_id}.wav"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_wav(out_dir / filename, AudioBuffer(samples=samples, sample_rate=CANONICAL_RATE))
+    return SongRecord(
+        id=song_id,
+        path=filename,
+        title=f"{raga} study {file_index + 1}",
+        raga=raga,
+        language="Instrumental",
+        genre="Indian Classical",
+        rasa=rasa,
+    )
+
+
+def generate_corpus(spec: SyntheticSpec, out_dir, jobs: int = 1) -> Path:
     """Write per-class WAV files plus a manifest; returns the manifest path.
 
     Each rasa is represented by the first raga associated with it, so the
-    manifest resolves through the catalog without special cases. Output is
-    byte-deterministic for a given spec.
+    manifest resolves through the catalog without special cases. Every file
+    renders from its own seed, drawn up front, so output is
+    byte-deterministic for a given spec whatever ``jobs``, the number of
+    worker processes that render files.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seeds = np.random.default_rng(spec.seed).integers(
         0, 2**63 - 1, size=(len(Rasa), spec.files_per_class)
     )
-
-    from .catalog import SongRecord  # local import to avoid cycle at module load
-
-    records = []
-    for class_index, rasa in enumerate(sorted(Rasa, key=lambda r: r.value)):
-        recipe = DEFAULT_RECIPES[rasa]
-        raga = DEFAULT_RAGA_TABLE.ragas_for_rasa(rasa)[0]
-        for file_index in range(spec.files_per_class):
-            rng = np.random.default_rng(seeds[class_index, file_index])
-            samples = synth_signal(recipe, spec.duration_s, CANONICAL_RATE, rng)
-            song_id = f"{rasa.value.lower()}_{file_index:03d}"
-            filename = f"{song_id}.wav"
-            write_wav(out_dir / filename, AudioBuffer(samples=samples, sample_rate=CANONICAL_RATE))
-            records.append(
-                SongRecord(
-                    id=song_id,
-                    path=filename,
-                    title=f"{raga} study {file_index + 1}",
-                    raga=raga,
-                    language="Instrumental",
-                    genre="Indian Classical",
-                    rasa=rasa,
-                )
-            )
+    calls = [
+        functools.partial(_render_song, rasa, file_index, seeds[class_index, file_index],
+                          spec.duration_s, out_dir)
+        for class_index, rasa in enumerate(sorted(Rasa, key=lambda r: r.value))
+        for file_index in range(spec.files_per_class)
+    ]
+    records = [result() for result in _pool_calls(calls, jobs)]
     manifest = out_dir / "manifest.csv"
     write_manifest(manifest, records)
     return manifest

@@ -34,13 +34,13 @@ from raga_moodkit.mfcc import (
 )
 from raga_moodkit.models import (
     KnnClassifier,
-    kkt_violations,
     make_classifier,
     smo_train_binary,
 )
 from raga_moodkit.models.linear import _loss_and_grad
 from raga_moodkit.models.mlp import MlpClassifier, loss_and_grads
 from raga_moodkit.recommender import ScoredLibrary, recommend_transition
+from svm_oracles import kkt_violations
 
 
 @contextlib.contextmanager

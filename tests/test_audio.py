@@ -1,11 +1,15 @@
 import io
 import struct
+import tracemalloc
 import wave
 
 import numpy as np
 import pytest
 
 from raga_moodkit.audio import (
+    _BLOCK,
+    _FORMAT_IEEE_FLOAT,
+    _FORMAT_PCM,
     DEFAULT_BI_SAMPLE_PLAN,
     AudioBuffer,
     SegmentPlan,
@@ -391,3 +395,152 @@ class TestSegments:
         assert plan.cuts == ((0.0, 60.0), (20.0, 60.0))
         with pytest.raises(ValidationError):
             parse_plan("nonsense")
+
+
+# --- block kernels against their whole-signal forms ---------------------------------
+
+def encode_wav_whole(buffer: AudioBuffer, encoding: str = "pcm16") -> bytes:
+    """``encode_wav`` as it stood before it worked in blocks, copied verbatim:
+    every step spans the whole signal."""
+    samples = buffer.samples if buffer.samples.ndim == 2 else buffer.samples.reshape(-1, 1)
+    channels = samples.shape[1]
+    flat = samples.reshape(-1)
+
+    if encoding == "pcm16":
+        format_tag, bits = _FORMAT_PCM, 16
+        quantized = np.clip(np.rint(flat * 2.0**15), -(2**15), 2**15 - 1)
+        body = quantized.astype("<i2").tobytes()
+    elif encoding == "pcm24":
+        format_tag, bits = _FORMAT_PCM, 24
+        # the low three bytes of a little-endian int32 are its 24-bit two's complement
+        scaled = flat * 2.0**23
+        np.clip(np.rint(scaled, out=scaled), -(2**23), 2**23 - 1, out=scaled)
+        body = scaled.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    elif encoding == "float32":
+        format_tag, bits = _FORMAT_IEEE_FLOAT, 32
+        body = flat.astype("<f4").tobytes()
+    else:
+        raise ValidationError(f"unknown encoding {encoding!r}")
+
+    block_align = channels * bits // 8
+    byte_rate = buffer.sample_rate * block_align
+    fmt = struct.pack(
+        "<HHIIHH", format_tag, channels, buffer.sample_rate, byte_rate, block_align, bits
+    )
+    chunks = b"".join(
+        [
+            b"fmt ",
+            struct.pack("<I", len(fmt)),
+            fmt,
+            b"data",
+            struct.pack("<I", len(body)),
+            body,
+            b"\x00" if len(body) & 1 else b"",
+        ]
+    )
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+def resample_whole(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
+    """``resample`` as it stood before it worked in blocks, copied verbatim:
+    positions, indexes and deltas span the whole output."""
+    if target_rate <= 0:
+        raise ValidationError(f"target_rate must be positive, got {target_rate}")
+    if buffer.samples.ndim != 1:
+        raise ValidationError("resample expects mono audio; call to_mono first")
+    if target_rate == buffer.sample_rate:
+        return buffer
+    x = buffer.samples
+    n_in = len(x)
+    n_out = n_in * target_rate // buffer.sample_rate
+    step, remainder = divmod(buffer.sample_rate, target_rate)
+    if remainder == 0:
+        samples = x[: n_out * step : step]
+    else:
+        positions = np.arange(n_out, dtype=np.float64)
+        positions *= buffer.sample_rate / target_rate
+        head = int(np.searchsorted(positions, n_in - 1))
+        j = positions[:head].astype(np.intp)
+        frac = positions[:head]
+        frac -= j
+        samples = np.empty(n_out)
+        samples[head:] = x[-1:]
+        lo = np.take(x, j, out=samples[:head])
+        delta = x[1:][j] - lo
+        delta *= frac
+        # a whole position keeps x[j] as it is, sign of zero included
+        np.add(lo, delta, out=lo, where=frac != 0)
+    return AudioBuffer(samples=samples, sample_rate=target_rate, short=buffer.short)
+
+
+#: Lengths around the block edges: one sample, a block less one, one block,
+#: a block and one, and three blocks and a partial one.
+BLOCK_EDGE_LENGTHS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7)
+
+
+def awkward_signal(n: int, seed: int) -> np.ndarray:
+    """Uniform samples past full scale, with zeros of both signs, the clipping
+    edges and the halfway points of the PCM16 and PCM24 grids spread in."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.3, 1.3, n)
+    specials = np.array([
+        -0.0, 0.0, -1.0, 1.0, -2.0, 2.0, 1.0 - 2.0**-16, -1.0 + 2.0**-16, -(2.0**-24), 2.0**-24,
+        0.5 * 2.0**-15, -0.5 * 2.0**-15, 1.5 * 2.0**-15, 0.5 * 2.0**-23, -2.5 * 2.0**-23,
+    ])
+    at = rng.random(n) < 0.3
+    x[at] = rng.choice(specials, int(at.sum()))
+    x[0] = -0.0
+    return x
+
+
+def traced_peak(call):
+    """(result, bytes at the traced allocation peak) of ``call()``."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MB = 1 << 20
+
+
+class TestBlockKernels:
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("n", BLOCK_EDGE_LENGTHS)
+    def test_encode_matches_whole_signal_form(self, n, channels):
+        samples = awkward_signal(n * channels, n).reshape(n, channels)
+        if channels == 1:
+            samples = samples[:, 0]
+        for rate in (8000, 44100, 48000):
+            buffer = AudioBuffer(samples=samples, sample_rate=rate)
+            for encoding in ("pcm16", "pcm24", "float32"):
+                assert encode_wav(buffer, encoding) == encode_wav_whole(buffer, encoding)
+
+    @pytest.mark.parametrize("n", (0, 2) + BLOCK_EDGE_LENGTHS)
+    def test_resample_matches_whole_signal_form(self, n):
+        samples = awkward_signal(n, n) if n else np.zeros(0)
+        for source, target in [(48000, 22050), (44100, 22050), (8000, 22050), (96000, 22050),
+                               (44100, 16000), (22050, 48000), (11025, 22050)]:
+            buffer = AudioBuffer(samples=samples, sample_rate=source)
+            ours = resample(buffer, target).samples
+            whole = resample_whole(buffer, target).samples
+            assert ours.shape == whole.shape
+            np.testing.assert_array_equal(ours.view(np.int64), whole.view(np.int64))
+
+    @pytest.mark.parametrize("encoding, bits", [("pcm16", 16), ("pcm24", 24), ("float32", 32)])
+    def test_encode_holds_little_more_than_its_stream(self, encoding, bits):
+        # 20 s of 44.1 kHz stereo: the stream is quantized into in place, so
+        # one block's temporaries come on top of it
+        samples = awkward_signal(2 * 882000, 1).reshape(-1, 2)
+        buffer = AudioBuffer(samples=samples, sample_rate=44100)
+        data, peak = traced_peak(lambda: encode_wav(buffer, encoding))
+        assert len(data) == 44 + samples.size * bits // 8
+        assert peak <= len(data) + 4 * MB, f"{peak / MB:.1f} MB for a {len(data) / MB:.1f} MB stream"
+
+    def test_resample_holds_no_more_than_its_output(self):
+        samples = awkward_signal(48000 * 60, 2)
+        buffer = AudioBuffer(samples=samples, sample_rate=48000)
+        out, peak = traced_peak(lambda: resample(buffer, 22050))
+        assert peak <= out.samples.nbytes + 4 * MB, f"{peak / MB:.1f} MB for {out.samples.nbytes / MB:.1f} MB"

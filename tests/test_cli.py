@@ -1,18 +1,21 @@
 """End-to-end command-line tests on the small session corpus."""
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from raga_moodkit import audio, experiments
 from raga_moodkit.audio import AudioBuffer, write_wav
 from raga_moodkit.bundle import ModelBundle
-from raga_moodkit.catalog import FeatureScaler, load_manifest
+from raga_moodkit.catalog import FeatureScaler, Rasa, load_manifest
 from raga_moodkit.cli import main, parse_grid, parse_params
 from raga_moodkit.errors import CorruptArtifact, ValidationError
 from raga_moodkit.experiments import ExperimentConfig, extract_features
 from raga_moodkit.models import FAMILIES
 from raga_moodkit.recommender import recommend_transition, score_library
 from raga_moodkit.store import read_store, sidecar_path
+from raga_moodkit.synth import DEFAULT_RECIPES, synth_signal
 
 
 def manifest_with_ghost(small_corpus, tmp_path):
@@ -158,6 +161,62 @@ class TestExtract:
         )
         assert code == 0
         assert out.read_bytes() == extracted.read_bytes()
+
+    def test_sidecar_does_not_depend_on_jobs(self, small_corpus, tmp_path, monkeypatch, capsys):
+        manifest = str(small_corpus.manifest_path)
+        sidecars = []
+        for jobs in ("1", "2"):
+            workdir = tmp_path / jobs
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            code = main(["extract", "--manifest", manifest, "--out", "features.csv",
+                         "--plan", "0:5", "--jobs", jobs])
+            assert code == 0
+            assert json.loads(capsys.readouterr().out)["jobs"] == int(jobs)
+            sidecars.append(sidecar_path("features.csv").read_bytes())
+        assert sidecars[0] == sidecars[1]
+        assert "jobs" not in json.loads(sidecars[0])["config"]
+        # a sidecar written when the echo still carried the worker count loads
+        meta = json.loads(sidecars[0])
+        meta["config"]["jobs"] = 2
+        sidecar_path("features.csv").write_text(json.dumps(meta), encoding="utf-8")
+        assert len(read_store("features.csv")) == len(small_corpus.records)
+
+
+class TestDecodedAudio:
+    """A multi-channel file is mixed down where it is decoded, so its full
+    decode is gone before resampling starts."""
+
+    @pytest.mark.parametrize("command", ["extract", "classify"])
+    def test_decode_is_freed_before_resampling(self, command, trained, tmp_path, monkeypatch, capsys):
+        left = synth_signal(DEFAULT_RECIPES[Rasa.KARUNA], 21.0, 48000, np.random.default_rng(1))
+        wav = tmp_path / "stereo.wav"
+        write_wav(wav, AudioBuffer(samples=np.stack([left, 0.5 * left], axis=1), sample_rate=48000))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("id,path,title,raga,language,genre\n"
+                            "stereo,stereo.wav,Stereo,Mohana,Instrumental,Indian Classical\n")
+
+        decoded, alive_at_resample = [], []
+        real_decode, real_resample = audio.decode_wav, experiments.resample
+
+        def decode_spy(data):
+            buffer = real_decode(data)
+            decoded.append((weakref.ref(buffer.samples), weakref.ref(buffer.samples.base)))
+            return buffer
+
+        def resample_spy(buffer, target_rate):
+            alive_at_resample.extend(ref() is not None for pair in decoded for ref in pair)
+            return real_resample(buffer, target_rate)
+
+        monkeypatch.setattr(audio, "decode_wav", decode_spy)
+        monkeypatch.setattr(experiments, "resample", resample_spy)
+        argv = {
+            "extract": ["extract", "--manifest", str(manifest), "--out", str(tmp_path / "f.csv")],
+            "classify": ["classify", "--model", str(trained), "--wav", str(wav)],
+        }[command]
+        assert main(argv) == 0
+        assert len(decoded) == 1
+        assert alive_at_resample == [False, False]
 
 
 class TestTrainEvaluate:
@@ -743,3 +802,18 @@ class TestSynthCommand:
         from raga_moodkit.catalog import load_manifest
 
         assert len(load_manifest(payload["manifest"])) == 6
+
+    def test_jobs_change_neither_corpus_nor_output(self, tmp_path, capsys):
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            argv = ["synth", "--out", str(out), "--files-per-class", "1", "--duration", "0.5",
+                    "--seed", "3", "--jobs", jobs]
+            assert main(argv) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            outputs.append((capsys.readouterr().out.replace(str(out), "OUT"), files))
+        assert len(outputs[0][1]) == 7
+        assert outputs[0] == outputs[1]
+        code = main(["synth", "--out", str(tmp_path / "none"), "--jobs", "0"])
+        TestCorruptInputs.assert_data_error(code, capsys, expected_code=1)
+        assert not (tmp_path / "none").exists()

@@ -1,12 +1,10 @@
 """Library-level pipeline pieces that need real (small) corpora."""
-import concurrent.futures
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from raga_moodkit import experiments
 from raga_moodkit.audio import SegmentPlan, parse_plan
 from raga_moodkit.bundle import ModelBundle
 from raga_moodkit.cli import main
@@ -63,27 +61,8 @@ class TestExtractFeatures:
         np.testing.assert_array_equal(parallel.labels, serial.labels)
         np.testing.assert_array_equal(parallel.X, serial.X)
 
-    def test_pool_is_no_larger_than_the_work(self, small_corpus, monkeypatch):
-        # a process pool starts all its workers at the first submit, so the
-        # fake records the size asked for and runs each call inline
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, call):
-                future = concurrent.futures.Future()
-                future.set_result(call())
-                return future
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    def test_pool_is_no_larger_than_the_work(self, small_corpus, inline_pool):
+        sizes = inline_pool
         records = small_corpus.records[:2]
         serial, _ = extract_features(records, base_dir=small_corpus.base_dir)
         pooled, _ = extract_features(records, base_dir=small_corpus.base_dir, jobs=10**6)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from raga_moodkit.errors import SingleClass, ValidationError
-from raga_moodkit.models import RbfSvmClassifier, kkt_violations, rbf_kernel, smo_train_binary
-from raga_moodkit.models.svm import _dual_objective, rbf_kernel_matrix
+from raga_moodkit.models import RbfSvmClassifier, smo_train_binary
+from raga_moodkit.models.svm import rbf_kernel_matrix
+from svm_oracles import _dual_objective, kkt_violations, rbf_kernel
 
 
 def separable_blobs(rng, n_per_class=20, separation=6.0):
