@@ -30,7 +30,7 @@ class ModelBundle:
     def __post_init__(self):
         # the feature setup the training rows were made with, checked by its
         # dataclasses; None where the bundle records none
-        self.mfcc = MfccConfig(**self.feature_fingerprint) if self.feature_fingerprint else None
+        self.mfcc = MfccConfig.from_record(self.feature_fingerprint) if self.feature_fingerprint else None
         self.plan = SegmentPlan(self.config["plan"]) if "plan" in self.config else None
 
     @property

@@ -79,20 +79,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-#: ``MfccConfig`` fields with a command-line option (``--fft-size`` for
-#: ``fft_size``), defaulting to the field's default; ``window`` has one value.
-_MFCC_OPTIONS = [f for f in fields(MfccConfig) if f.name != "window"]
-
-
 def _add_mfcc_options(parser):
+    """One option per ``MfccConfig`` field (``--fft-size`` for ``fft_size``),
+    defaulting to the field's default."""
     group = parser.add_argument_group("feature extraction")
-    for f in _MFCC_OPTIONS:
+    for f in fields(MfccConfig):
         kind = float if f.default is None else type(f.default)
         group.add_argument("--" + f.name.replace("_", "-"), type=kind, default=f.default)
 
 
 def _mfcc_from_args(args) -> MfccConfig:
-    return MfccConfig(**{f.name: getattr(args, f.name) for f in _MFCC_OPTIONS})
+    return MfccConfig(**{f.name: getattr(args, f.name) for f in fields(MfccConfig)})
 
 
 def _print_json(payload: dict) -> None:
@@ -357,10 +354,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MoodkitError as exc:
+    except (MoodkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

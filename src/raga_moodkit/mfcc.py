@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Annotated, Literal
+from typing import Annotated
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class MfccConfig(CheckedFields):
 
     fft_size: Annotated[int, ("a power of two >= 2", lambda n: n >= 2 and n & (n - 1) == 0)] = 2048
     hop: PositiveInt = 512
-    window: Literal["hann"] = "hann"
     n_filters: PositiveInt = 40
     n_coeffs: PositiveInt = 40
     f_low: FiniteNonNegativeFloat = 0.0
@@ -63,6 +62,15 @@ class MfccConfig(CheckedFields):
             raise ValidationError(
                 f"need n_coeffs <= n_filters, got {self.n_coeffs} > {self.n_filters}"
             )
+
+    @classmethod
+    def from_record(cls, params: dict) -> "MfccConfig":
+        """The settings a store sidecar or model bundle records. Files written
+        while the window was a setting record ``"window": "hann"``, the window
+        every frame uses, which is dropped; any other window is refused."""
+        if params.get("window", "hann") != "hann":
+            raise ValidationError(f"recorded window {params['window']!r}; only the Hann window is computed")
+        return cls(**{name: value for name, value in params.items() if name != "window"})
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ _SCORE_SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ScoredLibrary:
-    """Per-song score vectors over the six rasas (each row sums to 1)."""
+    """Per-song score vectors over the six rasas (each row finite, summing to 1)."""
 
     song_ids: tuple
     scores: np.ndarray
@@ -36,8 +36,10 @@ class ScoredLibrary:
             raise ValidationError(
                 f"scores must be ({len(self.song_ids)}, {len(self.classes)}), got {scores.shape}"
             )
-        if len(self.song_ids) and np.max(np.abs(scores.sum(axis=1) - 1.0)) > _SCORE_SUM_TOL:
-            raise ValidationError("every song's scores must sum to 1")
+        if not np.isfinite(scores).all() or (
+            len(self.song_ids) and np.max(np.abs(scores.sum(axis=1) - 1.0)) > _SCORE_SUM_TOL
+        ):
+            raise ValidationError("every song's scores must be finite and sum to 1")
 
     def __len__(self) -> int:
         return len(self.song_ids)

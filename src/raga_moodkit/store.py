@@ -94,7 +94,7 @@ def read_store(path) -> FeatureTable:
         meta = json.loads(meta_file.read_text(encoding="utf-8"))
         if meta.get("format_version") != STORE_FORMAT_VERSION:
             raise ValidationError(f"unsupported store format_version {meta.get('format_version')!r}")
-        config = MfccConfig(**meta["mfcc"])
+        config = MfccConfig.from_record(meta["mfcc"])
         plan = SegmentPlan(meta["segment_plan"])
         segment_ids: list[str] = []
         labels: list[str] = []
@@ -121,10 +121,15 @@ def read_store(path) -> FeatureTable:
             raise CorruptArtifact(
                 f"{path.name} holds {len(rows)} rows; its sidecar records {meta['n_rows']!r}"
             )
+        X = np.asarray(rows, dtype=np.float64)
+        finite = np.isfinite(X)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise CorruptArtifact(f"{path.name} line {row + 2}: c{col} is {float(X[row, col])}")
         return FeatureTable(
             segment_ids=segment_ids,
             labels=np.asarray(labels, dtype=str),
-            X=np.asarray(rows, dtype=np.float64),
+            X=X,
             mfcc=config,
             plan=plan,
         )

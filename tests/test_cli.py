@@ -715,6 +715,100 @@ class TestCorruptInputs:
         code = main(["classify", "--model", str(trained), "--wav", str(wav)])
         self.assert_data_error(code, capsys)
 
+    def test_missing_files_exit_2(self, small_corpus, extracted, trained, tmp_path, capsys):
+        # OSError shares the data-error exit code
+        wav = small_corpus.base_dir / small_corpus.records[0].path
+        for argv in (
+            ["classify", "--model", str(trained), "--wav", str(tmp_path / "absent.wav")],
+            ["classify", "--model", str(tmp_path / "absent.json"), "--wav", str(wav)],
+            ["evaluate", "--model", str(trained), "--features", str(extracted),
+             "--out", str(tmp_path / "absent" / "report.json")],
+        ):
+            self.assert_data_error(main(argv), capsys)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_store_value(self, extracted, trained, tmp_path, capsys, value):
+        store = tmp_path / "features.csv"
+        lines = extracted.read_text(encoding="utf-8").splitlines()
+        fields = lines[3].split(",")
+        fields[2 + 5] = value
+        lines[3] = ",".join(fields)
+        store.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        sidecar_path(store).write_bytes(sidecar_path(extracted).read_bytes())
+        with pytest.raises(CorruptArtifact, match=f"features.csv line 4: c5 is {value}$"):
+            read_store(store)
+        for argv in (
+            ["tune", "--family", "knn", "--grid", "k=3", "--out", str(tmp_path / "m.json")],
+            ["evaluate", "--model", str(trained)],
+            ["recommend", "--model", str(trained), "--from", "Karuna", "--to", "Shantha"],
+        ):
+            err = self.assert_data_error(main(argv + ["--features", str(store)]), capsys)
+            assert "features.csv line 4" in err
+
+
+class TestFilesRecordingTheWindow:
+    """Stores and bundles written while the Hann window was an MFCC setting
+    record ``"window": "hann"`` in every MFCC settings object."""
+
+    @pytest.fixture
+    def copies(self, extracted, trained, tmp_path):
+        """``copies(window)``: a directory holding the shared store and bundle
+        as ``features.csv`` and ``model.json``, recording ``window`` unless
+        it is None."""
+
+        def write(window):
+            out = tmp_path / (window or "current")
+            out.mkdir()
+            (out / "features.csv").write_bytes(extracted.read_bytes())
+            for source, copy in ((sidecar_path(extracted), sidecar_path(out / "features.csv")),
+                                 (trained, out / "model.json")):
+                payload = json.loads(source.read_text(encoding="utf-8"))
+                for settings in (payload.get("mfcc"), payload.get("feature_fingerprint"),
+                                 payload["config"]["mfcc"]):
+                    if settings is not None and window is not None:
+                        settings["window"] = window
+                copy.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            return out
+
+        return write
+
+    @staticmethod
+    def runs(store, model, wav):
+        return [
+            ["evaluate", "--model", str(model), "--features", str(store)],
+            ["classify", "--model", str(model), "--wav", str(wav)],
+            ["recommend", "--model", str(model), "--features", str(store),
+             "--from", "Karuna", "--to", "Shantha", "--length", "4"],
+        ]
+
+    def test_hann_files_serve_byte_identically(self, small_corpus, copies, monkeypatch, capsys):
+        current, recorded = copies(None), copies("hann")
+        assert '"window": "hann"' in (recorded / "model.json").read_text(encoding="utf-8")
+        assert read_store(recorded / "features.csv").mfcc == read_store(current / "features.csv").mfcc
+        assert ModelBundle.load(recorded / "model.json").mfcc == ModelBundle.load(current / "model.json").mfcc
+        wav = small_corpus.base_dir / small_corpus.records[0].path
+        outputs = []
+        for directory in (current, recorded):
+            monkeypatch.chdir(directory)
+            capsys.readouterr()
+            for argv in self.runs("features.csv", "model.json", wav):
+                assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_other_window_is_corrupt(self, small_corpus, extracted, trained, copies, capsys):
+        hamming = copies("hamming")
+        store, model = hamming / "features.csv", hamming / "model.json"
+        with pytest.raises(CorruptArtifact, match="window 'hamming'"):
+            read_store(store)
+        with pytest.raises(CorruptArtifact, match="window 'hamming'"):
+            ModelBundle.load(model)
+        wav = small_corpus.base_dir / small_corpus.records[0].path
+        capsys.readouterr()
+        for argv in self.runs(store, trained, wav)[::2] + self.runs(extracted, model, wav):
+            err = TestCorruptInputs.assert_data_error(main(argv), capsys)
+            assert "window 'hamming'" in err
+
 
 #: Values no data could make valid: (family, or "scaler" for the feature
 #: scaler, parameter, value).

@@ -440,7 +440,6 @@ INVALID_SETTINGS = [
     (MfccConfig, {"sample_rate": 22050.5}),
     (MfccConfig, {"fft_size": 2048.0}),
     (MfccConfig, {"fft_size": 1000}),
-    (MfccConfig, {"window": "hamming"}),
     (MfccConfig, {"f_low": NAN}),
     (MfccConfig, {"f_low": 12000.0}),
     (MfccConfig, {"log_floor": 0.0}),

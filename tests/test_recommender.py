@@ -62,6 +62,12 @@ class TestScoredLibrary:
         with pytest.raises(ValidationError):
             ScoredLibrary(song_ids=["a"], scores=np.array([[0.5, 0.1, 0.1, 0.1, 0.1, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scores_are_refused(self, bad):
+        # a NaN row sum compares false against the tolerance, so it needs its own check
+        with pytest.raises(ValidationError, match="finite"):
+            ScoredLibrary(["a", "b", "c"], [[bad] * 6, [1 / 6] * 6, [1 / 6] * 6])
+
     def test_column_lookup(self):
         rng = np.random.default_rng(0)
         library = random_library(rng, 4)
