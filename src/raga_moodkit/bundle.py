@@ -12,8 +12,8 @@ from .audio import SegmentPlan
 from .catalog import FeatureScaler
 from .errors import CorruptArtifact, ScalerMismatch, ValidationError
 from .mfcc import MfccConfig
-from .models import from_envelope, to_envelope
 from .models.base import BaseClassifier
+from .models.serialize import from_envelope, to_envelope
 
 BUNDLE_FORMAT_VERSION = 1
 

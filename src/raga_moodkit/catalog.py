@@ -142,9 +142,6 @@ class RagaTable:
             raise ValidationError(f"alias {alias!r} maps to both {existing!r} and {canonical!r}")
         self._lookup[key] = canonical
 
-    def __len__(self) -> int:
-        return len(self._canonical)
-
     def canonical_name(self, name: str) -> str:
         key = _normalize(name)
         if key not in self._lookup:

@@ -15,7 +15,7 @@ import json
 import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Annotated, Literal
 
@@ -223,7 +223,7 @@ class ExperimentReport:
     train_accuracy: float | None
     validation_accuracy: float
     classes: list
-    confusion: list
+    confusion_matrix: list
     per_class: dict
     n_train_rows: int
     n_val_rows: int
@@ -233,26 +233,12 @@ class ExperimentReport:
 
     def to_json_dict(self) -> dict:
         payload = {
-            "config": self.config,
-            "family": self.family,
-            "params": self.params,
-            "train_accuracy": self.train_accuracy,
-            "validation_accuracy": self.validation_accuracy,
-            "classes": self.classes,
-            "confusion_matrix": self.confusion,
-            "per_class": self.per_class,
-            "n_train_rows": self.n_train_rows,
-            "n_val_rows": self.n_val_rows,
+            f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("bundle", "wall_clock_s")
         }
-        if self.grid_rows is not None:
-            payload["grid_rows"] = [
-                {
-                    "params": row.params,
-                    "validation_accuracy": row.validation_accuracy,
-                    "error": row.error,
-                }
-                for row in self.grid_rows
-            ]
+        if self.grid_rows is None:
+            del payload["grid_rows"]
+        else:
+            payload["grid_rows"] = [asdict(row) for row in self.grid_rows]
         return payload
 
     def to_json(self) -> str:
@@ -395,7 +381,7 @@ def split_table(table: FeatureTable, level: str, val_fraction: float, seed: int)
     return np.flatnonzero(~row_is_val), np.flatnonzero(row_is_val)
 
 
-def _scored_report(predict, X, y, train_idx, val_idx, classes, **fields) -> ExperimentReport:
+def _scored_report(predict, X, y, train_idx, val_idx, classes, **report_fields) -> ExperimentReport:
     """Accuracy on both sides of a split, and the confusion matrix and
     per-class precision/recall of the validation side, over ``classes``."""
     train_accuracy = accuracy(predict(X[train_idx]), y[train_idx]) if len(train_idx) else None
@@ -406,14 +392,14 @@ def _scored_report(predict, X, y, train_idx, val_idx, classes, **fields) -> Expe
         train_accuracy=train_accuracy,
         validation_accuracy=accuracy(val_predictions, y[val_idx]),
         classes=classes,
-        confusion=confusion.tolist(),
+        confusion_matrix=confusion.tolist(),
         per_class={
             cls: {"precision": float(p), "recall": float(r)}
             for cls, p, r in zip(classes, precision, recall)
         },
         n_train_rows=len(train_idx),
         n_val_rows=len(val_idx),
-        **fields,
+        **report_fields,
     )
 
 

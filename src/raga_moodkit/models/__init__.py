@@ -13,9 +13,7 @@ from .linear import SoftmaxRegression
 from .mlp import MlpClassifier
 from .naive_bayes import GaussianNbClassifier
 from .neighbors import KnnClassifier
-from .serialize import FORMAT_VERSION, from_envelope, to_envelope
-from .svm import BinarySvmModel, RbfSvmClassifier, smo_train_binary
-from .tree import DecisionTreeClassifier
+from .svm import RbfSvmClassifier
 
 #: Family tag -> class, in canonical family order (used for tie-breaking).
 FAMILIES = {
@@ -34,23 +32,3 @@ def make_classifier(family: str, **params) -> BaseClassifier:
     if family not in FAMILIES:
         raise ValidationError(f"unknown family {family!r}; expected one of {FAMILY_ORDER}")
     return FAMILIES[family]().set_params(**params)
-
-
-__all__ = [
-    "BaseClassifier",
-    "BinarySvmModel",
-    "DecisionTreeClassifier",
-    "FAMILIES",
-    "FAMILY_ORDER",
-    "FORMAT_VERSION",
-    "GaussianNbClassifier",
-    "KnnClassifier",
-    "MlpClassifier",
-    "RandomForestClassifier",
-    "RbfSvmClassifier",
-    "SoftmaxRegression",
-    "from_envelope",
-    "make_classifier",
-    "smo_train_binary",
-    "to_envelope",
-]

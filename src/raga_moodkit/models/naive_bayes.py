@@ -8,6 +8,7 @@ import numpy as np
 from ..base import FinitePositiveFloat
 from ..errors import ClassTooSmall
 from .base import BaseClassifier
+from .linear import softmax
 from .serialize import decode_array, encode_array
 
 
@@ -44,10 +45,7 @@ class GaussianNbClassifier(BaseClassifier):
         return np.log(self.priors_) + log_density.sum(axis=2)
 
     def predict_scores(self, X) -> np.ndarray:
-        joint = self._joint_log_likelihood(X)
-        shifted = joint - joint.max(axis=1, keepdims=True)
-        likelihood = np.exp(shifted)
-        return likelihood / likelihood.sum(axis=1, keepdims=True)
+        return softmax(self._joint_log_likelihood(X))
 
     def _encode_state(self) -> dict:
         return {

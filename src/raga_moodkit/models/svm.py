@@ -10,6 +10,7 @@ import numpy as np
 from ..base import FiniteNonNegativeFloat, FinitePositiveFloat, NonNegativeInt, PositiveInt, as_float_matrix
 from ..errors import SingleClass, ValidationError
 from .base import BaseClassifier
+from .linear import softmax
 from .serialize import decode_array, encode_array
 
 
@@ -319,10 +320,7 @@ class RbfSvmClassifier(BaseClassifier):
             votes[:, b] += ~wins_a
             decision_sums[:, a] += values
             decision_sums[:, b] -= values
-        combined = votes + _sigmoid(decision_sums)
-        shifted = combined - combined.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=1, keepdims=True)
+        return softmax(votes + _sigmoid(decision_sums))
 
     def _encode_state(self) -> dict:
         pairs = []

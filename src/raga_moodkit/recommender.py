@@ -8,7 +8,7 @@ in slot order, ties going to the lexicographically smallest id.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -67,21 +67,8 @@ class Playlist:
     def song_ids(self) -> list:
         return [slot.song_id for slot in self.slots]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "slots": [
-                {
-                    "rank": slot.rank,
-                    "song_id": slot.song_id,
-                    "weight": slot.weight,
-                    "blended_score": slot.blended_score,
-                }
-                for slot in self.slots
-            ]
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:
         lines = [

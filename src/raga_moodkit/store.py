@@ -51,16 +51,6 @@ class FeatureTable:
     def song_ids(self) -> list:
         return [song_id_of(s) for s in self.segment_ids]
 
-    def select(self, index) -> "FeatureTable":
-        index = np.asarray(index)
-        return FeatureTable(
-            segment_ids=[self.segment_ids[i] for i in index],
-            labels=self.labels[index],
-            X=self.X[index],
-            mfcc=self.mfcc,
-            plan=self.plan,
-        )
-
 
 def write_store(table: FeatureTable, path, extra_meta: dict | None = None) -> None:
     path = Path(path)
@@ -88,6 +78,9 @@ def sidecar_path(store_path) -> Path:
 def read_store(path) -> FeatureTable:
     path = Path(path)
     meta_file = sidecar_path(path)
+    # an absent store is a missing input file (exit 2), not a store without its sidecar
+    if not path.exists():
+        raise FileNotFoundError(f"feature store {path} does not exist")
     if not meta_file.exists():
         raise ValidationError(f"missing sidecar {meta_file.name}; the store is not self-describing")
     try:

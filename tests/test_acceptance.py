@@ -22,7 +22,7 @@ from raga_moodkit.experiments import (
     run_on_features,
     select_final_model,
 )
-from raga_moodkit.audio import AudioBuffer
+from raga_moodkit.audio import AudioBuffer, SegmentPlan
 from raga_moodkit.mfcc import (
     _CHUNK_FRAMES,
     MfccConfig,
@@ -32,14 +32,12 @@ from raga_moodkit.mfcc import (
     mfcc_frames,
     power_spectrum,
 )
-from raga_moodkit.models import (
-    KnnClassifier,
-    make_classifier,
-    smo_train_binary,
-)
+from raga_moodkit.models import KnnClassifier, make_classifier
 from raga_moodkit.models.linear import _loss_and_grad
 from raga_moodkit.models.mlp import MlpClassifier, loss_and_grads
+from raga_moodkit.models.svm import smo_train_binary
 from raga_moodkit.recommender import ScoredLibrary, recommend_transition
+from raga_moodkit.store import FeatureTable
 from svm_oracles import kkt_violations
 
 
@@ -331,7 +329,13 @@ def test_c10_two_segment_training_never_hurts(feature_store):
         single_rows = [
             i for i, sid in enumerate(feature_store.segment_ids) if sid.endswith(":0")
         ]
-        single = feature_store.select(single_rows)
+        single = FeatureTable(
+            segment_ids=[feature_store.segment_ids[i] for i in single_rows],
+            labels=feature_store.labels[single_rows],
+            X=feature_store.X[single_rows],
+            mfcc=feature_store.mfcc,
+            plan=SegmentPlan(feature_store.plan.cuts[:1]),
+        )
         params = {"C": 10.0, "gamma": 0.1}
 
         def run(table):
@@ -359,7 +363,7 @@ def _policy_report(family, params, validation_accuracy):
         train_accuracy=1.0,
         validation_accuracy=validation_accuracy,
         classes=list(RASAS),
-        confusion=[[0] * 6] * 6,
+        confusion_matrix=[[0] * 6] * 6,
         per_class={},
         n_train_rows=0,
         n_val_rows=0,

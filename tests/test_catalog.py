@@ -25,7 +25,7 @@ from raga_moodkit.errors import (
 
 class TestRagaTable:
     def test_35_canonical_entries(self):
-        assert len(DEFAULT_RAGA_TABLE) == 35
+        assert sum(len(DEFAULT_RAGA_TABLE.ragas_for_rasa(rasa)) for rasa in Rasa) == 35
 
     def test_known_lookups(self):
         assert rasa_for_raga("Mohana") is Rasa.VEERA

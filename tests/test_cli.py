@@ -726,6 +726,24 @@ class TestCorruptInputs:
         ):
             self.assert_data_error(main(argv), capsys)
 
+    def test_absent_store_is_named_and_exits_2(self, extracted, trained, tmp_path, capsys):
+        absent = str(tmp_path / "absent.csv")
+        out = tmp_path / "out.json"
+        for argv in (
+            ["evaluate", "--features", absent, "--model", str(trained), "--out", str(out)],
+            ["tune", "--features", absent, "--out", str(out), "--family", "svm", "--grid", "C=1"],
+            ["recommend", "--model", str(trained), "--features", absent,
+             "--from", "Karuna", "--to", "Shantha", "--out", str(out)],
+        ):
+            err = self.assert_data_error(main(argv), capsys)
+            assert absent in err and "sidecar" not in err
+            assert not out.exists()
+        # a store that exists without its sidecar is still refused as not self-describing
+        bare = tmp_path / "bare.csv"
+        bare.write_bytes(extracted.read_bytes())
+        code = main(["evaluate", "--features", str(bare), "--model", str(trained)])
+        assert "missing sidecar" in self.assert_data_error(code, capsys, expected_code=1)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_store_value(self, extracted, trained, tmp_path, capsys, value):
         store = tmp_path / "features.csv"

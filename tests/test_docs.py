@@ -1,5 +1,6 @@
 """The README's library example imports names that exist, from the modules
-that define them; the package's top level holds only its version."""
+that define them; the package's top level holds only its version, and
+``raga_moodkit.models`` only the family registry."""
 import ast
 import importlib
 import inspect
@@ -7,6 +8,7 @@ import re
 from pathlib import Path
 
 import raga_moodkit
+from raga_moodkit import models
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,3 +33,13 @@ def test_package_top_level_holds_only_the_version():
               if not name.startswith("_") and not inspect.ismodule(value)]
     assert public == []
     assert raga_moodkit.__version__
+
+
+def test_models_package_holds_only_the_family_registry():
+    public = {name for name, value in vars(models).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    # what make_classifier itself needs: the annotations feature, its return type and its error
+    own_imports = {"annotations", "BaseClassifier", "ValidationError"}
+    families = {cls.__name__ for cls in models.FAMILIES.values()}
+    assert len(families) == 6
+    assert public - own_imports == {"FAMILIES", "FAMILY_ORDER", "make_classifier"} | families

@@ -207,7 +207,7 @@ class TestRunOnFeatures:
         config = ExperimentConfig(family="knn", params={"k": 3}, seed=1)
         report = run_on_features(table, config)
         assert report.validation_accuracy == 1.0  # trivially separable
-        matrix = np.asarray(report.confusion)
+        matrix = np.asarray(report.confusion_matrix)
         assert np.trace(matrix) / matrix.sum() == pytest.approx(report.validation_accuracy)
         assert matrix.sum() == report.n_val_rows
         assert report.bundle is not None
@@ -237,6 +237,19 @@ class TestRunOnFeatures:
         report = run_on_features(table, config)
         assert report.wall_clock_s > 0
         assert "wall_clock" not in report.to_json()
+
+    def test_report_json_keys(self):
+        table = synthetic_table()
+        keys = {"config", "family", "params", "train_accuracy", "validation_accuracy", "classes",
+                "confusion_matrix", "per_class", "n_train_rows", "n_val_rows"}
+        trained = run_on_features(table, ExperimentConfig(family="knn", params={"k": 1}, seed=1))
+        assert set(json.loads(trained.to_json())) == keys
+        tuned = run_on_features(table, ExperimentConfig(family="knn", grid={"k": [1, 10_000]}, seed=1))
+        payload = json.loads(tuned.to_json())
+        assert set(payload) == keys | {"grid_rows"}
+        assert [set(row) for row in payload["grid_rows"]] == [{"params", "validation_accuracy", "error"}] * 2
+        assert [row["params"]["k"] for row in payload["grid_rows"]] == [1, 10_000]
+        assert payload["grid_rows"][0]["error"] is None and payload["grid_rows"][1]["error"]
 
     def test_markdown_table_shape(self):
         table = synthetic_table()
@@ -495,7 +508,7 @@ def _report(family, params, validation_accuracy):
         train_accuracy=1.0,
         validation_accuracy=validation_accuracy,
         classes=["a", "b"],
-        confusion=[[1, 0], [0, 1]],
+        confusion_matrix=[[1, 0], [0, 1]],
         per_class={},
         n_train_rows=8,
         n_val_rows=2,

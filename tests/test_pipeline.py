@@ -108,7 +108,10 @@ class TestScoreLibrary:
 
     def test_single_song_library(self, small_store):
         bundle = self._bundle(small_store)
-        solo = small_store.select([0, 1])  # both cuts of the first song
+        solo = FeatureTable(  # both cuts of the first song
+            segment_ids=small_store.segment_ids[:2], labels=small_store.labels[:2],
+            X=small_store.X[:2], mfcc=small_store.mfcc, plan=small_store.plan,
+        )
         library = score_library(bundle, solo)
         assert len(library) == 1
         expected = bundle.predict_scores(solo.X).mean(axis=0)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -191,7 +193,7 @@ class TestRecommend:
         rng = np.random.default_rng(7)
         library = random_library(rng, 3)
         playlist = recommend_transition(library, "Karuna", "Veera", 2)
-        payload = playlist.to_json_dict()
+        payload = json.loads(playlist.to_json())
         assert set(payload) == {"slots"}
         assert set(payload["slots"][0]) == {"rank", "song_id", "weight", "blended_score"}
         assert payload["slots"][0]["weight"] == 0.0

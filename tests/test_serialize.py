@@ -7,17 +7,15 @@ import pytest
 from raga_moodkit.errors import ValidationError
 from raga_moodkit.models import (
     FAMILIES,
-    DecisionTreeClassifier,
     GaussianNbClassifier,
     KnnClassifier,
     MlpClassifier,
     RandomForestClassifier,
     RbfSvmClassifier,
     SoftmaxRegression,
-    from_envelope,
-    to_envelope,
 )
-from raga_moodkit.models.serialize import decode_array, encode_array
+from raga_moodkit.models.serialize import decode_array, encode_array, from_envelope, to_envelope
+from raga_moodkit.models.tree import DecisionTreeClassifier
 
 
 def test_array_roundtrip_exact():

@@ -100,14 +100,6 @@ def test_malformed_sidecar_is_typed_data_error(tmp_path):
         read_store(path)
 
 
-def test_select_subsets_rows():
-    table = sample_table()
-    subset = table.select([0, 3, 4])
-    assert len(subset) == 3
-    assert subset.segment_ids == [table.segment_ids[0], table.segment_ids[3], table.segment_ids[4]]
-    np.testing.assert_array_equal(subset.X, table.X[[0, 3, 4]])
-
-
 def test_song_ids_grouping():
     table = sample_table()
     assert table.song_ids == ["song_0", "song_0", "song_1", "song_1", "song_2", "song_2"]

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from raga_moodkit.errors import SingleClass, ValidationError
-from raga_moodkit.models import RbfSvmClassifier, smo_train_binary
-from raga_moodkit.models.svm import rbf_kernel_matrix
+from raga_moodkit.models.svm import RbfSvmClassifier, rbf_kernel_matrix, smo_train_binary
 from svm_oracles import _dual_objective, kkt_violations, rbf_kernel
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from raga_moodkit.errors import ValidationError
 from raga_moodkit.experiments import accuracy
-from raga_moodkit.models import DecisionTreeClassifier, RandomForestClassifier
+from raga_moodkit.models import RandomForestClassifier
+from raga_moodkit.models.tree import DecisionTreeClassifier
 from raga_moodkit.models.tree import _impurity_rows
 
 
