@@ -1,10 +1,10 @@
 """WAV ingestion and segment cutting.
 
-Decodes RIFF/WAVE files (PCM 16-bit, PCM 24-bit, IEEE float32, under a
-plain or a WAVE_FORMAT_EXTENSIBLE header), folds
-channels to mono, resamples to the canonical internal rate, and cuts the
-segment plans used throughout the pipeline, including the two-segment
-augmentation plan that doubles a corpus.
+Decodes RIFF/WAVE files (PCM 8, 16, 24 or 32-bit, IEEE float32, under a
+plain or a WAVE_FORMAT_EXTENSIBLE header) straight to their mono mix,
+resamples to the canonical internal rate, and cuts the segment plans used
+throughout the pipeline, including the two-segment augmentation plan that
+doubles a corpus.
 """
 from __future__ import annotations
 
@@ -35,8 +35,9 @@ _FORMAT_EXTENSIBLE = 0xFFFE
 #: {000000XX-0000-0010-8000-00AA00389B71}; bytes 0..1 hold the format code.
 _SUBFORMAT_GUID_TAIL = bytes.fromhex("0000" "0000" "1000" "8000" "00aa00389b71")
 
-#: Samples per block in ``encode_wav``, ``resample`` and ``synth.synth_signal``:
-#: their temporaries span one block, not the whole signal. Results do not depend on it.
+#: Samples per block in ``encode_wav``, ``resample`` and ``synth.synth_signal``,
+#: and frames per block in ``decode_wav``: their temporaries span one block,
+#: not the whole signal. Results do not depend on it.
 _BLOCK = 1 << 15
 
 
@@ -119,39 +120,34 @@ def parse_plan(text: str) -> SegmentPlan:
     return SegmentPlan(tuple(cuts))
 
 
-def _decode_pcm16(payload) -> np.ndarray:
-    return np.frombuffer(payload, dtype="<i2", count=len(payload) // 2).astype(np.float64) / 2.0**15
-
-
-def _decode_pcm24(payload) -> np.ndarray:
-    # Behind one pad byte, sample i is the top of the little-endian int32 at
-    # byte 3*i; ">> 8" drops the byte below it and sign-extends, exactly.
-    n = len(payload) // 3
-    padded = np.empty(3 * n + 1, dtype=np.uint8)
-    padded[1:] = np.frombuffer(payload, dtype=np.uint8, count=3 * n)
-    words = np.ndarray((n,), dtype="<i4", buffer=padded, strides=(3,))
-    return (words >> 8) * 2.0**-23
-
-
-def _decode_float32(payload) -> np.ndarray:
-    values = np.frombuffer(payload, dtype="<f4", count=len(payload) // 4)
-    if not np.isfinite(values).all():
-        raise NonFiniteSample("float32 data holds NaN or infinite samples")
-    return np.clip(values, -1.0, 1.0, dtype=np.float64)
+#: (sample dtype, code offset, scale to [-1, 1]) of each integer PCM width;
+#: PCM24 is read as int32 words, see ``decode_wav``.
+_PCM_CODECS = {
+    8: ("u1", 128, 2.0**-7),
+    16: ("<i2", 0, 2.0**-15),
+    24: ("<i4", 0, 2.0**-23),
+    32: ("<i4", 0, 2.0**-31),
+}
 
 
 def decode_wav(data: bytes) -> AudioBuffer:
-    """Decode a RIFF/WAVE byte stream.
+    """Decode a RIFF/WAVE byte stream to its mono mix at the file's own rate.
 
-    Integer PCM is scaled to [-1, 1] by dividing by 2**(bits-1); PCM24 is
-    read as int32 words at a 3-byte stride, shifted right by 8 bits. Float
-    samples are clipped into the same range as they are widened to float64.
-    Multi-channel audio stays an ``(n, channels)`` array for ``to_mono``.
-    A WAVE_FORMAT_EXTENSIBLE header is read through its sub-format GUID.
+    Integer PCM is scaled to [-1, 1] by dividing by 2**(bits-1), after PCM8's
+    unsigned codes are offset by 128. PCM24 is read as int32 words at a
+    3-byte stride, shifted right by 8 bits. Float samples are clipped into
+    the same range as they are widened to float64. A WAVE_FORMAT_EXTENSIBLE
+    header is read through its sub-format GUID.
+
+    Channels are mixed by ``to_mono``'s rule, ``_BLOCK`` frames at a time
+    into the one output array, so no multi-channel array of the whole signal
+    is built. Integer codes are mixed before they are scaled; that keeps
+    every bit of mixing the scaled samples. A trailing partial frame is
+    dropped.
 
     Raises:
         MalformedHeader: not a RIFF/WAVE stream or required chunks missing.
-        UnsupportedEncoding: codec other than PCM16/PCM24/float32.
+        UnsupportedEncoding: codec other than PCM8/16/24/32 or float32.
         TruncatedData: a chunk declares more bytes than are present.
         NonFiniteSample: float32 data holds NaN or infinity.
     """
@@ -159,8 +155,7 @@ def decode_wav(data: bytes) -> AudioBuffer:
         raise MalformedHeader("not a RIFF/WAVE stream")
 
     fmt = None
-    payload = None
-    view = memoryview(data)
+    data_span = None
     offset = 12
     while offset + 8 <= len(data):
         chunk_id = data[offset : offset + 4]
@@ -180,10 +175,10 @@ def decode_wav(data: bytes) -> AudioBuffer:
                 raise TruncatedData(
                     f"data chunk declares {size} bytes, {len(data) - body_start} available"
                 )
-            payload = view[body_start : body_start + size]
+            data_span = (body_start, size)
         offset = body_start + size + (size & 1)
 
-    if fmt is None or payload is None:
+    if fmt is None or data_span is None:
         raise MalformedHeader("missing fmt or data chunk")
 
     format_tag, channels, sample_rate, _byte_rate, _block_align, bits = fmt
@@ -194,19 +189,44 @@ def decode_wav(data: bytes) -> AudioBuffer:
             raise UnsupportedEncoding(f"extensible sub-format GUID {subformat.hex()}")
         (format_tag,) = struct.unpack_from("<H", subformat)
 
-    if format_tag == _FORMAT_PCM and bits == 16:
-        samples = _decode_pcm16(payload)
-    elif format_tag == _FORMAT_PCM and bits == 24:
-        samples = _decode_pcm24(payload)
+    if format_tag == _FORMAT_PCM and bits in _PCM_CODECS:
+        dtype, code_offset, scale = _PCM_CODECS[bits]
     elif format_tag == _FORMAT_IEEE_FLOAT and bits == 32:
-        samples = _decode_float32(payload)
+        dtype, code_offset, scale = "<f4", 0, None
     else:
         raise UnsupportedEncoding(f"format tag {format_tag:#06x} with {bits}-bit samples")
 
-    if channels > 1:
-        samples = samples[: len(samples) - len(samples) % channels]
-        samples = samples.reshape(-1, channels)
-    return AudioBuffer(samples=samples, sample_rate=sample_rate)
+    start, size = data_span
+    width = bits // 8
+    n_frames = size // (width * channels)
+    if bits == 24:
+        # Behind the byte before it, sample i is the top of the little-endian
+        # int32 at byte 3*i - 1; ">> 8" drops that byte and sign-extends, exactly.
+        codes = np.ndarray((n_frames, channels), dtype, data, start - 1, (3 * channels, 3))
+    else:
+        codes = np.frombuffer(data, dtype, n_frames * channels, start).reshape(n_frames, channels)
+
+    mono = np.empty(n_frames)
+    for first in range(0, n_frames, _BLOCK):
+        block = codes[first : first + _BLOCK]
+        out = mono[first : first + _BLOCK]
+        if scale is None:
+            if not np.isfinite(block).all():
+                raise NonFiniteSample("float32 data holds NaN or infinite samples")
+            wide = np.clip(block, -1.0, 1.0, dtype=np.float64)
+        else:
+            wide = (block >> 8 if bits == 24 else block).astype(np.float64)
+            if code_offset:
+                wide -= code_offset
+        if channels == 1:
+            out[:] = wide[:, 0]
+        else:
+            _mix_into(wide, out)
+        if scale is not None:
+            # codes are whole numbers, so scaling the mean by a power of two
+            # rounds it exactly as scaling every sample first would
+            out *= scale
+    return AudioBuffer(samples=mono, sample_rate=sample_rate)
 
 
 def encode_wav(buffer: AudioBuffer, encoding: str = "pcm16") -> bytearray:
@@ -262,20 +282,28 @@ def write_wav(path, buffer: AudioBuffer, encoding: str = "pcm16") -> None:
     Path(path).write_bytes(encode_wav(buffer, encoding))
 
 
+def _mix_into(frames: np.ndarray, out: np.ndarray) -> None:
+    """Write the per-frame arithmetic mean of the columns of ``frames`` to
+    ``out``: each frame's channels summed in order, starting from +0.0, then
+    divided by the channel count."""
+    columns = iter(frames.T)
+    np.add(next(columns), next(columns, 0.0), out=out)
+    for column in columns:
+        out += column
+    out += 0.0  # turns -0.0 into +0.0, as a sum started from +0.0 gives
+    out /= frames.shape[1]
+
+
 def to_mono(buffer: AudioBuffer) -> AudioBuffer:
     """Per-frame arithmetic mean of channels; mono input is returned unchanged.
 
     Each frame is the sequential sum of its channels in order, starting from
-    +0.0, divided by the channel count.
+    +0.0, divided by the channel count. ``decode_wav`` mixes by this rule.
     """
     if buffer.samples.ndim == 1:
         return buffer
-    columns = iter(buffer.samples.T)
-    mixed = next(columns) + next(columns, 0.0)
-    for column in columns:
-        mixed += column
-    mixed += 0.0  # turns -0.0 into +0.0, as a sum started from +0.0 gives
-    mixed /= buffer.n_channels
+    mixed = np.empty(buffer.n_frames)
+    _mix_into(buffer.samples, mixed)
     return AudioBuffer(
         samples=mixed,
         sample_rate=buffer.sample_rate,

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import parse_plan, read_wav, to_mono
+from .audio import parse_plan, read_wav
 from .bundle import ModelBundle
 from .catalog import load_manifest, parse_rasa
 from .errors import DataError, MoodkitError, ValidationError
@@ -235,7 +235,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_classify(args) -> int:
     bundle = ModelBundle.load(args.model)
-    vectors = song_features(to_mono(read_wav(args.wav)), bundle.plan, bundle.mfcc, partial=True)
+    vectors = song_features(read_wav(args.wav), bundle.plan, bundle.mfcc, partial=True)
     scores = bundle.predict_scores(vectors).mean(axis=0)
     classes = [str(c) for c in bundle.model.classes_]
     predicted = classes[int(np.argmax(scores))]

@@ -21,7 +21,7 @@ from typing import Annotated, Literal
 
 import numpy as np
 
-from .audio import DEFAULT_BI_SAMPLE_PLAN, AudioBuffer, SegmentPlan, bi_sample, read_wav, resample, to_mono
+from .audio import DEFAULT_BI_SAMPLE_PLAN, AudioBuffer, SegmentPlan, bi_sample, read_wav, resample
 from .base import CheckedFields, NonNegativeInt
 from .bundle import ModelBundle
 from .catalog import RASAS, FeatureScaler, ScalerKind, SongRecord, stratified_indices
@@ -277,10 +277,9 @@ def song_features(
     """Resample, cut and featurize one decoded mono song: one row of mean
     coefficients per cut of ``plan``, in plan order.
 
-    Callers mix a file down where they decode it, ``to_mono(read_wav(path))``,
-    so a multi-channel decode is gone before resampling. With ``partial``,
-    cuts that start past the end of the audio are left out instead of
-    failing; at least one must remain.
+    Callers pass ``read_wav(path)``, which decodes straight to the mono mix.
+    With ``partial``, cuts that start past the end of the audio are left out
+    instead of failing; at least one must remain.
     """
     buffer = resample(buffer, config.sample_rate)
     if partial:
@@ -298,7 +297,7 @@ def extract_song_rows(
 ) -> list:
     """Decode and featurize one song: ``(segment_id, rasa, values)`` triples,
     one per cut of the plan."""
-    rows = song_features(to_mono(read_wav(resolve_audio_path(record, base_dir))), plan, config)
+    rows = song_features(read_wav(resolve_audio_path(record, base_dir)), plan, config)
     return [(segment_id(record.id, i), record.rasa.value, row) for i, row in enumerate(rows)]
 
 

@@ -82,19 +82,22 @@ class FeatureVector:
 
 @dataclass(frozen=True)
 class MelFilterbank:
-    """Triangular filters: real-valued bin boundaries and an (M, N/2+1) weight matrix."""
+    """Triangular filters: real-valued bin boundaries, an (M, N/2+1) weight
+    matrix and, per filter, the ``(first, stop)`` bins outside which its
+    weights are zero."""
 
     boundaries: np.ndarray
     weights: np.ndarray
+    spans: tuple[tuple[int, int], ...]
 
 
 # --- power spectrum ----------------------------------------------------------
 
 def power_spectrum(spectrum) -> np.ndarray:
-    """|X[k]|^2 for k = 0..N/2 from a full-length spectrum."""
+    """|X[k]|^2 = re^2 + im^2 for k = 0..N/2 from a full-length spectrum."""
     arr = np.asarray(spectrum)
-    n = arr.shape[-1]
-    return np.abs(arr[..., : n // 2 + 1]) ** 2
+    half = arr[..., : arr.shape[-1] // 2 + 1]
+    return half.real**2 + half.imag**2
 
 
 # --- mel scale and filterbank -------------------------------------------------
@@ -148,18 +151,31 @@ def build_filterbank(config: MfccConfig) -> MelFilterbank:
     rising = (k - left) / (center - left)
     falling = (right - k) / (right - center)
     weights = np.maximum(0.0, np.minimum(rising, falling))
-    return MelFilterbank(boundaries=bounds, weights=weights)
+    spans = []
+    for row in weights:
+        support = np.flatnonzero(row)
+        spans.append((int(support[0]), int(support[-1]) + 1) if support.size else (0, 0))
+    return MelFilterbank(boundaries=bounds, weights=weights, spans=tuple(spans))
 
 
 def log_mel_energies(power, bank: MelFilterbank, log_floor: float = 1e-10) -> np.ndarray:
-    """S[m] = ln(max(sum_k power[k] * H[m, k], floor)) per filter."""
+    """S[m] = ln(max(sum_k power[k] * H[m, k], floor)) per filter.
+
+    Each filter's sum is one product over its own span of bins, so only
+    the nonzero weights are multiplied. A dense product over all bins is
+    rounded differently as BLAS splits it among threads; these per-filter
+    products give the same bits at any thread count.
+    """
     arr = np.asarray(power, dtype=np.float64)
     if arr.shape[-1] != bank.weights.shape[1]:
         raise LengthMismatch(
             f"power spectrum has {arr.shape[-1]} bins, filterbank expects {bank.weights.shape[1]}"
         )
-    energies = arr @ bank.weights.T
-    return np.log(np.maximum(energies, log_floor))
+    energies = np.empty((len(bank.spans),) + arr.shape[:-1])
+    for m, (first, stop) in enumerate(bank.spans):
+        np.matmul(arr[..., first:stop], bank.weights[m, first:stop], out=energies[m, ...])
+    np.maximum(energies, log_floor, out=energies)
+    return np.moveaxis(np.log(energies, out=energies), 0, -1)
 
 
 # --- cosine transform ---------------------------------------------------------
@@ -208,7 +224,9 @@ def mfcc_frames(segment: AudioBuffer, config: MfccConfig) -> np.ndarray:
     """Per-frame coefficients of a mono segment, shape (n_frames, n_coeffs).
 
     Frames start at hop-strided offsets; the trailing frames are zero-padded,
-    giving ceil(len / hop) frames in total.
+    giving ceil(len / hop) frames in total. Frames that lie wholly inside the
+    segment are read in place; only the trailing ones are copied into a short
+    zero-padded tail.
 
     Raises:
         EmptySegment: segment shorter than one hop.
@@ -219,22 +237,41 @@ def mfcc_frames(segment: AudioBuffer, config: MfccConfig) -> np.ndarray:
         raise ValidationError(
             f"segment rate {segment.sample_rate} != config rate {config.sample_rate}; resample first"
         )
-    signal = np.asarray(segment.samples, dtype=np.float64)
-    if len(signal) < config.hop:
-        raise EmptySegment(f"segment of {len(signal)} samples is shorter than one hop ({config.hop})")
+    # frames overlap, so each sample is read fft_size / hop times; a strided
+    # segment (a whole-ratio resample) is made contiguous once for all of them
+    signal = np.ascontiguousarray(segment.samples, dtype=np.float64)
+    n, hop, size = len(signal), config.hop, config.fft_size
+    if n < hop:
+        raise EmptySegment(f"segment of {n} samples is shorter than one hop ({hop})")
 
-    n_frames = -(-len(signal) // config.hop)
-    padded = np.zeros((n_frames - 1) * config.hop + config.fft_size)
-    padded[: len(signal)] = signal
-    frames = np.lib.stride_tricks.sliding_window_view(padded, config.fft_size)[:: config.hop]
+    n_frames = -(-n // hop)
+    frames_of = np.lib.stride_tricks.sliding_window_view
+    n_inner = (n - size) // hop + 1 if n >= size else 0
+    inner = frames_of(signal, size)[::hop] if n_inner else np.empty((0, size))
+    tail = np.zeros(max(n_frames - n_inner - 1, 0) * hop + size)
+    tail[: n - n_inner * hop] = signal[n_inner * hop :]
+    tail_frames = frames_of(tail, size)[::hop]
 
     window, bank = _frame_constants(config)
+    rows = min(n_frames, _CHUNK_FRAMES)
+    windowed = np.empty((rows, size))
+    spectrum = np.empty((rows, size // 2 + 1), dtype=np.complex128)
+    power = np.empty((rows, size // 2 + 1))
 
     out = np.empty((n_frames, config.n_coeffs))
     for start in range(0, n_frames, _CHUNK_FRAMES):
-        power = np.abs(np.fft.rfft(frames[start : start + _CHUNK_FRAMES] * window)) ** 2
-        energies = log_mel_energies(power, bank, config.log_floor)
-        out[start : start + _CHUNK_FRAMES] = dct_ii(energies, config.n_coeffs)
+        stop = min(start + _CHUNK_FRAMES, n_frames)
+        count = stop - start
+        split = min(max(n_inner, start), stop)  # the chunk's first tail frame
+        np.multiply(inner[start:split], window, out=windowed[: split - start])
+        np.multiply(tail_frames[split - n_inner : stop - n_inner], window,
+                    out=windowed[split - start : count])
+        # |X|^2 as re^2 + im^2, squared in place on the spectrum's float view
+        parts = np.fft.rfft(windowed[:count], out=spectrum[:count]).view(np.float64)
+        np.square(parts, out=parts)
+        np.add(parts[:, 0::2], parts[:, 1::2], out=power[:count])
+        energies = log_mel_energies(power[:count], bank, config.log_floor)
+        out[start:stop] = dct_ii(energies, config.n_coeffs)
     return out
 
 

@@ -31,6 +31,18 @@ from raga_moodkit.errors import (
 )
 
 
+def mono_reference(samples: np.ndarray) -> np.ndarray:
+    """The mono mix of an ``(n, channels)`` array, written out: per frame the
+    channels summed in order from +0.0, then divided by the channel count;
+    one channel is returned as it is."""
+    if samples.shape[1] == 1:
+        return samples[:, 0]
+    total = np.zeros(len(samples))
+    for column in samples.T:
+        total = total + column
+    return total / samples.shape[1]
+
+
 def reference_wav_bytes(samples_int16, sample_rate, channels=1):
     """Write 16-bit PCM through the stdlib writer (independent of our codec)."""
     payload = io.BytesIO()
@@ -66,15 +78,16 @@ class TestDecode:
     def test_stereo_roundtrip_sample_exact(self):
         # stereo with extreme codes on both channels, via the reference writer
         rng = np.random.default_rng(1)
-        left = np.concatenate([[32767], rng.integers(-32768, 32768, 50)])
-        right = np.concatenate([[-32768], rng.integers(-32768, 32768, 50)])
+        left = np.concatenate([[32767, -32768, 1], rng.integers(-32768, 32768, 50)])
+        right = np.concatenate([[-32768, -32768, -1], rng.integers(-32768, 32768, 50)])
         interleaved = np.empty(2 * len(left), dtype=np.int64)
         interleaved[0::2] = left
         interleaved[1::2] = right
         buffer = decode_wav(reference_wav_bytes(interleaved, 44100, channels=2))
-        assert buffer.n_channels == 2
-        np.testing.assert_array_equal(buffer.samples[:, 0], left / 32768.0)
-        np.testing.assert_array_equal(buffer.samples[:, 1], right / 32768.0)
+        assert buffer.sample_rate == 44100 and buffer.samples.shape == (len(left),)
+        expected = mono_reference(np.stack([left, right], axis=1) / 32768.0)
+        assert expected[:3].tolist() == [-1.52587890625e-05, -1.0, 0.0]
+        assert buffer.samples.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
     def test_own_writer_roundtrip_pcm16(self):
         rng = np.random.default_rng(2)
@@ -159,10 +172,11 @@ class TestPcm24Edges:
     def test_random_stereo_matches_widening_formula(self):
         frames = np.random.default_rng(4).integers(0, 256, 3 * 2 * 500, dtype=np.uint8).tobytes()
         fmt = struct.pack("<HHIIHH", 1, 2, 8000, 48000, 6, 24)
+        expected = mono_reference(self.int64_reference(frames).reshape(-1, 2))
         # an odd trailing byte is not a sample; a lone trailing sample is not a frame
         for tail in (b"", b"\x5a", b"\x01\x80\xff\xa5"):
             decoded = decode_wav(wav_with(fmt, frames + tail)).samples
-            np.testing.assert_array_equal(decoded, self.int64_reference(frames).reshape(-1, 2))
+            np.testing.assert_array_equal(decoded.view(np.int64), expected.view(np.int64))
 
     def test_encoder_writes_the_rounded_clipped_codes(self):
         samples = np.concatenate([
@@ -225,6 +239,101 @@ def test_pcm16_trailing_odd_byte_dropped():
     fmt = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)
     decoded = decode_wav(wav_with(fmt, struct.pack("<hh", 16384, -16384) + b"\x01"))
     np.testing.assert_array_equal(decoded.samples, [0.5, -0.5])
+
+
+#: (format tag, bits, sample dtype) of every encoding ``decode_wav`` reads
+ENCODINGS = {
+    "pcm8": (1, 8, "u1"),
+    "pcm16": (1, 16, "<i2"),
+    "pcm24": (1, 24, None),
+    "pcm32": (1, 32, "<i4"),
+    "float32": (3, 32, "<f4"),
+}
+
+
+def random_payload(encoding: str, n_frames: int, channels: int, seed: int):
+    """(data chunk payload, its samples as an ``(n, channels)`` float64 array),
+    the samples widened from the stored codes by each codec's own formula."""
+    tag, bits, dtype = ENCODINGS[encoding]
+    rng = np.random.default_rng(seed)
+    count = n_frames * channels
+    if encoding == "float32":
+        # magnitudes 40 octaves apart, so the sums round and their order shows
+        values = (rng.uniform(-1.5, 1.5, count) * 2.0 ** -rng.integers(0, 40, count)).astype("<f4")
+        specials = np.array([-0.0, 0.0, -1.0, 1.0, 3e38, -3e38, 2.0**-126], dtype="<f4")
+        at = rng.random(count) < 0.2
+        values[at] = rng.choice(specials, int(at.sum()))
+        samples = np.clip(values.astype(np.float64), -1.0, 1.0)
+        payload = values.tobytes()
+    else:
+        full_scale = 2 ** (bits - 1)
+        codes = rng.integers(-full_scale, full_scale, count)
+        codes[: min(count, 4)] = [-full_scale, full_scale - 1, 0, -1][: min(count, 4)]
+        if bits == 8:
+            payload = (codes + 128).astype(np.uint8).tobytes()  # unsigned, offset by 128
+        elif bits == 24:
+            payload = b"".join(int(c).to_bytes(3, "little", signed=True) for c in codes)
+        else:
+            payload = codes.astype(dtype).tobytes()
+        samples = codes / float(full_scale)
+    return payload, samples.reshape(n_frames, channels)
+
+
+def fmt_chunk(encoding: str, channels: int, rate: int = 44100) -> bytes:
+    tag, bits, _ = ENCODINGS[encoding]
+    align = channels * bits // 8
+    return struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, bits)
+
+
+class TestMonoDecode:
+    """``decode_wav`` gives the mono mix bit for bit as ``to_mono``'s rule
+    mixes the widened samples, across block edges and trailing bytes."""
+
+    @pytest.mark.parametrize("encoding", list(ENCODINGS))
+    # past 8 channels numpy's own sums pair their terms, so the order shows
+    @pytest.mark.parametrize("channels", [1, 2, 3, 6, 11])
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_bitwise_equal_to_the_mix_of_the_samples(self, encoding, channels, n):
+        payload, samples = random_payload(encoding, n, channels, seed=n * channels)
+        expected = mono_reference(samples)
+        width = ENCODINGS[encoding][1] // 8
+        # a trailing byte, or a frame short of one byte, is not a frame
+        for tail in {b"", b"\x7f"[: width * channels - 1], bytes(range(1, width * channels))}:
+            decoded = decode_wav(wav_with(fmt_chunk(encoding, channels), payload + tail))
+            assert decoded.sample_rate == 44100 and decoded.samples.shape == (n,)
+            np.testing.assert_array_equal(decoded.samples.view(np.int64), expected.view(np.int64))
+            np.testing.assert_array_equal(
+                decoded.samples, to_mono(AudioBuffer(samples=samples, sample_rate=44100)).samples
+                if channels > 1 else samples[:, 0])
+
+    def test_payload_shorter_than_a_frame_is_empty(self):
+        decoded = decode_wav(wav_with(fmt_chunk("pcm24", 6), bytes(17)))
+        assert decoded.samples.shape == (0,)
+
+    @pytest.mark.parametrize("width", [1, 4])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_pcm8_and_pcm32_read_as_stdlib_wave_writes_them(self, width, channels):
+        rng = np.random.default_rng(width + channels)
+        n = 1000
+        if width == 1:
+            codes = rng.integers(0, 256, n * channels).astype(np.uint8)
+            codes[:2] = [0, 255]
+            widened = (codes.astype(np.float64) - 128.0) / 128.0
+        else:
+            codes = rng.integers(-(2**31), 2**31, n * channels).astype("<i4")
+            codes[:2] = [-(2**31), 2**31 - 1]
+            widened = codes / 2.0**31
+        payload = io.BytesIO()
+        with wave.open(payload, "wb") as handle:
+            handle.setnchannels(channels)
+            handle.setsampwidth(width)
+            handle.setframerate(16000)
+            handle.writeframes(codes.tobytes())
+        decoded = decode_wav(payload.getvalue())
+        assert decoded.sample_rate == 16000
+        expected = mono_reference(widened.reshape(n, channels))
+        np.testing.assert_array_equal(decoded.samples.view(np.int64), expected.view(np.int64))
+        assert decoded.samples.min() >= -1.0 and decoded.samples.max() < 1.0
 
 
 class TestMono:
@@ -543,4 +652,13 @@ class TestBlockKernels:
         samples = awkward_signal(48000 * 60, 2)
         buffer = AudioBuffer(samples=samples, sample_rate=48000)
         out, peak = traced_peak(lambda: resample(buffer, 22050))
+        assert peak <= out.samples.nbytes + 4 * MB, f"{peak / MB:.1f} MB for {out.samples.nbytes / MB:.1f} MB"
+
+    def test_decode_holds_little_more_than_its_mono_output(self):
+        # 20 s of 44.1 kHz stereo PCM24: the mix is written block by block
+        # into its output, so no stereo array of the whole signal is built
+        samples = awkward_signal(2 * 882000, 3).reshape(-1, 2)
+        data = bytes(encode_wav(AudioBuffer(samples=samples, sample_rate=44100), "pcm24"))
+        out, peak = traced_peak(lambda: decode_wav(data))
+        assert out.samples.shape == (882000,)
         assert peak <= out.samples.nbytes + 4 * MB, f"{peak / MB:.1f} MB for {out.samples.nbytes / MB:.1f} MB"

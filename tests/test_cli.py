@@ -1,11 +1,14 @@
 """End-to-end command-line tests on the small session corpus."""
 import json
-import weakref
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from raga_moodkit import audio, experiments
+from raga_moodkit import audio
 from raga_moodkit.audio import AudioBuffer, write_wav
 from raga_moodkit.bundle import ModelBundle
 from raga_moodkit.catalog import FeatureScaler, Rasa, load_manifest
@@ -183,40 +186,35 @@ class TestExtract:
         assert len(read_store("features.csv")) == len(small_corpus.records)
 
 
-class TestDecodedAudio:
-    """A multi-channel file is mixed down where it is decoded, so its full
-    decode is gone before resampling starts."""
+class TestBlasThreads:
+    """Features do not depend on how many threads BLAS runs."""
 
-    @pytest.mark.parametrize("command", ["extract", "classify"])
-    def test_decode_is_freed_before_resampling(self, command, trained, tmp_path, monkeypatch, capsys):
-        left = synth_signal(DEFAULT_RECIPES[Rasa.KARUNA], 21.0, 48000, np.random.default_rng(1))
-        wav = tmp_path / "stereo.wav"
-        write_wav(wav, AudioBuffer(samples=np.stack([left, 0.5 * left], axis=1), sample_rate=48000))
-        manifest = tmp_path / "manifest.csv"
-        manifest.write_text("id,path,title,raga,language,genre\n"
-                            "stereo,stereo.wav,Stereo,Mohana,Instrumental,Indian Classical\n")
-
-        decoded, alive_at_resample = [], []
-        real_decode, real_resample = audio.decode_wav, experiments.resample
-
-        def decode_spy(data):
-            buffer = real_decode(data)
-            decoded.append((weakref.ref(buffer.samples), weakref.ref(buffer.samples.base)))
-            return buffer
-
-        def resample_spy(buffer, target_rate):
-            alive_at_resample.extend(ref() is not None for pair in decoded for ref in pair)
-            return real_resample(buffer, target_rate)
-
-        monkeypatch.setattr(audio, "decode_wav", decode_spy)
-        monkeypatch.setattr(experiments, "resample", resample_spy)
-        argv = {
-            "extract": ["extract", "--manifest", str(manifest), "--out", str(tmp_path / "f.csv")],
-            "classify": ["classify", "--model", str(trained), "--wav", str(wav)],
-        }[command]
-        assert main(argv) == 0
-        assert len(decoded) == 1
-        assert alive_at_resample == [False, False]
+    def test_store_is_byte_equal_at_one_two_and_four_threads(self, tmp_path):
+        left = synth_signal(DEFAULT_RECIPES[Rasa.KARUNA], 24.0, 44100, np.random.default_rng(1))
+        right = np.clip(0.8 * left + 0.01 * np.sin(np.arange(len(left)) / 7.0), -1.0, 1.0)
+        write_wav(tmp_path / "stereo.wav",
+                  AudioBuffer(samples=np.stack([left, right], axis=1), sample_rate=44100), "pcm24")
+        (tmp_path / "manifest.csv").write_text(
+            "id,path,title,raga,language,genre\n"
+            "stereo,stereo.wav,Stereo,Mohana,Instrumental,Indian Classical\n")
+        src = Path(audio.__file__).resolve().parents[1]
+        stores = []
+        for threads in ("1", "2", "4"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+            workdir = tmp_path / threads
+            workdir.mkdir()
+            done = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from raga_moodkit.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "extract", "--manifest", str(tmp_path / "manifest.csv"), "--out", "features.csv",
+                 "--plan", "0:12,12:12"],
+                cwd=workdir, env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            store = workdir / "features.csv"
+            stores.append((store.read_bytes(), sidecar_path(store).read_bytes()))
+        assert len(read_store(tmp_path / "1" / "features.csv")) == 2
+        assert stores[1] == stores[0] and stores[2] == stores[0]
 
 
 class TestTrainEvaluate:

@@ -200,6 +200,32 @@ class TestFilterbank:
         assert bank.weights[m - 1, k] == pytest.approx(expected, rel=1e-12)
 
 
+class TestFilterSpans:
+    @pytest.mark.parametrize("config", [MfccConfig(), MfccConfig(fft_size=512, hop=128, n_filters=26,
+                                                                 n_coeffs=13, f_low=300.0, f_high=8000.0)])
+    def test_span_bounds_each_filters_nonzero_weights(self, config):
+        bank = build_filterbank(config)
+        assert len(bank.spans) == config.n_filters
+        for row, (first, stop) in zip(bank.weights, bank.spans):
+            assert 0 <= first < stop <= len(row)
+            assert row[first] > 0 and row[stop - 1] > 0
+            assert not row[:first].any() and not row[stop:].any()
+
+    def test_default_bank_is_sparse(self):
+        spans = build_filterbank(MfccConfig()).spans
+        assert max(stop - first for first, stop in spans) == 139
+        assert sum(stop - first for first, stop in spans) == 1970
+
+    def test_filter_without_a_bin_has_an_empty_span(self):
+        # at 32 filters over 64 bins the lowest filters fall between bins
+        config = MfccConfig(fft_size=128, hop=64, n_filters=32, n_coeffs=13)
+        bank = build_filterbank(config)
+        empty = [m for m, (first, stop) in enumerate(bank.spans) if first == stop]
+        assert empty and not bank.weights[empty].any()
+        energies = log_mel_energies(np.ones(65), bank, config.log_floor)
+        assert np.all(energies[empty] == math.log(config.log_floor))
+
+
 class TestLogMelEnergies:
     def test_zero_power_hits_floor(self):
         config = MfccConfig()
@@ -231,6 +257,17 @@ class TestLogMelEnergies:
         bank = build_filterbank(MfccConfig())
         with pytest.raises(LengthMismatch):
             log_mel_energies(np.ones(10), bank)
+
+    def test_batched_power_matches_dense_product(self):
+        config = MfccConfig()
+        bank = build_filterbank(config)
+        power = np.random.default_rng(14).random((3, 5, 1025)) ** 4
+        dense = np.log(np.maximum(power @ bank.weights.T, config.log_floor))
+        energies = log_mel_energies(power, bank, config.log_floor)
+        assert energies.shape == (3, 5, 40)
+        np.testing.assert_allclose(energies, dense, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(log_mel_energies(power[1, 2], bank, config.log_floor), dense[1, 2],
+                                   rtol=0, atol=1e-13)
 
 
 class TestDct:
@@ -319,6 +356,73 @@ class TestFrames:
         assert peaks[0] < peaks[1] < peaks[2]
 
 
+def mfcc_frames_dense(segment: AudioBuffer, config: MfccConfig) -> np.ndarray:
+    """``mfcc_frames`` as it stood before the per-filter mel product, copied
+    verbatim with the stages it called: the power as ``|X|**2``, one dense
+    product against the whole weight matrix, and every segment copied into a
+    zero-padded buffer. The dense product rounds differently as BLAS splits
+    it among threads."""
+    if segment.samples.ndim != 1:
+        raise ValidationError("mfcc_frames expects mono audio; call to_mono first")
+    if segment.sample_rate != config.sample_rate:
+        raise ValidationError(
+            f"segment rate {segment.sample_rate} != config rate {config.sample_rate}; resample first"
+        )
+    signal = np.asarray(segment.samples, dtype=np.float64)
+    if len(signal) < config.hop:
+        raise EmptySegment(f"segment of {len(signal)} samples is shorter than one hop ({config.hop})")
+
+    n_frames = -(-len(signal) // config.hop)
+    padded = np.zeros((n_frames - 1) * config.hop + config.fft_size)
+    padded[: len(signal)] = signal
+    frames = np.lib.stride_tricks.sliding_window_view(padded, config.fft_size)[:: config.hop]
+
+    window, bank = _frame_constants(config)
+
+    out = np.empty((n_frames, config.n_coeffs))
+    for start in range(0, n_frames, _CHUNK_FRAMES):
+        power = np.abs(np.fft.rfft(frames[start : start + _CHUNK_FRAMES] * window)) ** 2
+        energies = np.log(np.maximum(power @ bank.weights.T, config.log_floor))
+        out[start : start + _CHUNK_FRAMES] = dct_ii(energies, config.n_coeffs)
+    return out
+
+
+#: Largest per-frame coefficient change allowed against ``mfcc_frames_dense``:
+#: the per-filter product and re^2 + im^2 round differently, at about 1e-14.
+DENSE_TOLERANCE = 1e-12
+
+
+class TestAgainstDenseProduct:
+    @pytest.mark.parametrize("n", [512, 700, 2047, 2048, 2049, _CHUNK_FRAMES * 512 + 1535,
+                                   _CHUNK_FRAMES * 512 + 1536, 3 * _CHUNK_FRAMES * 512 + 9])
+    def test_frames_within_tolerance(self, n):
+        rng = np.random.default_rng(n)
+        t = np.arange(n) / 22050
+        samples = 0.4 * np.sin(2 * np.pi * 440.0 * t) + 0.05 * rng.standard_normal(n)
+        samples[: n // 5] = 0.0  # silence reaches the log floor
+        segment = AudioBuffer(samples=samples, sample_rate=22050)
+        ours, dense = mfcc_frames(segment, MfccConfig()), mfcc_frames_dense(segment, MfccConfig())
+        assert ours.shape == dense.shape == (-(-n // 512), 40)
+        assert np.max(np.abs(ours - dense)) <= DENSE_TOLERANCE
+
+    def test_strided_segment_within_tolerance(self):
+        # a whole-ratio resample is a strided view; it is framed like a copy
+        rng = np.random.default_rng(4)
+        wide = rng.uniform(-0.5, 0.5, 2 * 40000)
+        segment = AudioBuffer(samples=wide[::2], sample_rate=22050)
+        copy = AudioBuffer(samples=wide[::2].copy(), sample_rate=22050)
+        ours = mfcc_frames(segment, MfccConfig())
+        assert np.array_equal(ours, mfcc_frames(copy, MfccConfig()))
+        assert np.max(np.abs(ours - mfcc_frames_dense(segment, MfccConfig()))) <= DENSE_TOLERANCE
+
+    def test_other_config_within_tolerance(self):
+        config = MfccConfig(fft_size=512, hop=128, n_filters=26, n_coeffs=13, sample_rate=16000,
+                            f_low=100.0, f_high=7000.0)
+        segment = AudioBuffer(samples=np.random.default_rng(9).uniform(-1, 1, 50000), sample_rate=16000)
+        diff = mfcc_frames(segment, config) - mfcc_frames_dense(segment, config)
+        assert np.max(np.abs(diff)) <= DENSE_TOLERANCE
+
+
 class TestFrameConstants:
     def test_cached_arrays_are_read_only(self):
         window, bank = _frame_constants(MfccConfig())
@@ -332,6 +436,7 @@ class TestFrameConstants:
         fresh = build_filterbank(config)
         assert np.array_equal(bank.weights, fresh.weights)
         assert np.array_equal(bank.boundaries, fresh.boundaries)
+        assert bank.spans == fresh.spans
         assert np.array_equal(window, 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(512) / 511))
 
     def test_alternating_configs_match_fresh_computation(self):
