@@ -94,10 +94,14 @@ class MelFilterbank:
 # --- power spectrum ----------------------------------------------------------
 
 def power_spectrum(spectrum) -> np.ndarray:
-    """|X[k]|^2 = re^2 + im^2 for k = 0..N/2 from a full-length spectrum."""
+    """|X[k]|^2 for k = 0..N/2 from a full-length spectrum."""
     arr = np.asarray(spectrum)
-    half = arr[..., : arr.shape[-1] // 2 + 1]
-    return half.real**2 + half.imag**2
+    return _squared_magnitude(arr[..., : arr.shape[-1] // 2 + 1])
+
+
+def _squared_magnitude(bins) -> np.ndarray:
+    """re^2 + im^2 per bin; ``mfcc_frames`` applies it to the real FFT's bins."""
+    return bins.real**2 + bins.imag**2
 
 
 # --- mel scale and filterbank -------------------------------------------------
@@ -162,9 +166,11 @@ def log_mel_energies(power, bank: MelFilterbank, log_floor: float = 1e-10) -> np
     """S[m] = ln(max(sum_k power[k] * H[m, k], floor)) per filter.
 
     Each filter's sum is one product over its own span of bins, so only
-    the nonzero weights are multiplied. A dense product over all bins is
-    rounded differently as BLAS splits it among threads; these per-filter
-    products give the same bits at any thread count.
+    the nonzero weights are multiplied. A dense product over all bins
+    rounds differently as OpenBLAS splits it among one or two threads;
+    these per-filter products give the same store at the thread counts
+    ``tests/test_cli.py::TestBlasThreads`` runs (``OPENBLAS_NUM_THREADS``
+    1, 2 and 4, which OpenBLAS caps at the core count).
     """
     arr = np.asarray(power, dtype=np.float64)
     if arr.shape[-1] != bank.weights.shape[1]:
@@ -224,9 +230,7 @@ def mfcc_frames(segment: AudioBuffer, config: MfccConfig) -> np.ndarray:
     """Per-frame coefficients of a mono segment, shape (n_frames, n_coeffs).
 
     Frames start at hop-strided offsets; the trailing frames are zero-padded,
-    giving ceil(len / hop) frames in total. Frames that lie wholly inside the
-    segment are read in place; only the trailing ones are copied into a short
-    zero-padded tail.
+    giving ceil(len / hop) frames in total.
 
     Raises:
         EmptySegment: segment shorter than one hop.
@@ -237,41 +241,22 @@ def mfcc_frames(segment: AudioBuffer, config: MfccConfig) -> np.ndarray:
         raise ValidationError(
             f"segment rate {segment.sample_rate} != config rate {config.sample_rate}; resample first"
         )
-    # frames overlap, so each sample is read fft_size / hop times; a strided
-    # segment (a whole-ratio resample) is made contiguous once for all of them
-    signal = np.ascontiguousarray(segment.samples, dtype=np.float64)
-    n, hop, size = len(signal), config.hop, config.fft_size
-    if n < hop:
-        raise EmptySegment(f"segment of {n} samples is shorter than one hop ({hop})")
+    signal = np.asarray(segment.samples, dtype=np.float64)
+    if len(signal) < config.hop:
+        raise EmptySegment(f"segment of {len(signal)} samples is shorter than one hop ({config.hop})")
 
-    n_frames = -(-n // hop)
-    frames_of = np.lib.stride_tricks.sliding_window_view
-    n_inner = (n - size) // hop + 1 if n >= size else 0
-    inner = frames_of(signal, size)[::hop] if n_inner else np.empty((0, size))
-    tail = np.zeros(max(n_frames - n_inner - 1, 0) * hop + size)
-    tail[: n - n_inner * hop] = signal[n_inner * hop :]
-    tail_frames = frames_of(tail, size)[::hop]
+    n_frames = -(-len(signal) // config.hop)
+    padded = np.zeros((n_frames - 1) * config.hop + config.fft_size)
+    padded[: len(signal)] = signal
+    frames = np.lib.stride_tricks.sliding_window_view(padded, config.fft_size)[:: config.hop]
 
     window, bank = _frame_constants(config)
-    rows = min(n_frames, _CHUNK_FRAMES)
-    windowed = np.empty((rows, size))
-    spectrum = np.empty((rows, size // 2 + 1), dtype=np.complex128)
-    power = np.empty((rows, size // 2 + 1))
 
     out = np.empty((n_frames, config.n_coeffs))
     for start in range(0, n_frames, _CHUNK_FRAMES):
-        stop = min(start + _CHUNK_FRAMES, n_frames)
-        count = stop - start
-        split = min(max(n_inner, start), stop)  # the chunk's first tail frame
-        np.multiply(inner[start:split], window, out=windowed[: split - start])
-        np.multiply(tail_frames[split - n_inner : stop - n_inner], window,
-                    out=windowed[split - start : count])
-        # |X|^2 as re^2 + im^2, squared in place on the spectrum's float view
-        parts = np.fft.rfft(windowed[:count], out=spectrum[:count]).view(np.float64)
-        np.square(parts, out=parts)
-        np.add(parts[:, 0::2], parts[:, 1::2], out=power[:count])
-        energies = log_mel_energies(power[:count], bank, config.log_floor)
-        out[start:stop] = dct_ii(energies, config.n_coeffs)
+        power = _squared_magnitude(np.fft.rfft(frames[start : start + _CHUNK_FRAMES] * window))
+        energies = log_mel_energies(power, bank, config.log_floor)
+        out[start : start + _CHUNK_FRAMES] = dct_ii(energies, config.n_coeffs)
     return out
 
 

@@ -358,10 +358,9 @@ class TestFrames:
 
 def mfcc_frames_dense(segment: AudioBuffer, config: MfccConfig) -> np.ndarray:
     """``mfcc_frames`` as it stood before the per-filter mel product, copied
-    verbatim with the stages it called: the power as ``|X|**2``, one dense
-    product against the whole weight matrix, and every segment copied into a
-    zero-padded buffer. The dense product rounds differently as BLAS splits
-    it among threads."""
+    verbatim with the stages it called: the power as ``|X|**2`` and one dense
+    product against the whole weight matrix. The dense product rounds
+    differently as BLAS splits it among threads."""
     if segment.samples.ndim != 1:
         raise ValidationError("mfcc_frames expects mono audio; call to_mono first")
     if segment.sample_rate != config.sample_rate:
