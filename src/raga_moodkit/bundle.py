@@ -10,12 +10,17 @@ import numpy as np
 
 from .audio import SegmentPlan
 from .catalog import FeatureScaler
-from .errors import CorruptArtifact, ScalerMismatch, ValidationError
+from .errors import MALFORMED_CONTENT, CorruptArtifact, ScalerMismatch, ValidationError
 from .mfcc import MfccConfig
 from .models.base import BaseClassifier
 from .models.serialize import from_envelope, to_envelope
 
 BUNDLE_FORMAT_VERSION = 1
+
+#: Rows per scoring call in ``ModelBundle.predict_scores``; bounds the scaled
+#: copy and the model's per-row temporaries (an SVM's kernel rows, a kNN's
+#: distance rows) whatever the height of the table.
+_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -53,14 +58,27 @@ class ModelBundle:
                 f"features cut by segment plan {table.plan.describe()}; the model's is {self.plan.describe()}"
             )
 
-    def transform(self, X) -> np.ndarray:
-        return self.scaler.transform(X) if self.scaler is not None else np.asarray(X, dtype=np.float64)
-
     def predict_scores(self, X) -> np.ndarray:
-        return self.model.predict_scores(self.transform(X))
+        """Class scores per row, ``_BLOCK_ROWS`` rows per call; each block is
+        checked and scaled on its own. A table of at most one block is one
+        call. A taller table's last block is its last ``_BLOCK_ROWS`` rows, so
+        every call scores a full block and no short remainder goes down
+        another BLAS path."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or len(X) <= _BLOCK_ROWS:
+            return self._score_block(X)
+        scores = np.empty((len(X), len(self.model.classes_)))
+        for start in range(0, len(X), _BLOCK_ROWS):
+            start = min(start, len(X) - _BLOCK_ROWS)
+            scores[start : start + _BLOCK_ROWS] = self._score_block(X[start : start + _BLOCK_ROWS])
+        return scores
 
     def predict(self, X) -> np.ndarray:
-        return self.model.predict(self.transform(X))
+        """The argmax of ``predict_scores``, ties to the earliest class."""
+        return self.model.classes_[np.argmax(self.predict_scores(X), axis=1)]
+
+    def _score_block(self, X) -> np.ndarray:
+        return self.model.predict_scores(self.scaler.transform(X) if self.scaler is not None else X)
 
     def to_dict(self) -> dict:
         return {
@@ -114,5 +132,5 @@ class ModelBundle:
     def load(cls, path) -> "ModelBundle":
         try:
             return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-        except (AttributeError, LookupError, TypeError, ValueError, ValidationError) as exc:
+        except (*MALFORMED_CONTENT, ValidationError) as exc:
             raise CorruptArtifact(f"bundle {Path(path).name} is corrupt: {exc!r}") from exc

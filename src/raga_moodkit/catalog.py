@@ -195,6 +195,10 @@ def load_manifest(path) -> list[SongRecord]:
         raise DataError(f"{path.name}:{line}: not UTF-8 text ({exc.reason})") from exc
     with io.StringIO(text, newline="") as handle:
         reader = csv.DictReader(handle)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:  # a field past the csv module's size limit, say
+            raise DataError(f"{path.name}:{reader.line_num}: not CSV text ({exc})") from exc
         if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_FIELDS:
             raise ValidationError(
                 f"manifest header must be {','.join(MANIFEST_FIELDS)}, "
@@ -202,7 +206,7 @@ def load_manifest(path) -> list[SongRecord]:
             )
         records: list[SongRecord] = []
         seen: set[str] = set()
-        for line, row in enumerate(reader, start=2):
+        for line, row in enumerate(rows, start=2):
             song_id = (row["id"] or "").strip()
             if not song_id:
                 raise ValidationError(f"{path.name}:{line}: empty id")

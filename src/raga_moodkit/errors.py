@@ -120,5 +120,12 @@ class CorruptArtifact(DataError):
     """A feature store or model bundle file cannot be parsed."""
 
 
+#: What decoding a corrupt file's parsed content can raise before a check
+#: names the fault: among others, a JSON integer too large for ``float``
+#: overflows and deeply nested JSON exhausts the recursion limit. The readers
+#: report these as ``CorruptArtifact``.
+MALFORMED_CONTENT = (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError, ValueError)
+
+
 class ScalerMismatch(DataError):
     """Feature configuration differs between model and feature rows."""

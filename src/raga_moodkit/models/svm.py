@@ -51,7 +51,11 @@ class BinarySvmModel:
     converged: bool | None = None
 
     def decision_function(self, X) -> np.ndarray:
-        X = as_float_matrix(X)
+        return self._decision_values(as_float_matrix(X))
+
+    def _decision_values(self, X: np.ndarray) -> np.ndarray:
+        """``decision_function`` on rows already checked to be a finite
+        float64 matrix."""
         if len(self.support_vectors) == 0:
             return np.full(X.shape[0], self.bias)
         k = rbf_kernel_matrix(X, self.support_vectors, self.gamma)
@@ -314,7 +318,7 @@ class RbfSvmClassifier(BaseClassifier):
         votes = np.zeros((X.shape[0], n_classes))
         decision_sums = np.zeros((X.shape[0], n_classes))
         for (a, b), model in self.pair_models_.items():
-            values = model.decision_function(X)
+            values = model._decision_values(X)
             wins_a = values >= 0.0
             votes[:, a] += wins_a
             votes[:, b] += ~wins_a

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import SegmentPlan
-from .errors import CorruptArtifact, ValidationError
+from .errors import MALFORMED_CONTENT, CorruptArtifact, ValidationError
 from .mfcc import MfccConfig
 
 STORE_FORMAT_VERSION = 1
@@ -129,7 +129,7 @@ def read_store(path) -> FeatureTable:
     except UnicodeDecodeError as exc:
         # the files are decoded in blocks, so the failing line is not known here
         raise CorruptArtifact(f"{path.name} or its sidecar is not UTF-8 text ({exc.reason})") from exc
-    except (AttributeError, LookupError, TypeError, ValueError, ValidationError) as exc:
+    except (*MALFORMED_CONTENT, csv.Error, ValidationError) as exc:
         raise CorruptArtifact(f"store {path.name} is corrupt: {exc!r}") from exc
 
 

@@ -1,15 +1,24 @@
-"""Property tests of the WAV codec: whatever bytes ``decode_wav`` is given, it
+"""Property tests of the readers. Whatever bytes ``decode_wav`` is given, it
 returns mono audio or raises a ``MoodkitError``, and an encoded mono signal
-decodes to its quantized samples."""
+decodes to its quantized samples. ``read_store`` (CSV and sidecar),
+``load_manifest`` and ``ModelBundle.load`` likewise read arbitrary or mutated
+files, or raise a ``MoodkitError``."""
+import json
 import struct
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from raga_moodkit.audio import AudioBuffer, decode_wav, encode_wav
+from raga_moodkit.audio import DEFAULT_BI_SAMPLE_PLAN, AudioBuffer, decode_wav, encode_wav
+from raga_moodkit.bundle import ModelBundle
+from raga_moodkit.catalog import MANIFEST_FIELDS, FeatureScaler, load_manifest
 from raga_moodkit.errors import MoodkitError
+from raga_moodkit.mfcc import MfccConfig
+from raga_moodkit.models import RbfSvmClassifier
+from raga_moodkit.store import FeatureTable, read_store, sidecar_path, write_store
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -95,3 +104,172 @@ def test_encoded_mono_decodes_to_its_quantized_samples(samples, encoding, rate):
         codes = np.clip(np.rint(samples * full_scale), -full_scale, full_scale - 1).astype(np.int64)
         expected = codes / full_scale
     np.testing.assert_array_equal(decoded.samples.view(np.int64), expected.view(np.int64))
+
+
+# --- feature stores, manifests and model bundles ------------------------------------
+
+@st.composite
+def mutated_bytes(draw, data: bytes):
+    """``data`` with up to four bytes overwritten, inserted or deleted, then
+    perhaps cut short."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["overwrite", "insert", "delete"]))
+        if kind == "insert":
+            data[at:at] = draw(st.binary(min_size=1, max_size=3))
+        elif at < len(data):
+            data[at : at + 1] = b"" if kind == "delete" else bytes([draw(st.integers(0, 255))])
+    cut = draw(st.integers(0, len(data)))
+    return bytes(data[:cut] if draw(st.booleans()) else data)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([10**400, -(10**400), 2**63, -1, 0]),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def json_paths(node, prefix=()):
+    """The key path of every value in a parsed JSON document, the root too."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from json_paths(child, prefix + (key,))
+
+
+def parent_of(document, path: tuple):
+    """The list or object that holds the value at ``path``."""
+    for key in path[:-1]:
+        document = document[key]
+    return document
+
+
+@st.composite
+def mutated_json(draw, data: bytes):
+    """``data``, a JSON document, with one value replaced by an arbitrary one
+    (huge integers, NaN and infinity included) or one key dropped."""
+    document = json.loads(data)
+    path = draw(st.sampled_from(sorted(json_paths(document), key=repr)))
+    if not path:
+        return json.dumps(draw(json_values)).encode()
+    parent = parent_of(document, path)
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(json_values)
+    return json.dumps(document).encode()
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """A folder holding a small valid store with its sidecar, a manifest and
+    a bundle, and the bytes of each; ``read`` writes bytes over one of them
+    and reads it back."""
+    folder = tmp_path_factory.mktemp("artifacts")
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((6, 3))
+    labels = np.array(["Karuna", "Veera", "Shantha"] * 2)
+    table = FeatureTable([f"s{i}:0" for i in range(6)], labels, X, MfccConfig(n_coeffs=3), DEFAULT_BI_SAMPLE_PLAN)
+    write_store(table, folder / "store.csv")
+    scaler = FeatureScaler().fit(X)
+    ModelBundle(
+        model=RbfSvmClassifier(gamma=0.5).fit(scaler.transform(X), labels), scaler=scaler,
+        feature_fingerprint=table.mfcc.get_params(), config={"plan": [list(c) for c in table.plan.cuts]},
+    ).save(folder / "model.json")
+    (folder / "manifest.csv").write_text(
+        ",".join(MANIFEST_FIELDS) + "\ns1,a.wav,Song,Mohana,Tamil,Movie\ns2,b.wav,Song,Kalyani,Hindi,Folk/Album\n",
+        encoding="utf-8",
+    )
+    files = {"store": folder / "store.csv", "sidecar": sidecar_path(folder / "store.csv"),
+             "manifest": folder / "manifest.csv", "bundle": folder / "model.json"}
+    originals = {name: path.read_bytes() for name, path in files.items()}
+    readers = {"store": read_store, "sidecar": read_store, "manifest": load_manifest, "bundle": ModelBundle.load}
+
+    def read(name: str, data: bytes):
+        for other, path in files.items():
+            path.write_bytes(data if other == name else originals[other])
+        return readers[name](folder / "store.csv" if name == "sidecar" else files[name])
+
+    for name in files:  # each original reads back, so a failure is the mutation's
+        read(name, originals[name])
+    return originals, read
+
+
+def reads_or_fails_typed(read, name: str, data: bytes) -> None:
+    try:
+        read(name, data)
+    except MoodkitError:
+        pass
+
+
+@PROPERTY
+@given(st.data())
+def test_store_csv_reads_or_raises_a_moodkit_error(artifacts, data):
+    originals, read = artifacts
+    reads_or_fails_typed(read, "store", data.draw(st.binary(max_size=300) | mutated_bytes(originals["store"])))
+
+
+@PROPERTY
+@given(st.data())
+def test_store_sidecar_reads_or_raises_a_moodkit_error(artifacts, data):
+    originals, read = artifacts
+    sidecar = originals["sidecar"]
+    reads_or_fails_typed(read, "sidecar", data.draw(
+        st.binary(max_size=300) | mutated_bytes(sidecar) | mutated_json(sidecar)))
+
+
+@PROPERTY
+@given(st.data())
+def test_manifest_reads_or_raises_a_moodkit_error(artifacts, data):
+    originals, read = artifacts
+    reads_or_fails_typed(read, "manifest", data.draw(st.binary(max_size=300) | mutated_bytes(originals["manifest"])))
+
+
+@PROPERTY
+@given(st.data())
+def test_bundle_reads_or_raises_a_moodkit_error(artifacts, data):
+    originals, read = artifacts
+    bundle = originals["bundle"]
+    reads_or_fails_typed(read, "bundle", data.draw(
+        st.binary(max_size=300) | mutated_bytes(bundle) | mutated_json(bundle)))
+
+
+#: A value past the csv module's field size limit (131,072 characters)
+HUGE_FIELD = b"x" * 200_000
+#: JSON nested past the interpreter's recursion limit
+DEEP_JSON = b"[" * 100_000
+MANIFEST_HEADER = ",".join(MANIFEST_FIELDS).encode() + b"\n"
+
+#: Files that once escaped as another exception than a ``MoodkitError``:
+#: ``csv.Error`` from a field past the csv module's size limit (and, on
+#: Python 3.10, from a NUL byte), ``RecursionError`` from deep JSON and
+#: ``OverflowError`` from a JSON integer too large for ``float``. The NUL
+#: rows are bad beyond the NUL too, so later Pythons, whose csv module takes
+#: NUL, refuse them as well.
+ESCAPES = {
+    "store-field-past-the-csv-limit": ("store", b"segment_id,rasa,c0,c1,c2\n" + HUGE_FIELD + b",Veera,0,0,0\n"),
+    "store-nul-byte": ("store", b"segment_id,rasa,c0,c1,c2\ns0:0,Veera,0,\x000,0\n"),
+    "sidecar-nested-past-the-recursion-limit": ("sidecar", DEEP_JSON),
+    "sidecar-cut-start-too-large-for-float": ("sidecar", ("segment_plan", 0, 0)),
+    "sidecar-sample-rate-too-large-for-float": ("sidecar", ("mfcc", "sample_rate")),
+    "manifest-field-past-the-csv-limit": ("manifest", MANIFEST_HEADER + HUGE_FIELD + b",a.wav,S,Yaman,Tamil,Pop\n"),
+    "manifest-nul-byte": ("manifest", MANIFEST_HEADER + b"s1,a.wav,S\x00,Yaman,Tamil,Pop\n"),
+    "bundle-nested-past-the-recursion-limit": ("bundle", DEEP_JSON),
+    "bundle-cut-start-too-large-for-float": ("bundle", ("config", "plan", 0, 0)),
+    "bundle-bias-too-large-for-float": ("bundle", ("model", "params", "pairs", 0, "bias")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESCAPES))
+def test_former_escapes_raise_a_moodkit_error(artifacts, name):
+    originals, read = artifacts
+    target, data = ESCAPES[name]
+    if isinstance(data, tuple):  # a key path whose value becomes too large for float
+        document = json.loads(originals[target])
+        parent_of(document, data)[data[-1]] = 10**400
+        data = json.dumps(document).encode()
+    with pytest.raises(MoodkitError):
+        read(target, data)

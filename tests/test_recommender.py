@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from raga_moodkit.audio import DEFAULT_BI_SAMPLE_PLAN
-from raga_moodkit.bundle import ModelBundle
-from raga_moodkit.catalog import RASAS, Rasa
+from raga_moodkit.bundle import _BLOCK_ROWS, ModelBundle
+from raga_moodkit.catalog import RASAS, FeatureScaler, Rasa
 from raga_moodkit.errors import EmptyLibrary, UnknownRasa, ValidationError
 from raga_moodkit.mfcc import MfccConfig
-from raga_moodkit.models import GaussianNbClassifier
+from raga_moodkit.models import GaussianNbClassifier, RbfSvmClassifier
 from raga_moodkit.recommender import (
     ScoredLibrary,
     recommend_transition,
@@ -16,6 +16,7 @@ from raga_moodkit.recommender import (
     slot_weights,
 )
 from raga_moodkit.store import FeatureTable, segment_id
+from test_bundle import BLOCK_TOLERANCE
 
 
 def random_library(rng, n_songs):
@@ -82,12 +83,33 @@ class TestScoredLibrary:
 
 
 def score_library_reference(bundle, table):
-    """Per-song loop: each song's segment scores averaged with np.mean, songs
-    in the order their first row appears."""
+    """Per-song loop over the model's one whole-table call: each song's
+    segment scores averaged with np.mean, songs in the order their first row
+    appears."""
+    X = bundle.scaler.transform(table.X) if bundle.scaler is not None else table.X
     grouped = {}
-    for sid, row in zip(table.song_ids, bundle.predict_scores(table.X)):
+    for sid, row in zip(table.song_ids, bundle.model.predict_scores(X)):
         grouped.setdefault(sid, []).append(row)
     return tuple(grouped), np.vstack([np.mean(rows, axis=0) for rows in grouped.values()])
+
+
+def interleaved_library(rng, model, n_songs, scaler=None):
+    """1-3 rows per song, songs interleaved so first-seen order is not sorted
+    order, under a bundle of ``model``."""
+    rows = [(f"s{song:04d}", cut) for song in range(n_songs) for cut in range(rng.integers(1, 4))]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    table = FeatureTable(
+        segment_ids=[segment_id(song, cut) for song, cut in rows],
+        labels=rng.choice(model.classes_, len(rows)),
+        X=rng.standard_normal((len(rows), model.n_features_)),
+        mfcc=MfccConfig(),
+        plan=DEFAULT_BI_SAMPLE_PLAN,
+    )
+    bundle = ModelBundle(
+        model=model, scaler=scaler, feature_fingerprint=table.mfcc.get_params(),
+        config={"plan": [list(cut) for cut in table.plan.cuts]},
+    )
+    return bundle, table
 
 
 class TestScoreLibrary:
@@ -96,24 +118,23 @@ class TestScoreLibrary:
         rng = np.random.default_rng(seed)
         classes = np.array(["a", "b", "c"])
         model = GaussianNbClassifier().fit(rng.standard_normal((30, 4)), np.repeat(classes, 10))
-        # 1-3 rows per song, songs interleaved so first-seen order is not sorted order
-        rows = [(f"s{song:03d}", cut) for song in range(200) for cut in range(rng.integers(1, 4))]
-        rows = [rows[i] for i in rng.permutation(len(rows))]
-        table = FeatureTable(
-            segment_ids=[segment_id(song, cut) for song, cut in rows],
-            labels=rng.choice(classes, len(rows)),
-            X=rng.standard_normal((len(rows), 4)),
-            mfcc=MfccConfig(),
-            plan=DEFAULT_BI_SAMPLE_PLAN,
-        )
-        bundle = ModelBundle(
-            model=model, scaler=None, feature_fingerprint=table.mfcc.get_params(),
-            config={"plan": [list(cut) for cut in table.plan.cuts]},
-        )
+        bundle, table = interleaved_library(rng, model, 200)
         library = score_library(bundle, table)
         song_ids, scores = score_library_reference(bundle, table)
         assert library.song_ids == song_ids
         assert np.array_equal(library.scores, scores)
+
+    def test_multi_block_table_matches_the_whole_table_mean(self):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((30, 4))
+        scaler = FeatureScaler().fit(X)
+        model = RbfSvmClassifier(gamma=0.5).fit(scaler.transform(X), np.repeat(["a", "b", "c"], 10))
+        bundle, table = interleaved_library(rng, model, 1_600, scaler)
+        assert len(table) > 3 * _BLOCK_ROWS
+        library = score_library(bundle, table)
+        song_ids, scores = score_library_reference(bundle, table)
+        assert library.song_ids == song_ids
+        np.testing.assert_allclose(library.scores, scores, rtol=0.0, atol=BLOCK_TOLERANCE)
 
 
 class TestRecommend:
