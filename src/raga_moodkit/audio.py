@@ -45,7 +45,7 @@ _BLOCK = 1 << 15
 class AudioBuffer:
     """In-memory audio: float64 samples in [-1, 1] plus the sample rate.
 
-    ``samples`` has shape ``(n,)`` for mono or ``(n, n_channels)`` otherwise.
+    ``samples`` has shape ``(n,)`` for mono or ``(n, channels)`` otherwise.
     ``short`` marks segments that were truncated by the end of their source.
     """
 
@@ -60,10 +60,6 @@ class AudioBuffer:
     @property
     def n_frames(self) -> int:
         return self.samples.shape[0]
-
-    @property
-    def n_channels(self) -> int:
-        return 1 if self.samples.ndim == 1 else self.samples.shape[1]
 
     @property
     def duration_s(self) -> float:

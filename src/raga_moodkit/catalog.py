@@ -1,4 +1,4 @@
-"""Raga-to-rasa catalog, song manifest handling, splits and feature scaling.
+"""Raga-to-rasa catalog, song manifest handling and feature scaling.
 
 The association table is the single source of truth for labels: a song's
 rasa is always derived from its raga and never stored in the manifest.
@@ -17,7 +17,6 @@ import numpy as np
 from .base import ParamsMixin, as_float_matrix, check_fitted
 from .errors import (
     BadGenre,
-    ClassTooSmall,
     DataError,
     DuplicateId,
     UnknownRaga,
@@ -243,34 +242,6 @@ def write_manifest(path, records) -> None:
         writer.writerow(MANIFEST_FIELDS)
         for rec in records:
             writer.writerow([rec.id, rec.path, rec.title, rec.raga, rec.language, rec.genre])
-
-
-def stratified_indices(labels, val_fraction: float, seed: int):
-    """Per-class proportional, seeded train/validation index split.
-
-    Validation takes ``round(fraction * class_size)`` rows of each class,
-    clamped so at least one row per class stays in training. Returns sorted
-    ``(train_idx, val_idx)`` arrays forming a partition of ``range(n)``.
-
-    Raises:
-        ClassTooSmall: a class has fewer than two members.
-    """
-    if not 0 < val_fraction < 1:
-        raise ValidationError(f"val_fraction must be in (0, 1), got {val_fraction}")
-    labels = np.asarray(labels).astype(str)
-    rng = np.random.default_rng(seed)
-    val: list[int] = []
-    for cls in sorted(set(labels.tolist())):
-        members = np.flatnonzero(labels == cls)
-        if len(members) < 2:
-            raise ClassTooSmall(f"class {cls!r} has {len(members)} row(s); need at least 2")
-        n_val = min(int(round(val_fraction * len(members))), len(members) - 1)
-        perm = rng.permutation(members)
-        val.extend(perm[:n_val].tolist())
-    val_idx = np.array(sorted(val), dtype=np.int64)
-    mask = np.ones(len(labels), dtype=bool)
-    mask[val_idx] = False
-    return np.flatnonzero(mask), val_idx
 
 
 ScalerKind = Literal["zscore", "minmax"]

@@ -77,7 +77,7 @@ class DuplicateId(DataError):
 
 
 class ClassTooSmall(ValidationError):
-    """An operation needs more rows per class than were provided."""
+    """An operation needs more rows (or songs) per class than were provided."""
 
 
 # --- models ---

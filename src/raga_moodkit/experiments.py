@@ -24,7 +24,7 @@ import numpy as np
 from .audio import DEFAULT_BI_SAMPLE_PLAN, AudioBuffer, SegmentPlan, bi_sample, read_wav, resample
 from .base import CheckedFields, NonNegativeInt
 from .bundle import ModelBundle
-from .catalog import RASAS, FeatureScaler, ScalerKind, SongRecord, stratified_indices
+from .catalog import RASAS, FeatureScaler, ScalerKind, SongRecord
 from .errors import (
     ClassTooSmall,
     DataError,
@@ -46,32 +46,34 @@ SCALER_KINDS = typing.get_args(ScalerChoice)
 
 # --- metrics -------------------------------------------------------------------
 
-def accuracy(predictions, labels) -> float:
+def _paired(predictions, labels, metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions and labels as equally long, non-empty string arrays."""
     predictions = np.asarray(predictions, dtype=str)
     labels = np.asarray(labels, dtype=str)
     if len(predictions) == 0:
-        raise EmptyInput("accuracy over zero predictions")
+        raise EmptyInput(f"{metric} over zero predictions")
     if len(predictions) != len(labels):
         raise ValidationError(f"{len(predictions)} predictions vs {len(labels)} labels")
+    return predictions, labels
+
+
+def accuracy(predictions, labels) -> float:
+    predictions, labels = _paired(predictions, labels, "accuracy")
     return float(np.mean(predictions == labels))
 
 
 def confusion_matrix(predictions, labels, classes=RASAS) -> np.ndarray:
     """Counts with rows = true class, columns = predicted class."""
-    predictions = np.asarray(predictions, dtype=str)
-    labels = np.asarray(labels, dtype=str)
-    if len(predictions) == 0:
-        raise EmptyInput("confusion matrix over zero predictions")
-    if len(predictions) != len(labels):
-        raise ValidationError(f"{len(predictions)} predictions vs {len(labels)} labels")
-    classes = [str(c) for c in classes]
-    index = {c: i for i, c in enumerate(classes)}
-    matrix = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for true, predicted in zip(labels, predictions):
-        if true not in index or predicted not in index:
-            raise ValidationError(f"label outside class list: {true!r} -> {predicted!r}")
-        matrix[index[true], index[predicted]] += 1
-    return matrix
+    predictions, labels = _paired(predictions, labels, "confusion matrix")
+    classes = np.asarray([str(c) for c in classes])
+    # one-hot rows over classes; their product counts every (true, predicted) pair
+    true = labels[:, None] == classes
+    predicted = predictions[:, None] == classes
+    outside = ~(true.any(axis=1) & predicted.any(axis=1))
+    if outside.any():
+        row = int(np.argmax(outside))
+        raise ValidationError(f"label outside class list: {str(labels[row])!r} -> {str(predictions[row])!r}")
+    return true.T.astype(np.int64) @ predicted.astype(np.int64)
 
 
 def precision_recall(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -150,8 +152,41 @@ def grid_search(family: str, grid: dict, X, y, folds, base_params: dict | None =
     return best_params, rows, best_models
 
 
+# --- partitions ------------------------------------------------------------------
+# The holdout and the k-fold folds split whole groups, one label per group:
+# songs at the file level and rows at the segment level.
+
+def _shuffled_classes(labels, seed: int, need: int) -> typing.Iterator[np.ndarray]:
+    """Each class's positions in ``labels``, in sorted class order, shuffled in
+    turn by one generator seeded with ``seed``; a class needs ``need`` members."""
+    labels = np.asarray(labels).astype(str)
+    rng = np.random.default_rng(seed)
+    for cls in sorted(set(labels.tolist())):
+        members = np.flatnonzero(labels == cls)
+        if len(members) < need:
+            raise ClassTooSmall(f"class {cls!r} has {len(members)} member(s) to split (songs at split level "
+                                f"'file', rows at 'segment'); need at least {need}")
+        yield rng.permutation(members)
+
+
+def stratified_indices(labels, val_fraction: float, seed: int):
+    """Stratified train/validation split of the positions of ``labels``.
+
+    Validation takes the first ``round(fraction * class_size)`` of each
+    class's shuffle, clamped so at least one member stays in training.
+    Returns sorted ``(train_idx, val_idx)`` arrays partitioning ``range(n)``.
+    """
+    if not 0 < val_fraction < 1:
+        raise ValidationError(f"val_fraction must be in (0, 1), got {val_fraction}")
+    is_val = np.zeros(len(labels), dtype=bool)
+    for members in _shuffled_classes(labels, seed, 2):
+        is_val[members[: min(int(round(val_fraction * len(members))), len(members) - 1)]] = True
+    return np.flatnonzero(~is_val), np.flatnonzero(is_val)
+
+
 def kfold_indices(labels, n_folds: int, seed: int):
-    """Stratified k-fold partition: per class, seeded shuffle then round-robin.
+    """Stratified k-fold partition of the positions of ``labels``: each
+    class's shuffle is dealt round-robin.
 
     Returns a list of ``(train_idx, val_idx)`` pairs, one per fold. Every
     class must have at least ``n_folds`` members so each fold's training
@@ -159,24 +194,31 @@ def kfold_indices(labels, n_folds: int, seed: int):
     """
     if n_folds < 2:
         raise ValidationError(f"n_folds must be >= 2, got {n_folds}")
-    labels = np.asarray(labels).astype(str)
-    rng = np.random.default_rng(seed)
-    fold_members: list[list[int]] = [[] for _ in range(n_folds)]
-    for cls in sorted(set(labels.tolist())):
-        members = np.flatnonzero(labels == cls)
-        if len(members) < n_folds:
-            raise ClassTooSmall(
-                f"class {cls!r} has {len(members)} row(s); need at least {n_folds} for {n_folds}-fold"
-            )
-        for slot, row in enumerate(rng.permutation(members)):
-            fold_members[slot % n_folds].append(int(row))
-    folds = []
-    everything = set(range(len(labels)))
-    for val in fold_members:
-        val_idx = np.array(sorted(val), dtype=np.int64)
-        train_idx = np.array(sorted(everything - set(val)), dtype=np.int64)
-        folds.append((train_idx, val_idx))
-    return folds
+    fold = np.empty(len(labels), dtype=np.int64)
+    for members in _shuffled_classes(labels, seed, n_folds):
+        fold[members] = np.arange(len(members)) % n_folds
+    return [(np.flatnonzero(fold != k), np.flatnonzero(fold == k)) for k in range(n_folds)]
+
+
+def _groups(table: FeatureTable, level: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(first_rows, group_of_row)`` of the groups a split keeps whole:
+    songs at the file level, rows at the segment level."""
+    if level == "segment":
+        rows = np.arange(len(table))
+        return rows, rows
+    return table.songs()
+
+
+def split_table(table: FeatureTable, level: str, val_fraction: float, seed: int):
+    """Stratified train/validation row indexes at file or segment level.
+
+    File-level splitting assigns whole songs to a side, so no source
+    recording leaks across the boundary, and a class needs two songs.
+    """
+    first_rows, group_of_row = _groups(table, level)
+    _, val_groups = stratified_indices(table.labels[first_rows], val_fraction, seed)
+    is_val = np.isin(group_of_row, val_groups)
+    return np.flatnonzero(~is_val), np.flatnonzero(is_val)
 
 
 # --- experiment runner -----------------------------------------------------------
@@ -359,27 +401,6 @@ def extract_features(
     return table, [(record.id, error) for record, error in failed]
 
 
-def split_table(table: FeatureTable, level: str, val_fraction: float, seed: int):
-    """Stratified train/validation row indexes at file or segment level.
-
-    File-level splitting assigns whole songs to a side before the segment
-    expansion, so no source recording leaks across the boundary.
-    """
-    if level == "segment":
-        return stratified_indices(table.labels, val_fraction, seed)
-    song_ids = table.song_ids
-    unique_songs: list[str] = []
-    song_label: dict[str, str] = {}
-    for sid, label in zip(song_ids, table.labels):
-        if sid not in song_label:
-            unique_songs.append(sid)
-            song_label[sid] = str(label)
-    _, val_songs = stratified_indices([song_label[s] for s in unique_songs], val_fraction, seed)
-    val_set = {unique_songs[i] for i in val_songs}
-    row_is_val = np.array([sid in val_set for sid in song_ids])
-    return np.flatnonzero(~row_is_val), np.flatnonzero(row_is_val)
-
-
 def _scored_report(predict, X, y, train_idx, val_idx, classes, **report_fields) -> ExperimentReport:
     """Accuracy on both sides of a split, and the confusion matrix and
     per-class precision/recall of the validation side, over ``classes``."""
@@ -425,10 +446,13 @@ def run_on_features(table: FeatureTable, config: ExperimentConfig) -> Experiment
     if config.grid is not None:
         folds = [(train_idx, val_idx)]
         if config.cv is not None:
-            folds = [
-                (train_idx[inner], train_idx[held_out])
-                for inner, held_out in kfold_indices(y[train_idx], config.cv, config.seed)
-            ]
+            # k-fold over the train side's groups, so no fold splits a song at the file level
+            first_rows, group_of_row = _groups(table, config.split_level)
+            train_groups = np.unique(group_of_row[train_idx])
+            folds = []
+            for _, held_out in kfold_indices(y[first_rows[train_groups]], config.cv, config.seed):
+                held = np.isin(group_of_row[train_idx], train_groups[held_out])
+                folds.append((train_idx[~held], train_idx[held]))
         best, grid_rows, fold_models = grid_search(
             config.family, config.grid, X, y, folds, base_params=params
         )

@@ -15,7 +15,7 @@ import numpy as np
 from .bundle import ModelBundle
 from .catalog import RASAS, parse_rasa
 from .errors import EmptyLibrary, ValidationError
-from .store import FeatureTable
+from .store import FeatureTable, song_id_of
 
 _SCORE_SUM_TOL = 1e-9
 
@@ -89,16 +89,13 @@ def score_library(bundle: ModelBundle, table: FeatureTable) -> ScoredLibrary:
     if len(table) == 0:
         return ScoredLibrary(song_ids=(), scores=np.empty((0, len(classes))), classes=classes)
     row_scores = bundle.predict_scores(table.X)
-    ids, first_row, song_of_row, counts = np.unique(
-        np.asarray(table.song_ids), return_index=True, return_inverse=True, return_counts=True
-    )
+    first_rows, song_of_row = table.songs()
     # np.add.at adds row by row in table order, as np.mean over a song's rows
     # does; np.add.reduceat would add a group's later rows pairwise first.
-    sums = np.zeros((len(ids), row_scores.shape[1]))
+    sums = np.zeros((len(first_rows), row_scores.shape[1]))
     np.add.at(sums, song_of_row, row_scores)
-    seen = np.argsort(first_row)
-    scores = sums[seen] / counts[seen, None]
-    return ScoredLibrary(song_ids=tuple(ids[seen].tolist()), scores=scores, classes=classes)
+    ids = [song_id_of(table.segment_ids[row]) for row in first_rows.tolist()]
+    return ScoredLibrary(song_ids=ids, scores=sums / np.bincount(song_of_row)[:, None], classes=classes)
 
 
 def slot_weights(length: int) -> np.ndarray:

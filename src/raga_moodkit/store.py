@@ -9,6 +9,7 @@ mismatched features.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,6 +52,12 @@ class FeatureTable:
     def song_ids(self) -> list:
         return [song_id_of(s) for s in self.segment_ids]
 
+    def songs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each song's first row and each row's song, songs numbered in order of appearance."""
+        numbers: dict[str, int] = {}
+        song_of_row = np.array([numbers.setdefault(s, len(numbers)) for s in self.song_ids], dtype=np.int64)
+        return np.unique(song_of_row, return_index=True)[1], song_of_row
+
 
 def write_store(table: FeatureTable, path, extra_meta: dict | None = None) -> None:
     path = Path(path)
@@ -89,32 +96,33 @@ def read_store(path) -> FeatureTable:
             raise ValidationError(f"unsupported store format_version {meta.get('format_version')!r}")
         config = MfccConfig.from_record(meta["mfcc"])
         plan = SegmentPlan(meta["segment_plan"])
+        n_rows = meta["n_rows"]
+        # a row takes at least two bytes per coefficient: the sidecar cannot size X past the file
+        if type(n_rows) is not int or not 0 < n_rows <= path.stat().st_size // (2 * config.n_coeffs + 1):
+            raise CorruptArtifact(f"{path.name} cannot hold the {n_rows!r} rows its sidecar records")
         segment_ids: list[str] = []
         labels: list[str] = []
-        rows: list[list[float]] = []
+        X = np.empty((n_rows, config.n_coeffs))  # filled row by row; no lists of floats are kept
         expected = ["segment_id", "rasa"] + [f"c{i}" for i in range(config.n_coeffs)]
         with path.open(newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header != expected:
                 raise ValidationError(f"store header mismatch: expected {expected[:3]}..., got {header}")
-            for line_no, line in enumerate(reader, start=2):
+            for line_no, line in enumerate(itertools.islice(reader, n_rows), start=2):
                 if len(line) != len(expected):
                     raise CorruptArtifact(
                         f"{path.name} line {line_no}: {len(line)} fields, expected {len(expected)}"
                     )
                 try:
-                    rows.append([float(v) for v in line[2:]])
+                    X[line_no - 2] = list(map(float, line[2:]))
                 except ValueError as exc:
                     raise CorruptArtifact(f"{path.name} line {line_no}: {exc}") from exc
                 segment_ids.append(line[0])
                 labels.append(line[1])
-        # a cut-off store would silently drop songs from what is fit or scored
-        if not rows or len(rows) != meta["n_rows"]:
-            raise CorruptArtifact(
-                f"{path.name} holds {len(rows)} rows; its sidecar records {meta['n_rows']!r}"
-            )
-        X = np.asarray(rows, dtype=np.float64)
+            # a cut-off store would silently drop songs from what is fit or scored
+            if len(segment_ids) < n_rows or next(reader, None) is not None:
+                raise CorruptArtifact(f"{path.name} does not hold the {n_rows} rows its sidecar records")
         finite = np.isfinite(X)
         if not finite.all():
             row, col = np.argwhere(~finite)[0]

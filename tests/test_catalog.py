@@ -10,7 +10,6 @@ from raga_moodkit.catalog import (
     load_manifest,
     parse_rasa,
     rasa_for_raga,
-    stratified_indices,
     write_manifest,
 )
 from raga_moodkit.errors import (
@@ -21,6 +20,7 @@ from raga_moodkit.errors import (
     UnknownRasa,
     ValidationError,
 )
+from raga_moodkit.experiments import stratified_indices
 
 
 class TestRagaTable:

@@ -78,6 +78,22 @@ class TestConfusion:
         with pytest.raises(ValidationError):
             confusion_matrix(["zz"], ["a"], classes=("a", "b"))
 
+    def test_first_row_outside_the_classes_is_named(self):
+        with pytest.raises(ValidationError, match="'b' -> 'zz'"):
+            confusion_matrix(["a", "zz", "a", "yy"], ["a", "b", "x", "a"], classes=("a", "b"))
+
+    def test_counts_match_a_row_by_row_tally(self):
+        rng = np.random.default_rng(5)
+        classes = ("Veera", "Karuna", "Haasya", "Shantha")  # not sorted
+        labels = rng.choice(classes, 300)
+        predictions = rng.choice(classes, 300)
+        expected = np.zeros((4, 4), dtype=np.int64)
+        for true, predicted in zip(labels, predictions):
+            expected[classes.index(true), classes.index(predicted)] += 1
+        matrix = confusion_matrix(predictions, labels, classes=classes)
+        assert matrix.dtype == np.int64
+        np.testing.assert_array_equal(matrix, expected)
+
     def test_precision_recall(self):
         matrix = np.array([[8, 2], [1, 9]])
         precision, recall = precision_recall(matrix)

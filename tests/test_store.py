@@ -105,6 +105,27 @@ def test_song_ids_grouping():
     assert table.song_ids == ["song_0", "song_0", "song_1", "song_1", "song_2", "song_2"]
 
 
+def test_songs_numbered_in_order_of_appearance():
+    table = sample_table()
+    table.segment_ids = ["b:0", "a:0", "b:1", "c:0", "a:1", "c:1"]
+    first_rows, song_of_row = table.songs()
+    np.testing.assert_array_equal(first_rows, [0, 1, 3])
+    np.testing.assert_array_equal(song_of_row, [0, 1, 0, 2, 1, 2])
+
+
+@pytest.mark.parametrize("n_rows", [10**12, 10**400, 7, 5, 0, -1, True, 6.0, "6"])
+def test_sidecar_row_count_other_than_the_stores_is_corrupt(tmp_path, n_rows):
+    """A sidecar row count the file cannot hold is refused before anything
+    is allocated for it, and any other count but the store's is refused."""
+    path = tmp_path / "features.csv"
+    write_store(sample_table(), path)
+    meta = json.loads(sidecar_path(path).read_text())
+    meta["n_rows"] = n_rows
+    sidecar_path(path).write_text(json.dumps(meta))
+    with pytest.raises(CorruptArtifact, match="rows its sidecar records"):
+        read_store(path)
+
+
 def test_misaligned_rows_rejected():
     config = MfccConfig()
     with pytest.raises(ValidationError):
