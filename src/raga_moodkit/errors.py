@@ -25,7 +25,7 @@ class MalformedHeader(DataError):
 
 
 class UnsupportedEncoding(DataError):
-    """WAV codec other than PCM16/PCM24/float32."""
+    """WAV codec other than PCM8/PCM16/PCM24/PCM32/float32."""
 
 
 class TruncatedData(DataError):

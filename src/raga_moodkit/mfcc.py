@@ -18,7 +18,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import CANONICAL_RATE, AudioBuffer
 from .base import CheckedFields, FiniteNonNegativeFloat, FinitePositiveFloat, PositiveInt
 from .errors import (
     DegenerateBank,
@@ -44,7 +44,7 @@ class MfccConfig(CheckedFields):
     n_coeffs: PositiveInt = 40
     f_low: FiniteNonNegativeFloat = 0.0
     f_high: float | None = None
-    sample_rate: PositiveInt = 22050
+    sample_rate: PositiveInt = CANONICAL_RATE
     log_floor: FinitePositiveFloat = 1e-10
 
     def __post_init__(self):

@@ -4,6 +4,9 @@ Every family exposes ``fit(X, y)``, ``predict_scores(X)`` and ``predict(X)``.
 Scores are one finite value per class, summing to 1 per row; ``predict`` is
 the argmax of the scores with ties resolved to the earliest class in
 ``classes_`` (sorted label order).
+
+The base class checks the rows of every ``fit`` and ``predict_scores`` call
+once; a family implements ``_fit`` and ``_scores`` on the checked arrays.
 """
 from __future__ import annotations
 
@@ -11,39 +14,44 @@ import numpy as np
 
 from ..base import ParamsMixin, as_float_matrix, as_label_array, check_fitted
 from ..errors import EmptyData, ValidationError
+from .serialize import decode_array, encode_array
 
 
 class BaseClassifier(ParamsMixin):
     family = "base"
+    #: Fitted arrays a bundle saves, by attribute, with the dtype they load
+    #: as; each is stored under its name without the trailing underscore.
+    _arrays = {}
 
     def fit(self, X, y):
-        raise NotImplementedError
-
-    def predict_scores(self, X) -> np.ndarray:
-        raise NotImplementedError
-
-    def predict(self, X) -> np.ndarray:
-        check_fitted(self, "classes_")
-        scores = self.predict_scores(X)
-        return self.classes_[np.argmax(scores, axis=1)]
-
-    def _check_fit_inputs(self, X, y):
         X = as_float_matrix(X)
         if X.shape[0] == 0:
             raise EmptyData("fit requires at least one row")
         y = as_label_array(y, n_rows=X.shape[0])
-        self.classes_ = np.unique(y)
+        self.classes_, y_index = np.unique(y, return_inverse=True)
         self.n_features_ = X.shape[1]
-        return X, y
+        self._fit(X, y_index)
+        return self
 
-    def _check_predict_input(self, X):
+    def predict_scores(self, X) -> np.ndarray:
         check_fitted(self, "classes_")
         X = as_float_matrix(X)
         if X.shape[1] != self.n_features_:
-            raise ValidationError(
-                f"model fitted on {self.n_features_} features, got {X.shape[1]}"
-            )
-        return X
+            raise ValidationError(f"model fitted on {self.n_features_} features, got {X.shape[1]}")
+        return self._scores(X)
+
+    def predict(self, X) -> np.ndarray:
+        scores = self.predict_scores(X)
+        return self.classes_[np.argmax(scores, axis=1)]
+
+    def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
+        """Fit on a finite float64 matrix and each row's index into
+        ``classes_``; ``classes_`` and ``n_features_`` are already set."""
+        raise NotImplementedError
+
+    def _scores(self, X: np.ndarray) -> np.ndarray:
+        """Class scores of a finite float64 matrix of ``n_features_`` columns."""
+        raise NotImplementedError
 
     # serialization; see models.serialize
     def _encode_params(self) -> dict:
@@ -55,7 +63,10 @@ class BaseClassifier(ParamsMixin):
         self._decode_state(params)
 
     def _encode_state(self) -> dict:
-        raise NotImplementedError
+        return {name[:-1]: encode_array(getattr(self, name)) for name in self._arrays}
 
     def _decode_state(self, params: dict) -> None:
-        raise NotImplementedError
+        """Load the listed arrays; a family then sets ``n_features_`` and
+        checks what the arrays must agree on."""
+        for name, dtype in self._arrays.items():
+            setattr(self, name, decode_array(params[name[:-1]]).astype(dtype, copy=False))

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..base import PositiveInt
+from ..errors import ValidationError
 from .base import BaseClassifier
 from .tree import DecisionTreeClassifier, TreeParams
 
@@ -18,8 +19,7 @@ class RandomForestClassifier(TreeParams, BaseClassifier):
     family = "forest"
     n_estimators: PositiveInt = 100
 
-    def fit(self, X, y):
-        X, y = self._check_fit_inputs(X, y)
+    def _fit(self, X, y):
         master = np.random.default_rng(self.seed)
         n = X.shape[0]
         tree_params = self.get_params()
@@ -28,16 +28,16 @@ class RandomForestClassifier(TreeParams, BaseClassifier):
         for _ in range(self.n_estimators):
             boot_seed, tree_seed = master.integers(0, 2**63 - 1, size=2)
             rows = np.random.default_rng(boot_seed).integers(0, n, size=n)
+            # every tree's leaf counts span the forest's classes
             tree = DecisionTreeClassifier(**{**tree_params, "seed": int(tree_seed)})
-            tree.fit(X[rows], y[rows], classes=self.classes_)
+            tree.classes_, tree.n_features_ = self.classes_, self.n_features_
+            tree._fit(X[rows], y[rows])
             self.trees_.append(tree)
-        return self
 
-    def predict_scores(self, X) -> np.ndarray:
-        X = self._check_predict_input(X)
+    def _scores(self, X):
         total = np.zeros((X.shape[0], len(self.classes_)))
         for tree in self.trees_:
-            total += tree.predict_scores(X)
+            total += tree._scores(X)
         return total / len(self.trees_)
 
     def _encode_state(self) -> dict:
@@ -51,3 +51,5 @@ class RandomForestClassifier(TreeParams, BaseClassifier):
             tree._decode_params(tree_params)
             self.trees_.append(tree)
         self.n_features_ = self.trees_[0].n_features_
+        if any(tree.n_features_ != self.n_features_ for tree in self.trees_):
+            raise ValidationError("the stored trees disagree on the feature count")

@@ -8,7 +8,6 @@ import numpy as np
 from ..base import FinitePositiveFloat, NonNegativeInt
 from ..errors import DivergenceDetected
 from .base import BaseClassifier
-from .serialize import decode_array, encode_array
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -38,12 +37,13 @@ class SoftmaxRegression(BaseClassifier):
     max_iter: NonNegativeInt = 1000
     learning_rate: FinitePositiveFloat = 0.01
 
-    def fit(self, X, y):
-        X, y = self._check_fit_inputs(X, y)
+    _arrays = {"weights_": np.float64}
+
+    def _fit(self, X, y):
         n, f = X.shape
         c = len(self.classes_)
         X_bias = np.hstack([X, np.ones((n, 1))])
-        onehot = (y[:, None] == self.classes_[None, :]).astype(np.float64)
+        onehot = np.eye(c)[y]
 
         self.weights_ = np.zeros((f + 1, c))
         self.loss_curve_ = []
@@ -60,16 +60,11 @@ class SoftmaxRegression(BaseClassifier):
         if not np.isfinite(final_loss):
             raise DivergenceDetected("loss became non-finite at the final iterate")
         self.loss_curve_.append(final_loss)
-        return self
 
-    def predict_scores(self, X) -> np.ndarray:
-        X = self._check_predict_input(X)
+    def _scores(self, X):
         X_bias = np.hstack([X, np.ones((X.shape[0], 1))])
         return softmax(X_bias @ self.weights_)
 
-    def _encode_state(self) -> dict:
-        return {"weights": encode_array(self.weights_)}
-
     def _decode_state(self, params: dict) -> None:
-        self.weights_ = decode_array(params["weights"])
+        super()._decode_state(params)
         self.n_features_ = self.weights_.shape[0] - 1

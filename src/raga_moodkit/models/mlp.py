@@ -73,9 +73,8 @@ class MlpClassifier(BaseClassifier):
     learning_rate: FinitePositiveFloat = 1e-3
     seed: NonNegativeInt = 0
 
-    def fit(self, X, y):
-        X, y = self._check_fit_inputs(X, y)
-        onehot = (y[:, None] == self.classes_[None, :]).astype(np.float64)
+    def _fit(self, X, y):
+        onehot = np.eye(len(self.classes_))[y]
         rng = np.random.default_rng(self.seed)
         self.weights_, self.biases_ = _init_layers(
             [X.shape[1], *self.hidden, len(self.classes_)], rng
@@ -98,10 +97,8 @@ class MlpClassifier(BaseClassifier):
                 if not np.isfinite(epoch_loss):
                     raise DivergenceDetected(f"loss became non-finite at epoch {epoch}")
                 self.loss_curve_.append(epoch_loss)
-        return self
 
-    def predict_scores(self, X) -> np.ndarray:
-        X = self._check_predict_input(X)
+    def _scores(self, X):
         return forward(self.weights_, self.biases_, X)[-1]
 
     def _encode_state(self) -> dict:

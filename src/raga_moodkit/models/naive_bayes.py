@@ -9,7 +9,6 @@ from ..base import FinitePositiveFloat
 from ..errors import ClassTooSmall
 from .base import BaseClassifier
 from .linear import softmax
-from .serialize import decode_array, encode_array
 
 
 @dataclass(eq=False)
@@ -23,39 +22,26 @@ class GaussianNbClassifier(BaseClassifier):
     family = "gnb"
     var_floor: FinitePositiveFloat = 1e-9
 
-    def fit(self, X, y):
-        X, y = self._check_fit_inputs(X, y)
+    _arrays = {"theta_": np.float64, "var_": np.float64, "priors_": np.float64}
+
+    def _fit(self, X, y):
         n_classes = len(self.classes_)
         self.theta_ = np.empty((n_classes, X.shape[1]))
         self.var_ = np.empty((n_classes, X.shape[1]))
         self.priors_ = np.empty(n_classes)
         for i, cls in enumerate(self.classes_):
-            rows = X[y == cls]
+            rows = X[y == i]
             if rows.shape[0] < 2:
                 raise ClassTooSmall(f"class {cls!r} has {rows.shape[0]} row(s); need at least 2")
             self.theta_[i] = rows.mean(axis=0)
             self.var_[i] = np.maximum(rows.var(axis=0), self.var_floor)
             self.priors_[i] = rows.shape[0] / X.shape[0]
-        return self
 
-    def _joint_log_likelihood(self, X) -> np.ndarray:
-        X = self._check_predict_input(X)
+    def _scores(self, X):
         delta = X[:, None, :] - self.theta_[None, :, :]
         log_density = -0.5 * (np.log(2.0 * np.pi * self.var_) + delta * delta / self.var_)
-        return np.log(self.priors_) + log_density.sum(axis=2)
-
-    def predict_scores(self, X) -> np.ndarray:
-        return softmax(self._joint_log_likelihood(X))
-
-    def _encode_state(self) -> dict:
-        return {
-            "theta": encode_array(self.theta_),
-            "var": encode_array(self.var_),
-            "priors": encode_array(self.priors_),
-        }
+        return softmax(np.log(self.priors_) + log_density.sum(axis=2))
 
     def _decode_state(self, params: dict) -> None:
-        self.theta_ = decode_array(params["theta"])
-        self.var_ = decode_array(params["var"])
-        self.priors_ = decode_array(params["priors"])
+        super()._decode_state(params)
         self.n_features_ = self.theta_.shape[1]

@@ -10,7 +10,6 @@ import numpy as np
 from ..base import PositiveInt
 from ..errors import KTooLarge, ValidationError
 from .base import BaseClassifier
-from .serialize import decode_array, encode_array
 
 Metric = Literal["euclidean", "manhattan", "hamming"]
 Weights = Literal["uniform", "distance"]
@@ -58,16 +57,15 @@ class KnnClassifier(BaseClassifier):
     metric: Metric = "manhattan"
     weights: Weights = "uniform"
 
-    def fit(self, X, y):
-        X, y = self._check_fit_inputs(X, y)
+    _arrays = {"X_": np.float64, "y_index_": np.int64}
+
+    def _fit(self, X, y):
         if self.k > X.shape[0]:
             raise KTooLarge(f"k={self.k} exceeds the {X.shape[0]} training rows")
         self.X_ = X
-        self.y_index_ = np.searchsorted(self.classes_, y)
-        return self
+        self.y_index_ = y
 
-    def predict_scores(self, X) -> np.ndarray:
-        X = self._check_predict_input(X)
+    def _scores(self, X):
         distances = pairwise_distances(X, self.X_, self.metric)
         nearest = np.argsort(distances, axis=1, kind="stable")[:, : self.k]
         if self.weights == "uniform":
@@ -88,12 +86,8 @@ class KnnClassifier(BaseClassifier):
         np.add.at(scores, (rows, self.y_index_[nearest]), weights)
         return scores
 
-    def _encode_state(self) -> dict:
-        return {"X": encode_array(self.X_), "y_index": encode_array(self.y_index_)}
-
     def _decode_state(self, params: dict) -> None:
-        self.X_ = decode_array(params["X"])
-        self.y_index_ = decode_array(params["y_index"]).astype(np.int64)
+        super()._decode_state(params)
         if not np.isin(self.y_index_, np.arange(len(self.classes_))).all():
             raise ValidationError(f"stored labels fall outside the {len(self.classes_)} classes")
         self.n_features_ = self.X_.shape[1]

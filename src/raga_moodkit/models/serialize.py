@@ -4,6 +4,7 @@ Layout: ``{"format_version", "family", "class_order", "params"}``. ``params``
 holds the family's constructor parameters under their own names plus its
 fitted state; all numeric arrays in it travel base64-encoded as
 little-endian float64 (integer-valued arrays included) alongside their shape.
+A stored array holds finite values only.
 """
 from __future__ import annotations
 
@@ -26,7 +27,10 @@ def encode_array(arr) -> dict:
 
 def decode_array(payload: dict) -> np.ndarray:
     raw = base64.b64decode(payload["data"])
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(payload["shape"])
+    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(payload["shape"])
+    if not np.isfinite(arr).all():
+        raise ValidationError("a stored array holds NaN or infinity")
+    return arr
 
 
 def to_envelope(model) -> dict:

@@ -291,16 +291,15 @@ class RbfSvmClassifier(BaseClassifier):
     max_passes: PositiveInt = 10  # with 0 no sweep runs and training never ends
     seed: NonNegativeInt = 0
 
-    def fit(self, X, y):
-        X, y = self._check_fit_inputs(X, y)
+    def _fit(self, X, y):
         if len(self.classes_) < 2:
             raise SingleClass("need at least two classes")
         pairs = list(itertools.combinations(range(len(self.classes_)), 2))
         seeds = np.random.default_rng(self.seed).integers(0, 2**63 - 1, size=len(pairs))
         self.pair_models_ = {}
         for (a, b), pair_seed in zip(pairs, seeds):
-            mask = (y == self.classes_[a]) | (y == self.classes_[b])
-            signs = np.where(y[mask] == self.classes_[a], 1.0, -1.0)
+            mask = (y == a) | (y == b)
+            signs = np.where(y[mask] == a, 1.0, -1.0)
             self.pair_models_[(a, b)] = smo_train_binary(
                 X[mask],
                 signs,
@@ -310,10 +309,8 @@ class RbfSvmClassifier(BaseClassifier):
                 max_passes=self.max_passes,
                 seed=int(pair_seed),
             )
-        return self
 
-    def predict_scores(self, X) -> np.ndarray:
-        X = self._check_predict_input(X)
+    def _scores(self, X):
         n_classes = len(self.classes_)
         votes = np.zeros((X.shape[0], n_classes))
         decision_sums = np.zeros((X.shape[0], n_classes))
@@ -340,6 +337,9 @@ class RbfSvmClassifier(BaseClassifier):
         return {"pairs": pairs}
 
     def _decode_state(self, params: dict) -> None:
+        stored = [tuple(pair["classes"]) for pair in params["pairs"]]
+        if sorted(stored) != list(itertools.combinations(range(len(self.classes_)), 2)):
+            raise ValidationError(f"stored pairs {stored} are not each pair of {len(self.classes_)} classes once")
         self.pair_models_ = {}
         n_features = None
         for pair in params["pairs"]:
@@ -351,6 +351,8 @@ class RbfSvmClassifier(BaseClassifier):
                 gamma=self.gamma,
                 C=self.C,
             )
+            if not np.isfinite(model.bias):
+                raise ValidationError(f"pair {a}-{b} stores a bias of {model.bias}")
             self.pair_models_[(int(a), int(b))] = model
             if model.support_vectors.size:
                 n_features = model.support_vectors.shape[1]

@@ -7,8 +7,8 @@ from typing import Annotated, Literal
 import numpy as np
 
 from ..base import NonNegativeInt, ParamsMixin, PositiveInt
+from ..errors import ValidationError
 from .base import BaseClassifier
-from .serialize import decode_array, encode_array
 
 Criterion = Literal["gini", "entropy"]
 
@@ -51,17 +51,12 @@ class DecisionTreeClassifier(TreeParams, BaseClassifier):
     """
 
     family = "tree"
+    _arrays = {"feature_": np.int64, "threshold_": np.float64, "left_": np.int64, "right_": np.int64,
+               "counts_": np.float64}
 
-    def fit(self, X, y, classes=None):
-        """Grow the tree. ``classes`` may widen the label set (used by forests
-        so every tree's leaf histograms align on the same columns)."""
-        X, y = self._check_fit_inputs(X, y)
-        if classes is not None:
-            self.classes_ = np.asarray(classes, dtype=str)
-        y_index = np.searchsorted(self.classes_, y)
-
-        self._rng = np.random.default_rng(self.seed)
-        self._n_sampled = max(1, int(np.ceil(self.max_features * X.shape[1])))
+    def _fit(self, X, y):
+        rng = np.random.default_rng(self.seed)
+        n_sampled = max(1, int(np.ceil(self.max_features * X.shape[1])))
 
         features: list[int] = []
         thresholds: list[float] = []
@@ -79,7 +74,7 @@ class DecisionTreeClassifier(TreeParams, BaseClassifier):
 
         def build(rows: np.ndarray, depth: int) -> int:
             node = new_node()
-            node_counts = np.bincount(y_index[rows], minlength=len(self.classes_)).astype(np.float64)
+            node_counts = np.bincount(y[rows], minlength=len(self.classes_)).astype(np.float64)
             counts[node] = node_counts
             n = len(rows)
             pure = np.count_nonzero(node_counts) <= 1
@@ -89,7 +84,8 @@ class DecisionTreeClassifier(TreeParams, BaseClassifier):
                 or (self.max_depth is not None and depth >= self.max_depth)
             ):
                 return node
-            split = self._best_split(X, y_index, rows)
+            candidates = np.sort(rng.choice(X.shape[1], size=n_sampled, replace=False))
+            split = self._best_split(X, y, rows, candidates)
             if split is None:
                 return node
             feature, threshold = split
@@ -107,17 +103,12 @@ class DecisionTreeClassifier(TreeParams, BaseClassifier):
         self.left_ = np.asarray(lefts, dtype=np.int64)
         self.right_ = np.asarray(rights, dtype=np.int64)
         self.counts_ = np.vstack(counts)
-        del self._rng
-        return self
 
-    def _best_split(self, X, y_index, rows):
+    def _best_split(self, X, y_index, rows, candidates):
         n = len(rows)
         n_classes = len(self.classes_)
-        sampled = np.sort(
-            self._rng.choice(X.shape[1], size=min(self._n_sampled, X.shape[1]), replace=False)
-        )
         best = None  # (impurity, feature, threshold)
-        for feature in sampled:
+        for feature in candidates:
             values = X[rows, feature]
             order = np.argsort(values, kind="stable")
             sorted_values = values[order]
@@ -161,25 +152,29 @@ class DecisionTreeClassifier(TreeParams, BaseClassifier):
             active = self.feature_[node] != _LEAF
         return node
 
-    def predict_scores(self, X) -> np.ndarray:
-        X = self._check_predict_input(X)
+    def _scores(self, X):
         leaf_counts = self.counts_[self._leaf_for(X)]
         return leaf_counts / leaf_counts.sum(axis=1, keepdims=True)
 
     def _encode_state(self) -> dict:
-        return {
-            "n_features": self.n_features_,
-            "feature": encode_array(self.feature_),
-            "threshold": encode_array(self.threshold_),
-            "left": encode_array(self.left_),
-            "right": encode_array(self.right_),
-            "counts": encode_array(self.counts_),
-        }
+        return {**super()._encode_state(), "n_features": self.n_features_}
 
     def _decode_state(self, params: dict) -> None:
-        self.feature_ = decode_array(params["feature"]).astype(np.int64)
-        self.threshold_ = decode_array(params["threshold"])
-        self.left_ = decode_array(params["left"]).astype(np.int64)
-        self.right_ = decode_array(params["right"]).astype(np.int64)
-        self.counts_ = decode_array(params["counts"])
+        """Load the node arrays and check that they form a tree: an internal
+        node splits on a stored feature and its children are later nodes, so
+        every path ends at a leaf; a node's class counts are non-negative
+        with a positive sum."""
+        super()._decode_state(params)
         self.n_features_ = int(params["n_features"])
+        n_nodes = len(self.counts_)
+        internal = np.flatnonzero(self.feature_ != _LEAF)
+        children = np.concatenate([self.left_[internal], self.right_[internal]])
+        if not (
+            n_nodes
+            and self.counts_.shape == (n_nodes, len(self.classes_))
+            and {a.shape for a in (self.feature_, self.threshold_, self.left_, self.right_)} == {(n_nodes,)}
+            and ((self.feature_ >= _LEAF) & (self.feature_ < self.n_features_)).all()
+            and ((children > np.tile(internal, 2)) & (children < n_nodes)).all()
+            and (self.counts_ >= 0).all() and (self.counts_.sum(axis=1) > 0).all()
+        ):
+            raise ValidationError("stored tree nodes do not form a tree with class counts at every node")

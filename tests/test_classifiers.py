@@ -1,9 +1,11 @@
-"""KNN, Gaussian naive Bayes and softmax regression."""
+"""KNN, Gaussian naive Bayes and softmax regression, and the call checks that
+every family shares."""
 import math
 
 import numpy as np
 import pytest
 
+from raga_moodkit.base import as_float_matrix
 from raga_moodkit.errors import (
     ClassTooSmall,
     DivergenceDetected,
@@ -13,9 +15,19 @@ from raga_moodkit.errors import (
     ValidationError,
 )
 from raga_moodkit.experiments import accuracy
-from raga_moodkit.models import GaussianNbClassifier, KnnClassifier, SoftmaxRegression
+from raga_moodkit.models import (
+    GaussianNbClassifier,
+    KnnClassifier,
+    MlpClassifier,
+    RandomForestClassifier,
+    RbfSvmClassifier,
+    SoftmaxRegression,
+)
+from raga_moodkit.models import base as models_base
+from raga_moodkit.models import svm
 from raga_moodkit.models.linear import _loss_and_grad
 from raga_moodkit.models.neighbors import METRICS, WEIGHTS
+from raga_moodkit.models.tree import DecisionTreeClassifier
 
 
 def brute_force_knn(X_train, y_train, query, k, metric, weights, classes):
@@ -187,9 +199,11 @@ class TestGaussianNb:
         y = rng.choice(["a", "b"], 40)
         model = GaussianNbClassifier().fit(X, y)
         queries = rng.standard_normal((10, 2))
-        log_joint = model._joint_log_likelihood(queries)
-        direct = np.exp(log_joint)  # representable here: small dimension
-        expected = direct / direct.sum(axis=1, keepdims=True)
+        # the posterior straight from the fitted Gaussians; representable
+        # here without logs: small dimension
+        density = np.exp(-0.5 * (queries[:, None, :] - model.theta_) ** 2 / model.var_)
+        joint = model.priors_ * np.prod(density / np.sqrt(2.0 * np.pi * model.var_), axis=2)
+        expected = joint / joint.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(model.predict_scores(queries), expected, atol=1e-12)
 
     def test_variance_floor_on_constant_feature(self):
@@ -317,3 +331,44 @@ class TestContract:
         assert model.k == 7
         with pytest.raises(ValidationError):
             model.set_params(bogus=1)
+
+
+#: Each family, and the forest's tree, at settings that fit quickly.
+QUICK_MODELS = {
+    "knn": lambda: KnnClassifier(k=3),
+    "gnb": GaussianNbClassifier,
+    "logreg": lambda: SoftmaxRegression(max_iter=5),
+    "svm": RbfSvmClassifier,
+    "forest": lambda: RandomForestClassifier(n_estimators=5),
+    "mlp": lambda: MlpClassifier(hidden=(4, 4, 4, 4), epochs=2),
+    "tree": DecisionTreeClassifier,
+}
+
+
+@pytest.mark.parametrize("method", ["fit", "predict_scores"])
+@pytest.mark.parametrize("family", list(QUICK_MODELS))
+def test_rows_are_checked_once_per_call(family, method, monkeypatch):
+    # the base class checks a call's rows once: a forest's trees and an SVM's
+    # pair machines take them as checked. smo_train_binary, a public
+    # function, checks the rows of each pair it trains, so fit counts the
+    # base class's check alone
+    rng = np.random.default_rng(14)
+    X = rng.standard_normal((24, 3))
+    y = np.repeat(["a", "b", "c"], 8)
+    checked = []
+
+    def counting(rows, name="X"):
+        checked.append(len(rows))
+        return as_float_matrix(rows, name)
+
+    model = QUICK_MODELS[family]()
+    if method == "fit":
+        monkeypatch.setattr(models_base, "as_float_matrix", counting)
+        model.fit(X, y)
+        assert checked == [24]
+    else:
+        model.fit(X, y)
+        monkeypatch.setattr(models_base, "as_float_matrix", counting)
+        monkeypatch.setattr(svm, "as_float_matrix", counting)
+        model.predict_scores(rng.standard_normal((7, 3)))
+        assert checked == [7]

@@ -2,9 +2,15 @@
 returns mono audio or raises a ``MoodkitError``, and an encoded mono signal
 decodes to its quantized samples. ``read_store`` (CSV and sidecar),
 ``load_manifest`` and ``ModelBundle.load`` likewise read arbitrary or mutated
-files, or raise a ``MoodkitError``."""
+files, or raise a ``MoodkitError``; named corrupt bundles exit 2 on the
+command line."""
+import base64
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +18,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import raga_moodkit
 from raga_moodkit.audio import DEFAULT_BI_SAMPLE_PLAN, AudioBuffer, decode_wav, encode_wav
 from raga_moodkit.bundle import ModelBundle
 from raga_moodkit.catalog import MANIFEST_FIELDS, FeatureScaler, load_manifest
-from raga_moodkit.errors import MoodkitError
+from raga_moodkit.errors import CorruptArtifact, MoodkitError
 from raga_moodkit.mfcc import MfccConfig
-from raga_moodkit.models import RbfSvmClassifier
+from raga_moodkit.models import KnnClassifier, RandomForestClassifier, RbfSvmClassifier
+from raga_moodkit.models.serialize import encode_array
 from raga_moodkit.store import FeatureTable, read_store, sidecar_path, write_store
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None,
@@ -163,6 +171,15 @@ def mutated_json(draw, data: bytes):
     return json.dumps(document).encode()
 
 
+def save_bundle(model, table, path) -> None:
+    """Fit ``model`` on ``table``'s z-scored rows and save it as a bundle."""
+    scaler = FeatureScaler().fit(table.X)
+    ModelBundle(
+        model=model.fit(scaler.transform(table.X), table.labels), scaler=scaler,
+        feature_fingerprint=table.mfcc.get_params(), config={"plan": [list(c) for c in table.plan.cuts]},
+    ).save(path)
+
+
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
     """A folder holding a small valid store with its sidecar, a manifest and
@@ -174,11 +191,7 @@ def artifacts(tmp_path_factory):
     labels = np.array(["Karuna", "Veera", "Shantha"] * 2)
     table = FeatureTable([f"s{i}:0" for i in range(6)], labels, X, MfccConfig(n_coeffs=3), DEFAULT_BI_SAMPLE_PLAN)
     write_store(table, folder / "store.csv")
-    scaler = FeatureScaler().fit(X)
-    ModelBundle(
-        model=RbfSvmClassifier(gamma=0.5).fit(scaler.transform(X), labels), scaler=scaler,
-        feature_fingerprint=table.mfcc.get_params(), config={"plan": [list(c) for c in table.plan.cuts]},
-    ).save(folder / "model.json")
+    save_bundle(RbfSvmClassifier(gamma=0.5), table, folder / "model.json")
     (folder / "manifest.csv").write_text(
         ",".join(MANIFEST_FIELDS) + "\ns1,a.wav,Song,Mohana,Tamil,Movie\ns2,b.wav,Song,Kalyani,Hindi,Folk/Album\n",
         encoding="utf-8",
@@ -273,3 +286,91 @@ def test_former_escapes_raise_a_moodkit_error(artifacts, name):
         data = json.dumps(document).encode()
     with pytest.raises(MoodkitError):
         read(target, data)
+
+
+# --- corrupt bundles that once loaded -------------------------------------------------
+
+def stored(payload: dict) -> np.ndarray:
+    """A stored array as written, non-finite values included."""
+    return np.frombuffer(base64.b64decode(payload["data"]), dtype="<f8").reshape(payload["shape"]).copy()
+
+
+def loop_root_to_itself(params):
+    tree = next(tree for tree in params["trees"] if stored(tree["feature"])[0] != -1)
+    left = stored(tree["left"])
+    left[0] = 0
+    tree["left"] = encode_array(left)
+
+
+def empty_a_leaf(params):
+    tree = params["trees"][0]
+    counts = stored(tree["counts"])
+    counts[np.flatnonzero(stored(tree["feature"]) == -1)[0]] = 0.0
+    tree["counts"] = encode_array(counts)
+
+
+def nan_first_row(params):
+    X = stored(params["X"])
+    X[0] = np.nan
+    params["X"] = encode_array(X)
+
+
+def set_first_pair(key, value):
+    def edit(params):
+        params["pairs"][0][key] = value
+    return edit
+
+
+#: Bundles that loaded before their decoders checked them: a tree whose root
+#: is its own child (scoring never ended), a leaf with no class counts (NaN
+#: scores), SVM pair indexes out of range or reversed (votes went to the last
+#: class), an infinite SVM bias (one side won every vote of its pair) and a
+#: stored kNN row of NaN (never a neighbour).
+CORRUPT_BUNDLES = {
+    "forest-tree-cycle": ("forest", loop_root_to_itself),
+    "forest-empty-leaf": ("forest", empty_a_leaf),
+    "svm-pair-index-negative": ("svm", set_first_pair("classes", [0, -1])),
+    "svm-pair-reversed": ("svm", set_first_pair("classes", [1, 0])),
+    "svm-infinite-bias": ("svm", set_first_pair("bias", np.inf)),
+    "knn-nan-training-row": ("knn", nan_first_row),
+}
+
+#: Seconds a corrupt bundle's ``evaluate`` may take before the test fails.
+TIMEOUT_S = 60
+
+
+@pytest.fixture(scope="module")
+def family_bundles(tmp_path_factory):
+    """A small store and one bundle trained on it for each family above."""
+    folder = tmp_path_factory.mktemp("family_bundles")
+    rng = np.random.default_rng(1)
+    labels = np.repeat(["Karuna", "Veera", "Shantha"], 4)
+    X = rng.standard_normal((12, 3)) + 3.0 * (labels == "Veera")[:, None]
+    table = FeatureTable([f"s{i}:0" for i in range(12)], labels, X, MfccConfig(n_coeffs=3), DEFAULT_BI_SAMPLE_PLAN)
+    write_store(table, folder / "store.csv")
+    models = {"forest": RandomForestClassifier(n_estimators=3), "svm": RbfSvmClassifier(gamma=0.5),
+              "knn": KnnClassifier(k=3)}
+    for family, model in models.items():
+        save_bundle(model, table, folder / f"{family}.json")
+    return folder
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPT_BUNDLES))
+def test_corrupt_bundle_exits_2_as_corrupt_artifact(family_bundles, tmp_path, name):
+    family, edit = CORRUPT_BUNDLES[name]
+    payload = json.loads((family_bundles / f"{family}.json").read_text())
+    edit(payload["model"]["params"])
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(payload))
+    src = Path(raga_moodkit.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    # in a child process, so that a decoder that never returns fails the test
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from raga_moodkit.cli import main; sys.exit(main(sys.argv[1:]))",
+         "evaluate", "--features", str(family_bundles / "store.csv"), "--model", str(bundle),
+         "--out", str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    assert done.returncode == 2, done.stderr
+    assert "bundle.json is corrupt" in done.stderr
+    with pytest.raises(CorruptArtifact):
+        ModelBundle.load(bundle)
