@@ -8,6 +8,7 @@ doubles a corpus.
 """
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -139,7 +140,7 @@ def decode_wav(data: bytes) -> AudioBuffer:
     into the one output array, so no multi-channel array of the whole signal
     is built. Integer codes are mixed before they are scaled; that keeps
     every bit of mixing the scaled samples. A trailing partial frame is
-    dropped.
+    dropped. ``read_wav`` decodes a file by the same code, from the file.
 
     Raises:
         MalformedHeader: not a RIFF/WAVE stream or required chunks missing.
@@ -147,32 +148,37 @@ def decode_wav(data: bytes) -> AudioBuffer:
         TruncatedData: a chunk declares more bytes than are present.
         NonFiniteSample: float32 data holds NaN or infinity.
     """
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
+    return _decode_stream(io.BytesIO(data))
+
+
+def _decode_stream(stream) -> AudioBuffer:
+    """``decode_wav`` of a seekable binary stream, read into one reused block buffer."""
+    head = stream.read(12)
+    if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
         raise MalformedHeader("not a RIFF/WAVE stream")
 
     fmt = None
     data_span = None
     offset = 12
-    while offset + 8 <= len(data):
-        chunk_id = data[offset : offset + 4]
-        (size,) = struct.unpack_from("<I", data, offset + 4)
+    while len(header := stream.read(8)) == 8:
+        chunk_id, size = struct.unpack("<4sI", header)
         body_start = offset + 8
         if chunk_id == b"fmt ":
-            if size < 16 or body_start + 16 > len(data):
+            body = stream.read(40)
+            if size < 16 or len(body) < 16:
                 raise MalformedHeader("fmt chunk too small")
-            fmt = struct.unpack_from("<HHIIHH", data, body_start)
+            fmt = struct.unpack_from("<HHIIHH", body)
             subformat = None
             if fmt[0] == _FORMAT_EXTENSIBLE:
-                if size < 40 or body_start + 40 > len(data):
+                if size < 40 or len(body) < 40:
                     raise MalformedHeader("extensible fmt chunk shorter than 40 bytes")
-                subformat = data[body_start + 24 : body_start + 40]
+                subformat = body[24:40]
         elif chunk_id == b"data":
-            if body_start + size > len(data):
-                raise TruncatedData(
-                    f"data chunk declares {size} bytes, {len(data) - body_start} available"
-                )
+            available = stream.seek(0, io.SEEK_END) - body_start
+            if size > available:
+                raise TruncatedData(f"data chunk declares {size} bytes, {available} available")
             data_span = (body_start, size)
-        offset = body_start + size + (size & 1)
+        offset = stream.seek(body_start + size + (size & 1))
 
     if fmt is None or data_span is None:
         raise MalformedHeader("missing fmt or data chunk")
@@ -194,18 +200,22 @@ def decode_wav(data: bytes) -> AudioBuffer:
 
     start, size = data_span
     width = bits // 8
-    n_frames = size // (width * channels)
-    if bits == 24:
-        # Behind the byte before it, sample i is the top of the little-endian
-        # int32 at byte 3*i - 1; ">> 8" drops that byte and sign-extends, exactly.
-        codes = np.ndarray((n_frames, channels), dtype, data, start - 1, (3 * channels, 3))
-    else:
-        codes = np.frombuffer(data, dtype, n_frames * channels, start).reshape(n_frames, channels)
+    frame_bytes = width * channels
+    n_frames = size // frame_bytes
+    # PCM24 samples sit behind one pad byte, so sample i is the top of the little-endian
+    # int32 at byte 3*i; ">> 8" drops the byte below it and sign-extends, exactly.
+    pad = 1 if bits == 24 else 0
+    buffer = np.empty(pad + min(_BLOCK, n_frames) * frame_bytes, np.uint8)
+    codes = np.ndarray((min(_BLOCK, n_frames), channels), dtype, buffer, 0, (frame_bytes, width))
 
+    stream.seek(start)
     mono = np.empty(n_frames)
     for first in range(0, n_frames, _BLOCK):
-        block = codes[first : first + _BLOCK]
-        out = mono[first : first + _BLOCK]
+        count = min(_BLOCK, n_frames - first)
+        if stream.readinto(memoryview(buffer)[pad : pad + count * frame_bytes]) != count * frame_bytes:
+            raise TruncatedData(f"stream ended inside the data chunk, {size} bytes declared")
+        block = codes[:count]
+        out = mono[first : first + count]
         if scale is None:
             if not np.isfinite(block).all():
                 raise NonFiniteSample("float32 data holds NaN or infinite samples")
@@ -271,7 +281,9 @@ def encode_wav(buffer: AudioBuffer, encoding: str = "pcm16") -> bytearray:
 
 
 def read_wav(path) -> AudioBuffer:
-    return decode_wav(Path(path).read_bytes())
+    """``decode_wav`` of a file, read block by block rather than whole."""
+    with open(path, "rb") as stream:
+        return _decode_stream(stream)
 
 
 def write_wav(path, buffer: AudioBuffer, encoding: str = "pcm16") -> None:
@@ -321,7 +333,7 @@ def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
     if target_rate <= 0:
         raise ValidationError(f"target_rate must be positive, got {target_rate}")
     if buffer.samples.ndim != 1:
-        raise ValidationError("resample expects mono audio; call to_mono first")
+        raise ValidationError("resample expects mono audio, as read_wav and decode_wav return it")
     if target_rate == buffer.sample_rate:
         return buffer
     x = buffer.samples

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Annotated
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .audio import CANONICAL_RATE, AudioBuffer
 from .base import CheckedFields, FiniteNonNegativeFloat, FinitePositiveFloat, PositiveInt
@@ -96,11 +97,7 @@ class MelFilterbank:
 def power_spectrum(spectrum) -> np.ndarray:
     """|X[k]|^2 for k = 0..N/2 from a full-length spectrum."""
     arr = np.asarray(spectrum)
-    return _squared_magnitude(arr[..., : arr.shape[-1] // 2 + 1])
-
-
-def _squared_magnitude(bins) -> np.ndarray:
-    """re^2 + im^2 per bin; ``mfcc_frames`` applies it to the real FFT's bins."""
+    bins = arr[..., : arr.shape[-1] // 2 + 1]
     return bins.real**2 + bins.imag**2
 
 
@@ -225,18 +222,23 @@ def _frame_constants(config: MfccConfig) -> tuple[np.ndarray, MelFilterbank]:
 #: features must not depend on a tuning knob.
 _CHUNK_FRAMES = 256
 
+#: Frames per window -> FFT -> power pass in ``mfcc_frames``, whose buffers then stay
+#: in L2 cache. Each frame is transformed alone, so the height changes no bit.
+_FFT_FRAMES = 16
+
 
 def mfcc_frames(segment: AudioBuffer, config: MfccConfig) -> np.ndarray:
     """Per-frame coefficients of a mono segment, shape (n_frames, n_coeffs).
 
     Frames start at hop-strided offsets; the trailing frames are zero-padded,
-    giving ceil(len / hop) frames in total.
+    giving ceil(len / hop) frames in total. Whole frames are read in place
+    from the segment; only the padded tail is copied.
 
     Raises:
         EmptySegment: segment shorter than one hop.
     """
     if segment.samples.ndim != 1:
-        raise ValidationError("mfcc_frames expects mono audio; call to_mono first")
+        raise ValidationError("mfcc_frames expects mono audio, as read_wav and decode_wav return it")
     if segment.sample_rate != config.sample_rate:
         raise ValidationError(
             f"segment rate {segment.sample_rate} != config rate {config.sample_rate}; resample first"
@@ -245,18 +247,37 @@ def mfcc_frames(segment: AudioBuffer, config: MfccConfig) -> np.ndarray:
     if len(signal) < config.hop:
         raise EmptySegment(f"segment of {len(signal)} samples is shorter than one hop ({config.hop})")
 
-    n_frames = -(-len(signal) // config.hop)
-    padded = np.zeros((n_frames - 1) * config.hop + config.fft_size)
-    padded[: len(signal)] = signal
-    frames = np.lib.stride_tricks.sliding_window_view(padded, config.fft_size)[:: config.hop]
+    hop, size = config.hop, config.fft_size
+    n_frames = -(-len(signal) // hop)
+    n_whole = max(0, (len(signal) - size) // hop + 1)
+    tail = np.zeros((n_frames - n_whole - 1) * hop + size)
+    tail[: len(signal) - n_whole * hop] = signal[n_whole * hop :]
+    step = signal.strides[0]
+    whole = as_strided(signal, (n_whole, size), (hop * step, step), writeable=False)
+    padded = as_strided(tail, (n_frames - n_whole, size), (hop * 8, 8), writeable=False)
 
     window, bank = _frame_constants(config)
+    windowed = np.empty((min(n_frames, _FFT_FRAMES), size))
+    spectrum = np.empty((len(windowed), size // 2 + 1), np.complex128)
+    # re and im side by side; squared in place, their sums are re^2 + im^2
+    parts = spectrum.view(np.float64)
+    power = np.empty((min(n_frames, _CHUNK_FRAMES), size // 2 + 1))
 
     out = np.empty((n_frames, config.n_coeffs))
     for start in range(0, n_frames, _CHUNK_FRAMES):
-        power = _squared_magnitude(np.fft.rfft(frames[start : start + _CHUNK_FRAMES] * window))
-        energies = log_mel_energies(power, bank, config.log_floor)
-        out[start : start + _CHUNK_FRAMES] = dct_ii(energies, config.n_coeffs)
+        stop = min(start + _CHUNK_FRAMES, n_frames)
+        for first in range(start, stop, _FFT_FRAMES):
+            count = min(_FFT_FRAMES, stop - first)
+            # the pass's first ``split`` frames are whole; the rest are in the padded tail
+            split = min(max(n_whole - first, 0), count)
+            np.multiply(whole[first : first + split], window, out=windowed[:split])
+            np.multiply(padded[first + split - n_whole : first + count - n_whole], window,
+                        out=windowed[split:count])
+            np.fft.rfft(windowed[:count], out=spectrum[:count])
+            np.square(parts[:count], out=parts[:count])
+            np.add(parts[:count, 0::2], parts[:count, 1::2], out=power[first - start : first - start + count])
+        energies = log_mel_energies(power[: stop - start], bank, config.log_floor)
+        out[start:stop] = dct_ii(energies, config.n_coeffs)
     return out
 
 

@@ -8,7 +8,7 @@ from typing import Annotated
 import numpy as np
 
 from ..base import FinitePositiveFloat, NonNegativeInt, PositiveInt
-from ..errors import DivergenceDetected
+from ..errors import DivergenceDetected, ValidationError
 from .base import BaseClassifier
 from .linear import softmax
 from .serialize import decode_array, encode_array
@@ -111,3 +111,7 @@ class MlpClassifier(BaseClassifier):
         self.weights_ = [decode_array(w) for w in params["weights"]]
         self.biases_ = [decode_array(b) for b in params["biases"]]
         self.n_features_ = self.weights_[0].shape[0]
+        sizes = [self.n_features_, *self.hidden, len(self.classes_)]
+        stored = [w.shape for w in self.weights_] + [b.shape for b in self.biases_]
+        if stored != list(zip(sizes, sizes[1:])) + [(n,) for n in sizes[1:]]:
+            raise ValidationError(f"stored layer shapes {stored} do not chain the sizes {sizes}")

@@ -88,6 +88,8 @@ class KnnClassifier(BaseClassifier):
 
     def _decode_state(self, params: dict) -> None:
         super()._decode_state(params)
+        if len(self.y_index_) != len(self.X_):
+            raise ValidationError(f"{len(self.y_index_)} stored labels for {len(self.X_)} stored rows")
         if not np.isin(self.y_index_, np.arange(len(self.classes_))).all():
             raise ValidationError(f"stored labels fall outside the {len(self.classes_)} classes")
         self.n_features_ = self.X_.shape[1]

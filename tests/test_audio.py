@@ -1,4 +1,5 @@
 import io
+import os
 import struct
 import tracemalloc
 import wave
@@ -6,10 +7,15 @@ import wave
 import numpy as np
 import pytest
 
+from raga_moodkit import audio
 from raga_moodkit.audio import (
     _BLOCK,
+    _FORMAT_EXTENSIBLE,
     _FORMAT_IEEE_FLOAT,
     _FORMAT_PCM,
+    _PCM_CODECS,
+    _SUBFORMAT_GUID_TAIL,
+    _mix_into,
     DEFAULT_BI_SAMPLE_PLAN,
     AudioBuffer,
     SegmentPlan,
@@ -18,8 +24,10 @@ from raga_moodkit.audio import (
     encode_wav,
     extract_segment,
     parse_plan,
+    read_wav,
     resample,
     to_mono,
+    write_wav,
 )
 from raga_moodkit.errors import (
     MalformedHeader,
@@ -662,3 +670,166 @@ class TestBlockKernels:
         out, peak = traced_peak(lambda: decode_wav(data))
         assert out.samples.shape == (882000,)
         assert peak <= out.samples.nbytes + 4 * MB, f"{peak / MB:.1f} MB for {out.samples.nbytes / MB:.1f} MB"
+
+
+# --- the streaming decoder against the whole-stream decoder -------------------------
+
+def decode_wav_whole(data: bytes) -> AudioBuffer:
+    """``decode_wav`` as it stood before it streamed, copied verbatim: the
+    whole stream is one ``bytes`` object, and the codes are views into it."""
+    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
+        raise MalformedHeader("not a RIFF/WAVE stream")
+
+    fmt = None
+    data_span = None
+    offset = 12
+    while offset + 8 <= len(data):
+        chunk_id = data[offset : offset + 4]
+        (size,) = struct.unpack_from("<I", data, offset + 4)
+        body_start = offset + 8
+        if chunk_id == b"fmt ":
+            if size < 16 or body_start + 16 > len(data):
+                raise MalformedHeader("fmt chunk too small")
+            fmt = struct.unpack_from("<HHIIHH", data, body_start)
+            subformat = None
+            if fmt[0] == _FORMAT_EXTENSIBLE:
+                if size < 40 or body_start + 40 > len(data):
+                    raise MalformedHeader("extensible fmt chunk shorter than 40 bytes")
+                subformat = data[body_start + 24 : body_start + 40]
+        elif chunk_id == b"data":
+            if body_start + size > len(data):
+                raise TruncatedData(
+                    f"data chunk declares {size} bytes, {len(data) - body_start} available"
+                )
+            data_span = (body_start, size)
+        offset = body_start + size + (size & 1)
+
+    if fmt is None or data_span is None:
+        raise MalformedHeader("missing fmt or data chunk")
+
+    format_tag, channels, sample_rate, _byte_rate, _block_align, bits = fmt
+    if channels < 1 or sample_rate <= 0:
+        raise MalformedHeader(f"invalid fmt fields: channels={channels} rate={sample_rate}")
+    if subformat is not None:
+        if subformat[2:] != _SUBFORMAT_GUID_TAIL:
+            raise UnsupportedEncoding(f"extensible sub-format GUID {subformat.hex()}")
+        (format_tag,) = struct.unpack_from("<H", subformat)
+
+    if format_tag == _FORMAT_PCM and bits in _PCM_CODECS:
+        dtype, code_offset, scale = _PCM_CODECS[bits]
+    elif format_tag == _FORMAT_IEEE_FLOAT and bits == 32:
+        dtype, code_offset, scale = "<f4", 0, None
+    else:
+        raise UnsupportedEncoding(f"format tag {format_tag:#06x} with {bits}-bit samples")
+
+    start, size = data_span
+    width = bits // 8
+    n_frames = size // (width * channels)
+    if bits == 24:
+        # Behind the byte before it, sample i is the top of the little-endian
+        # int32 at byte 3*i - 1; ">> 8" drops that byte and sign-extends, exactly.
+        codes = np.ndarray((n_frames, channels), dtype, data, start - 1, (3 * channels, 3))
+    else:
+        codes = np.frombuffer(data, dtype, n_frames * channels, start).reshape(n_frames, channels)
+
+    mono = np.empty(n_frames)
+    for first in range(0, n_frames, _BLOCK):
+        block = codes[first : first + _BLOCK]
+        out = mono[first : first + _BLOCK]
+        if scale is None:
+            if not np.isfinite(block).all():
+                raise NonFiniteSample("float32 data holds NaN or infinite samples")
+            wide = np.clip(block, -1.0, 1.0, dtype=np.float64)
+        else:
+            wide = (block >> 8 if bits == 24 else block).astype(np.float64)
+            if code_offset:
+                wide -= code_offset
+        if channels == 1:
+            out[:] = wide[:, 0]
+        else:
+            _mix_into(wide, out)
+        if scale is not None:
+            # codes are whole numbers, so scaling the mean by a power of two
+            # rounds it exactly as scaling every sample first would
+            out *= scale
+    return AudioBuffer(samples=mono, sample_rate=sample_rate)
+
+
+def layout_stream(encoding: str, channels: int, payload: bytes, layout: str) -> bytes:
+    """A RIFF stream of ``payload`` under a plain or an extensible fmt chunk,
+    or with an odd-sized chunk, and its pad byte, between fmt and data."""
+    if layout == "extensible":
+        tag, bits, _ = ENCODINGS[encoding]
+        align = channels * bits // 8
+        fmt = struct.pack("<HHIIHHHHI", _FORMAT_EXTENSIBLE, channels, 44100, 44100 * align, align, bits,
+                          22, bits, (1 << channels) - 1) + struct.pack("<H", tag) + _SUBFORMAT_GUID_TAIL
+        return wav_with(fmt, payload)
+    stream = wav_with(fmt_chunk(encoding, channels), payload)
+    if layout == "odd_chunk":
+        at = stream.index(b"data")
+        stream = stream[:at] + b"LIST" + struct.pack("<I", 3) + b"abc\x00" + stream[at:]
+        stream = stream[:4] + struct.pack("<I", len(stream) - 8) + stream[8:]
+    return stream
+
+
+class TestStreamingDecode:
+    """``read_wav`` and ``decode_wav`` read one reused block buffer and give
+    every bit the whole-stream decoder gives."""
+
+    @pytest.mark.parametrize("layout", ["plain", "extensible", "odd_chunk"])
+    @pytest.mark.parametrize("encoding", list(ENCODINGS))
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_bitwise_equal_to_the_whole_stream_decoder(self, tmp_path, layout, encoding, channels):
+        for n in (0, 1, _BLOCK, 2 * _BLOCK + 5):
+            payload, _ = random_payload(encoding, n, channels, seed=n + channels)
+            # a trailing byte: a whole PCM8 mono frame, a dropped partial frame otherwise
+            stream = layout_stream(encoding, channels, payload + b"\x01", layout)
+            path = tmp_path / f"{n}.wav"
+            path.write_bytes(stream)
+            expected = decode_wav_whole(stream)
+            for decoded in (decode_wav(stream), read_wav(path)):
+                assert decoded.sample_rate == expected.sample_rate == 44100
+                assert decoded.samples.shape == expected.samples.shape
+                np.testing.assert_array_equal(decoded.samples.view(np.int64), expected.samples.view(np.int64))
+
+    def test_empty_file_is_malformed(self, tmp_path):
+        (tmp_path / "empty.wav").write_bytes(b"")
+        with pytest.raises(MalformedHeader):
+            read_wav(tmp_path / "empty.wav")
+
+    def test_data_chunk_longer_than_the_file(self, tmp_path):
+        payload, _ = random_payload("pcm16", 100, 2, seed=1)
+        (tmp_path / "cut.wav").write_bytes(wav_with(fmt_chunk("pcm16", 2), payload)[:-4])
+        with pytest.raises(TruncatedData, match="declares 400 bytes, 396 available"):
+            read_wav(tmp_path / "cut.wav")
+
+    def test_file_cut_short_while_it_is_read(self, tmp_path, monkeypatch):
+        # the headers promise three blocks; the file loses all but one block and
+        # ten bytes after the headers are read, so the second read comes back
+        # short and the decoder raises rather than decode the block left behind
+        payload, _ = random_payload("pcm16", 3 * _BLOCK, 2, seed=2)
+        path = tmp_path / "shrinks.wav"
+        path.write_bytes(wav_with(fmt_chunk("pcm16", 2), payload))
+        reads = []
+
+        class ShrinksWhenRead(io.BufferedReader):
+            def readinto(self, buffer):
+                os.truncate(path, 44 + 4 * _BLOCK + 10)
+                reads.append(super().readinto(buffer))
+                return reads[-1]
+
+        monkeypatch.setattr(audio, "open", lambda name, mode: ShrinksWhenRead(io.FileIO(name, mode)),
+                            raising=False)
+        with pytest.raises(TruncatedData, match="stream ended inside the data chunk"):
+            read_wav(path)
+        assert reads == [4 * _BLOCK, 10]
+
+    def test_read_holds_little_more_than_its_mono_output(self, tmp_path):
+        # 20 s of 44.1 kHz stereo PCM24: a 5.3 MB file is read one block at a
+        # time, so it is never held whole next to the 7.1 MB mono output
+        samples = awkward_signal(2 * 882000, 4).reshape(-1, 2)
+        path = tmp_path / "long.wav"
+        write_wav(path, AudioBuffer(samples=samples, sample_rate=44100), "pcm24")
+        out, peak = traced_peak(lambda: read_wav(path))
+        assert out.samples.shape == (882000,)
+        assert peak <= out.samples.nbytes + 2 * MB, f"{peak / MB:.1f} MB for {out.samples.nbytes / MB:.1f} MB"

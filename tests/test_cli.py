@@ -16,6 +16,7 @@ from raga_moodkit.cli import main, parse_grid, parse_params
 from raga_moodkit.errors import CorruptArtifact, ValidationError
 from raga_moodkit.experiments import ExperimentConfig, extract_features
 from raga_moodkit.models import FAMILIES
+from raga_moodkit.models.serialize import decode_array, encode_array
 from raga_moodkit.recommender import recommend_transition, score_library
 from raga_moodkit.store import read_store, sidecar_path
 from raga_moodkit.synth import DEFAULT_RECIPES, synth_signal
@@ -499,6 +500,29 @@ class TestCorruptInputs:
              "--from", "Karuna", "--to", "Shantha"],
         ]
         for argv in runs:
+            self.assert_data_error(main(argv), capsys)
+
+    @pytest.mark.parametrize("damage", ["knn_short_labels", "mlp_cut_layers"])
+    def test_stored_arrays_that_disagree(self, extracted, family_bundles, tmp_path, capsys, damage):
+        # a knn bundle with one label fewer than its rows used to end scoring in
+        # an IndexError traceback; an MLP whose layers skip hidden sizes loaded
+        # and scored through the layers that were left
+        family = damage.split("_")[0]
+        payload = json.loads(family_bundles[family].read_text(encoding="utf-8"))
+        params = payload["model"]["params"]
+        if family == "knn":
+            params["y_index"] = encode_array(decode_array(params["y_index"])[:-1])
+        else:
+            params["weights"] = [params["weights"][0], params["weights"][-1]]
+            params["biases"] = [params["biases"][0], params["biases"][-1]]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CorruptArtifact, match="labels for|do not chain"):
+            ModelBundle.load(model)
+        for command in ("evaluate", "recommend"):
+            argv = [command, "--model", str(model), "--features", str(extracted)]
+            if command == "recommend":
+                argv += ["--from", "Karuna", "--to", "Shantha"]
             self.assert_data_error(main(argv), capsys)
 
     def test_bundle_without_plan(self, small_corpus, extracted, trained, tmp_path, capsys):

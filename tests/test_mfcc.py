@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from raga_moodkit.audio import AudioBuffer
+from raga_moodkit.audio import AudioBuffer, resample
 from raga_moodkit.errors import (
     DegenerateBank,
     EmptySegment,
@@ -13,6 +14,7 @@ from raga_moodkit.errors import (
 )
 from raga_moodkit.mfcc import (
     _CHUNK_FRAMES,
+    _FFT_FRAMES,
     _frame_constants,
     MfccConfig,
     aggregate_features,
@@ -420,6 +422,101 @@ class TestAgainstDenseProduct:
         segment = AudioBuffer(samples=np.random.default_rng(9).uniform(-1, 1, 50000), sample_rate=16000)
         diff = mfcc_frames(segment, config) - mfcc_frames_dense(segment, config)
         assert np.max(np.abs(diff)) <= DENSE_TOLERANCE
+
+
+def _squared_magnitude(bins) -> np.ndarray:
+    """re^2 + im^2 per bin; ``mfcc_frames`` applies it to the real FFT's bins."""
+    return bins.real**2 + bins.imag**2
+
+
+def mfcc_frames_padded(segment: AudioBuffer, config: MfccConfig) -> np.ndarray:
+    """``mfcc_frames`` as it stood before it read whole frames in place, copied
+    verbatim with the power rule it called: the whole segment is copied into
+    a zero-padded array, and each batch of frames is windowed and transformed
+    in one piece."""
+    if segment.samples.ndim != 1:
+        raise ValidationError("mfcc_frames expects mono audio; call to_mono first")
+    if segment.sample_rate != config.sample_rate:
+        raise ValidationError(
+            f"segment rate {segment.sample_rate} != config rate {config.sample_rate}; resample first"
+        )
+    signal = np.asarray(segment.samples, dtype=np.float64)
+    if len(signal) < config.hop:
+        raise EmptySegment(f"segment of {len(signal)} samples is shorter than one hop ({config.hop})")
+
+    n_frames = -(-len(signal) // config.hop)
+    padded = np.zeros((n_frames - 1) * config.hop + config.fft_size)
+    padded[: len(signal)] = signal
+    frames = np.lib.stride_tricks.sliding_window_view(padded, config.fft_size)[:: config.hop]
+
+    window, bank = _frame_constants(config)
+
+    out = np.empty((n_frames, config.n_coeffs))
+    for start in range(0, n_frames, _CHUNK_FRAMES):
+        power = _squared_magnitude(np.fft.rfft(frames[start : start + _CHUNK_FRAMES] * window))
+        energies = log_mel_energies(power, bank, config.log_floor)
+        out[start : start + _CHUNK_FRAMES] = dct_ii(energies, config.n_coeffs)
+    return out
+
+
+def frame_edge_lengths(config: MfccConfig) -> list[int]:
+    """Segment lengths at the kernel's edges: below one frame, exactly one
+    frame, and one sample either side of the lengths at which the whole
+    frames fill one FFT pass, one mel batch, and a batch and a pass."""
+    hop, size = config.hop, config.fft_size
+    edges = [size + (whole - 1) * hop for whole in (1, _FFT_FRAMES, _CHUNK_FRAMES, _CHUNK_FRAMES + _FFT_FRAMES)]
+    lengths = {hop, (hop + size) // 2, size - 1, 3 * _CHUNK_FRAMES * hop + 9}
+    lengths.update(n + d for n in edges for d in (-1, 0, 1))
+    return sorted(n for n in lengths if n >= hop)
+
+
+EDGE_CONFIGS = [
+    MfccConfig(),
+    MfccConfig(fft_size=256, hop=64, n_filters=12, n_coeffs=8),
+    # frames that do not overlap: no frame is padded when hop divides the length
+    MfccConfig(fft_size=512, hop=512, n_filters=20, n_coeffs=13),
+]
+
+
+class TestAgainstPaddedCopy:
+    """The kernel reads whole frames in place and pads only the tail, yet every
+    bit is what framing a zero-padded copy of the whole segment gives."""
+
+    @pytest.mark.parametrize("config", EDGE_CONFIGS, ids=["default", "256-64", "512-512"])
+    def test_bitwise_equal_at_the_frame_edges(self, config):
+        rng = np.random.default_rng(config.fft_size + config.hop)
+        for n in frame_edge_lengths(config):
+            samples = rng.uniform(-0.5, 0.5, n)
+            samples[: n // 7] = 0.0  # silence reaches the log floor
+            segment = AudioBuffer(samples=samples, sample_rate=config.sample_rate)
+            ours, reference = mfcc_frames(segment, config), mfcc_frames_padded(segment, config)
+            assert ours.shape == reference.shape == (-(-n // config.hop), config.n_coeffs)
+            np.testing.assert_array_equal(ours.view(np.int64), reference.view(np.int64), err_msg=f"n={n}")
+
+    def test_bitwise_equal_on_a_whole_ratio_resample(self):
+        # 44.1 -> 22.05 kHz keeps every other sample: a strided view, read in place
+        rng = np.random.default_rng(11)
+        for n in (2 * 11025, 2 * (_CHUNK_FRAMES * 512 + 1536) + 1, 2 * 60 * 22050):
+            wide = AudioBuffer(samples=rng.uniform(-0.5, 0.5, n), sample_rate=44100)
+            segment = resample(wide, 22050)
+            assert segment.samples.strides == (16,)
+            ours, reference = mfcc_frames(segment, MfccConfig()), mfcc_frames_padded(segment, MfccConfig())
+            np.testing.assert_array_equal(ours.view(np.int64), reference.view(np.int64))
+
+    def test_a_minute_holds_one_batch_of_power_beside_its_output(self):
+        # a 60 s cut (10.6 MB) is not copied; a mel batch's power spectra
+        # (2.1 MB) and the FFT pass's buffers come on top of the output
+        samples = np.random.default_rng(12).uniform(-0.5, 0.5, 60 * 22050)
+        segment = AudioBuffer(samples=samples, sample_rate=22050)
+        mfcc_frames(segment, MfccConfig())  # window and filterbank cached
+        tracemalloc.start()
+        try:
+            frames = mfcc_frames(segment, MfccConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        power = _CHUNK_FRAMES * 1025 * 8
+        assert peak <= frames.nbytes + power + (1 << 20), f"{peak / 2**20:.1f} MiB"
 
 
 class TestFrameConstants:
