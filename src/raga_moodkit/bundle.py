@@ -99,9 +99,9 @@ class ModelBundle:
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelBundle":
         """Decode a bundle and check that its parts agree: the feature setup
-        is recorded and passes its dataclasses' checks, the scaler takes the
-        model's features, and the model scores one row over its whole class
-        order."""
+        is recorded and passes its dataclasses' checks, the model's ``F``
+        features are the MFCC coefficients and the scaler's width, and the
+        model scores one row over its whole class order."""
         if payload.get("format_version") != BUNDLE_FORMAT_VERSION:
             raise ValidationError(
                 f"unsupported bundle format_version {payload.get('format_version')!r}"
@@ -120,6 +120,10 @@ class ModelBundle:
         )
         if bundle.mfcc is None or bundle.plan is None:
             raise ValidationError("the model bundle records no MFCC settings or no segment plan")
+        scaler_widths = [bundle.scaler.offset_.shape, bundle.scaler.scale_.shape] if bundle.scaler else []
+        widths = [(bundle.mfcc.n_coeffs,), *scaler_widths]
+        if any(width != (bundle.model.n_features_,) for width in widths):
+            raise ValidationError(f"{bundle.model.n_features_} model features, MFCC and scaler widths {widths}")
         scores = bundle.predict_scores(np.zeros((1, bundle.model.n_features_)))
         if scores.shape != (1, len(bundle.model.classes_)) or not np.isclose(scores.sum(), 1.0):
             raise ValidationError(

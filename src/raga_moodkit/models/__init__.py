@@ -1,9 +1,4 @@
-"""Classifier families behind one contract (fit / predict / predict_scores).
-
-A fitted model's label space lives in ``classes_`` (sorted order); scores
-are one value per class summing to 1 per row, and ``predict`` is the score
-argmax with ties resolved to the earliest class.
-"""
+"""Classifier families behind one contract, stated in models.base."""
 from __future__ import annotations
 
 from ..errors import ValidationError

@@ -14,13 +14,15 @@ import numpy as np
 
 from ..base import ParamsMixin, as_float_matrix, as_label_array, check_fitted
 from ..errors import EmptyData, ValidationError
-from .serialize import decode_array, encode_array
+from .serialize import bind_array, encode_array
 
 
 class BaseClassifier(ParamsMixin):
     family = "base"
-    #: Fitted arrays a bundle saves, by attribute, with the dtype they load
-    #: as; each is stored under its name without the trailing underscore.
+    #: Fitted arrays a bundle saves, by attribute (stored without the trailing
+    #: underscore), with their layout: a shape in ``C`` classes, ``F`` features
+    #: and ``N`` (a length shared within the family's state), or an ``Index``
+    #: of whole numbers in a range, or a list of shapes; see models.serialize.
     _arrays = {}
 
     def fit(self, X, y):
@@ -60,13 +62,15 @@ class BaseClassifier(ParamsMixin):
 
     def _decode_params(self, params: dict) -> None:
         self.set_params(**{name: params[name] for name in self._param_types()})
-        self._decode_state(params)
+        sizes = {"C": len(self.classes_)}
+        self._decode_state(params, sizes)
+        self.n_features_ = sizes["F"]
 
     def _encode_state(self) -> dict:
-        return {name[:-1]: encode_array(getattr(self, name)) for name in self._arrays}
+        return {name[:-1]: [encode_array(a) for a in getattr(self, name)] if isinstance(layout, list)
+                else encode_array(getattr(self, name)) for name, layout in self._arrays.items()}
 
-    def _decode_state(self, params: dict) -> None:
-        """Load the listed arrays; a family then sets ``n_features_`` and
-        checks what the arrays must agree on."""
-        for name, dtype in self._arrays.items():
-            setattr(self, name, decode_array(params[name[:-1]]).astype(dtype, copy=False))
+    def _decode_state(self, params: dict, sizes: dict) -> None:
+        """Load the listed arrays, each checked against its layout in ``sizes``."""
+        for name, layout in self._arrays.items():
+            setattr(self, name, bind_array(name[:-1], params[name[:-1]], layout, sizes))

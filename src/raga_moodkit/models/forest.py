@@ -43,13 +43,15 @@ class RandomForestClassifier(TreeParams, BaseClassifier):
     def _encode_state(self) -> dict:
         return {"trees": [tree._encode_params() for tree in self.trees_]}
 
-    def _decode_state(self, params: dict) -> None:
+    def _decode_state(self, params: dict, sizes: dict) -> None:
+        """Load ``n_estimators`` trees, each taking the same ``F`` features."""
+        if len(params["trees"]) != self.n_estimators:
+            raise ValidationError(f"{len(params['trees'])} stored trees for n_estimators={self.n_estimators}")
         self.trees_ = []
         for tree_params in params["trees"]:
             tree = DecisionTreeClassifier()
             tree.classes_ = self.classes_
             tree._decode_params(tree_params)
+            if sizes.setdefault("F", tree.n_features_) != tree.n_features_:
+                raise ValidationError("the stored trees disagree on the feature count")
             self.trees_.append(tree)
-        self.n_features_ = self.trees_[0].n_features_
-        if any(tree.n_features_ != self.n_features_ for tree in self.trees_):
-            raise ValidationError("the stored trees disagree on the feature count")

@@ -37,7 +37,7 @@ class SoftmaxRegression(BaseClassifier):
     max_iter: NonNegativeInt = 1000
     learning_rate: FinitePositiveFloat = 0.01
 
-    _arrays = {"weights_": np.float64}
+    _arrays = {"weights_": ("F+1", "C")}
 
     def _fit(self, X, y):
         n, f = X.shape
@@ -64,7 +64,3 @@ class SoftmaxRegression(BaseClassifier):
     def _scores(self, X):
         X_bias = np.hstack([X, np.ones((X.shape[0], 1))])
         return softmax(X_bias @ self.weights_)
-
-    def _decode_state(self, params: dict) -> None:
-        super()._decode_state(params)
-        self.n_features_ = self.weights_.shape[0] - 1

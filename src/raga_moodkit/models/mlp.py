@@ -8,10 +8,9 @@ from typing import Annotated
 import numpy as np
 
 from ..base import FinitePositiveFloat, NonNegativeInt, PositiveInt
-from ..errors import DivergenceDetected, ValidationError
+from ..errors import DivergenceDetected
 from .base import BaseClassifier
 from .linear import softmax
-from .serialize import decode_array, encode_array
 
 
 def _init_layers(sizes, rng):
@@ -101,17 +100,8 @@ class MlpClassifier(BaseClassifier):
     def _scores(self, X):
         return forward(self.weights_, self.biases_, X)[-1]
 
-    def _encode_state(self) -> dict:
-        return {
-            "weights": [encode_array(w) for w in self.weights_],
-            "biases": [encode_array(b) for b in self.biases_],
-        }
-
-    def _decode_state(self, params: dict) -> None:
-        self.weights_ = [decode_array(w) for w in params["weights"]]
-        self.biases_ = [decode_array(b) for b in params["biases"]]
-        self.n_features_ = self.weights_[0].shape[0]
-        sizes = [self.n_features_, *self.hidden, len(self.classes_)]
-        stored = [w.shape for w in self.weights_] + [b.shape for b in self.biases_]
-        if stored != list(zip(sizes, sizes[1:])) + [(n,) for n in sizes[1:]]:
-            raise ValidationError(f"stored layer shapes {stored} do not chain the sizes {sizes}")
+    @property
+    def _arrays(self) -> dict:
+        """One weight matrix and one bias per layer of the chain [F, *hidden, C]."""
+        sizes = ["F", *self.hidden, "C"]
+        return {"weights_": list(zip(sizes, sizes[1:])), "biases_": [(n,) for n in sizes[1:]]}

@@ -22,7 +22,7 @@ class GaussianNbClassifier(BaseClassifier):
     family = "gnb"
     var_floor: FinitePositiveFloat = 1e-9
 
-    _arrays = {"theta_": np.float64, "var_": np.float64, "priors_": np.float64}
+    _arrays = {"theta_": ("C", "F"), "var_": ("C", "F"), "priors_": ("C",)}
 
     def _fit(self, X, y):
         n_classes = len(self.classes_)
@@ -41,7 +41,3 @@ class GaussianNbClassifier(BaseClassifier):
         delta = X[:, None, :] - self.theta_[None, :, :]
         log_density = -0.5 * (np.log(2.0 * np.pi * self.var_) + delta * delta / self.var_)
         return softmax(np.log(self.priors_) + log_density.sum(axis=2))
-
-    def _decode_state(self, params: dict) -> None:
-        super()._decode_state(params)
-        self.n_features_ = self.theta_.shape[1]

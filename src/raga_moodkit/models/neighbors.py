@@ -8,8 +8,9 @@ from typing import Literal
 import numpy as np
 
 from ..base import PositiveInt
-from ..errors import KTooLarge, ValidationError
+from ..errors import KTooLarge
 from .base import BaseClassifier
+from .serialize import Index
 
 Metric = Literal["euclidean", "manhattan", "hamming"]
 Weights = Literal["uniform", "distance"]
@@ -57,7 +58,7 @@ class KnnClassifier(BaseClassifier):
     metric: Metric = "manhattan"
     weights: Weights = "uniform"
 
-    _arrays = {"X_": np.float64, "y_index_": np.int64}
+    _arrays = {"X_": ("N", "F"), "y_index_": Index(("N",), 0, "C")}
 
     def _fit(self, X, y):
         if self.k > X.shape[0]:
@@ -85,11 +86,3 @@ class KnnClassifier(BaseClassifier):
         rows = np.broadcast_to(np.arange(len(X))[:, None], nearest.shape)
         np.add.at(scores, (rows, self.y_index_[nearest]), weights)
         return scores
-
-    def _decode_state(self, params: dict) -> None:
-        super()._decode_state(params)
-        if len(self.y_index_) != len(self.X_):
-            raise ValidationError(f"{len(self.y_index_)} stored labels for {len(self.X_)} stored rows")
-        if not np.isin(self.y_index_, np.arange(len(self.classes_))).all():
-            raise ValidationError(f"stored labels fall outside the {len(self.classes_)} classes")
-        self.n_features_ = self.X_.shape[1]

@@ -1,20 +1,30 @@
 """Versioned JSON model envelope.
 
-Layout: ``{"format_version", "family", "class_order", "params"}``. ``params``
-holds the family's constructor parameters under their own names plus its
-fitted state; all numeric arrays in it travel base64-encoded as
-little-endian float64 (integer-valued arrays included) alongside their shape.
-A stored array holds finite values only.
+Layout: ``{"format_version", "family", "class_order", "params"}``, where
+``class_order`` is distinct labels in sorted order, as ``fit`` writes it, and
+``params`` the family's constructor parameters plus its fitted state. Numeric
+arrays travel base64-encoded as little-endian float64 with their shape, and
+hold finite values only. Each family declares their shapes in symbols: ``C``
+is the class count, bound from ``class_order``; ``F`` the feature count; ``N``
+a length shared within one family's state (kNN rows, one tree's nodes, one
+SVM pair's support vectors). A dimension may also be a fixed size or
+``"F+1"``. An ``Index`` array also declares a range, such as [0, C), and must
+hold whole numbers in it; only it loads as int64.
 """
 from __future__ import annotations
 
 import base64
+from collections import namedtuple
 
 import numpy as np
 
 from ..errors import ValidationError
 
 FORMAT_VERSION = 1
+
+
+#: Layout of whole numbers in [low, high), where a bound may be a symbol.
+Index = namedtuple("Index", "shape low high")
 
 
 def encode_array(arr) -> dict:
@@ -31,6 +41,33 @@ def decode_array(payload: dict) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValidationError("a stored array holds NaN or infinity")
     return arr
+
+
+def bind_array(name: str, payload, layout, sizes: dict):
+    """Decode the stored array ``name`` and check it against ``layout`` (a
+    shape, an ``Index`` or a list of shapes); a new symbol binds in ``sizes``."""
+    if isinstance(layout, list):
+        if not isinstance(payload, list) or len(payload) != len(layout):
+            raise ValidationError(f"stored {name} is not a list of {len(layout)} arrays")
+        return [bind_array(f"{name}[{i}]", *entry, sizes) for i, entry in enumerate(zip(payload, layout))]
+    if isinstance(layout, Index):
+        arr = bind_array(name, payload, layout.shape, sizes)
+        low, high = (sizes[end] if isinstance(end, str) else end for end in (layout.low, layout.high))
+        if not ((low <= arr) & (arr < high) & (arr == np.floor(arr))).all():
+            raise ValidationError(f"stored {name} is not all whole numbers in [{layout.low}, {layout.high})")
+        return arr.astype(np.int64)
+    arr = decode_array(payload)
+    if arr.ndim != len(layout) or any(_bind(dim, n, sizes) != n for dim, n in zip(layout, arr.shape)):
+        raise ValidationError(f"stored {name} has shape {arr.shape}, not {layout} with {sizes}")
+    return arr
+
+
+def _bind(dim, n: int, sizes: dict) -> int:
+    """The size ``dim`` stands for, binding a new symbol to match ``n``; a count is never negative."""
+    if isinstance(dim, int):
+        return dim
+    symbol, _, extra = dim.partition("+")
+    return sizes.setdefault(symbol, max(n - int(extra or 0), 0)) + int(extra or 0)
 
 
 def to_envelope(model) -> dict:
@@ -54,7 +91,10 @@ def from_envelope(envelope: dict):
     family = envelope.get("family")
     if family not in FAMILIES:
         raise ValidationError(f"unknown model family {family!r}")
+    order = envelope["class_order"]
+    if not (isinstance(order, list) and all(isinstance(c, str) for c in order) and order == sorted(set(order))):
+        raise ValidationError(f"class_order {order!r} is not distinct labels in sorted order")
     model = FAMILIES[family]()
-    model.classes_ = np.asarray(envelope["class_order"], dtype=str)
+    model.classes_ = np.asarray(order, dtype=str)
     model._decode_params(envelope["params"])
     return model

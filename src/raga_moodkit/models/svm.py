@@ -11,7 +11,7 @@ from ..base import FiniteNonNegativeFloat, FinitePositiveFloat, NonNegativeInt, 
 from ..errors import SingleClass, ValidationError
 from .base import BaseClassifier
 from .linear import softmax
-from .serialize import decode_array, encode_array
+from .serialize import bind_array, encode_array
 
 
 def rbf_kernel_matrix(A, B, gamma: float) -> np.ndarray:
@@ -290,6 +290,8 @@ class RbfSvmClassifier(BaseClassifier):
     tol: FiniteNonNegativeFloat = 1e-3  # a NaN tolerance is never met
     max_passes: PositiveInt = 10  # with 0 no sweep runs and training never ends
     seed: NonNegativeInt = 0
+    #: Each class pair's stored arrays; ``N`` counts the pair's support vectors.
+    _pair_arrays = {"support_vectors": ("N", "F"), "dual_coef": ("N",)}
 
     def _fit(self, X, y):
         if len(self.classes_) < 2:
@@ -324,38 +326,20 @@ class RbfSvmClassifier(BaseClassifier):
         return softmax(votes + _sigmoid(decision_sums))
 
     def _encode_state(self) -> dict:
-        pairs = []
-        for (a, b), model in sorted(self.pair_models_.items()):
-            pairs.append(
-                {
-                    "classes": [int(a), int(b)],
-                    "support_vectors": encode_array(model.support_vectors),
-                    "dual_coef": encode_array(model.dual_coef),
-                    "bias": model.bias,
-                }
-            )
-        return {"pairs": pairs}
+        return {"pairs": [{"classes": [int(a), int(b)], "bias": model.bias,
+                           **{key: encode_array(getattr(model, key)) for key in self._pair_arrays}}
+                          for (a, b), model in sorted(self.pair_models_.items())]}
 
-    def _decode_state(self, params: dict) -> None:
+    def _decode_state(self, params: dict, sizes: dict) -> None:
         stored = [tuple(pair["classes"]) for pair in params["pairs"]]
-        if sorted(stored) != list(itertools.combinations(range(len(self.classes_)), 2)):
-            raise ValidationError(f"stored pairs {stored} are not each pair of {len(self.classes_)} classes once")
+        if not stored or sorted(stored) != list(itertools.combinations(range(len(self.classes_)), 2)):
+            raise ValidationError(
+                f"stored pairs {stored} are not each pair of {len(self.classes_)} >= 2 classes once")
         self.pair_models_ = {}
-        n_features = None
-        for pair in params["pairs"]:
-            a, b = pair["classes"]
-            model = BinarySvmModel(
-                support_vectors=decode_array(pair["support_vectors"]),
-                dual_coef=decode_array(pair["dual_coef"]),
-                bias=float(pair["bias"]),
-                gamma=self.gamma,
-                C=self.C,
-            )
+        for (a, b), pair in zip(stored, params["pairs"]):
+            sizes.pop("N", None)  # each pair binds its own N; F is shared
+            arrays = {key: bind_array(key, pair[key], layout, sizes) for key, layout in self._pair_arrays.items()}
+            model = BinarySvmModel(**arrays, bias=float(pair["bias"]), gamma=self.gamma, C=self.C)
             if not np.isfinite(model.bias):
                 raise ValidationError(f"pair {a}-{b} stores a bias of {model.bias}")
             self.pair_models_[(int(a), int(b))] = model
-            if model.support_vectors.size:
-                n_features = model.support_vectors.shape[1]
-        if n_features is None:
-            raise ValidationError("serialized SVM has no support vectors")
-        self.n_features_ = n_features

@@ -9,6 +9,7 @@ import numpy as np
 from ..base import NonNegativeInt, ParamsMixin, PositiveInt
 from ..errors import ValidationError
 from .base import BaseClassifier
+from .serialize import Index
 
 Criterion = Literal["gini", "entropy"]
 
@@ -51,8 +52,8 @@ class DecisionTreeClassifier(TreeParams, BaseClassifier):
     """
 
     family = "tree"
-    _arrays = {"feature_": np.int64, "threshold_": np.float64, "left_": np.int64, "right_": np.int64,
-               "counts_": np.float64}
+    _arrays = {"feature_": Index(("N",), _LEAF, "F"), "threshold_": ("N",), "left_": Index(("N",), _LEAF, "N"),
+               "right_": Index(("N",), _LEAF, "N"), "counts_": ("N", "C")}
 
     def _fit(self, X, y):
         rng = np.random.default_rng(self.seed)
@@ -159,22 +160,16 @@ class DecisionTreeClassifier(TreeParams, BaseClassifier):
     def _encode_state(self) -> dict:
         return {**super()._encode_state(), "n_features": self.n_features_}
 
-    def _decode_state(self, params: dict) -> None:
-        """Load the node arrays and check that they form a tree: an internal
-        node splits on a stored feature and its children are later nodes, so
-        every path ends at a leaf; a node's class counts are non-negative
-        with a positive sum."""
-        super()._decode_state(params)
-        self.n_features_ = int(params["n_features"])
-        n_nodes = len(self.counts_)
+    def _decode_state(self, params: dict, sizes: dict) -> None:
+        """Bind ``F`` to the stored feature count, load the node arrays and check
+        that they form a tree: an internal node's children are later nodes, so
+        every path ends at a leaf; class counts are non-negative, summing > 0."""
+        if type(params["n_features"]) is not int:
+            raise ValidationError(f"stored n_features {params['n_features']!r} is not an int")
+        sizes["F"] = params["n_features"]
+        super()._decode_state(params, sizes)
         internal = np.flatnonzero(self.feature_ != _LEAF)
         children = np.concatenate([self.left_[internal], self.right_[internal]])
-        if not (
-            n_nodes
-            and self.counts_.shape == (n_nodes, len(self.classes_))
-            and {a.shape for a in (self.feature_, self.threshold_, self.left_, self.right_)} == {(n_nodes,)}
-            and ((self.feature_ >= _LEAF) & (self.feature_ < self.n_features_)).all()
-            and ((children > np.tile(internal, 2)) & (children < n_nodes)).all()
-            and (self.counts_ >= 0).all() and (self.counts_.sum(axis=1) > 0).all()
-        ):
+        if not (len(self.counts_) and (children > np.tile(internal, 2)).all()
+                and (self.counts_ >= 0).all() and (self.counts_.sum(axis=1) > 0).all()):
             raise ValidationError("stored tree nodes do not form a tree with class counts at every node")

@@ -517,7 +517,7 @@ class TestCorruptInputs:
             params["biases"] = [params["biases"][0], params["biases"][-1]]
         model = tmp_path / "model.json"
         model.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(CorruptArtifact, match="labels for|do not chain"):
+        with pytest.raises(CorruptArtifact, match="stored y_index has shape|stored weights is not a list"):
             ModelBundle.load(model)
         for command in ("evaluate", "recommend"):
             argv = [command, "--model", str(model), "--features", str(extracted)]

@@ -24,7 +24,14 @@ from raga_moodkit.bundle import ModelBundle
 from raga_moodkit.catalog import MANIFEST_FIELDS, FeatureScaler, load_manifest
 from raga_moodkit.errors import CorruptArtifact, MoodkitError
 from raga_moodkit.mfcc import MfccConfig
-from raga_moodkit.models import KnnClassifier, RandomForestClassifier, RbfSvmClassifier
+from raga_moodkit.models import (
+    GaussianNbClassifier,
+    KnnClassifier,
+    MlpClassifier,
+    RandomForestClassifier,
+    RbfSvmClassifier,
+    SoftmaxRegression,
+)
 from raga_moodkit.models.serialize import encode_array
 from raga_moodkit.store import FeatureTable, read_store, sidecar_path, write_store
 
@@ -295,48 +302,92 @@ def stored(payload: dict) -> np.ndarray:
     return np.frombuffer(base64.b64decode(payload["data"]), dtype="<f8").reshape(payload["shape"]).copy()
 
 
-def loop_root_to_itself(params):
-    tree = next(tree for tree in params["trees"] if stored(tree["feature"])[0] != -1)
+def loop_root_to_itself(payload):
+    tree = next(tree for tree in payload["model"]["params"]["trees"] if stored(tree["feature"])[0] != -1)
     left = stored(tree["left"])
     left[0] = 0
     tree["left"] = encode_array(left)
 
 
-def empty_a_leaf(params):
-    tree = params["trees"][0]
+def empty_a_leaf(payload):
+    tree = payload["model"]["params"]["trees"][0]
     counts = stored(tree["counts"])
     counts[np.flatnonzero(stored(tree["feature"]) == -1)[0]] = 0.0
     tree["counts"] = encode_array(counts)
 
 
-def nan_first_row(params):
-    X = stored(params["X"])
-    X[0] = np.nan
-    params["X"] = encode_array(X)
+def change_array(path, change):
+    """An edit that passes the array stored at ``path`` in the model's
+    parameters through ``change``."""
+    def edit(payload):
+        parent = parent_of(payload["model"]["params"], path)
+        parent[path[-1]] = encode_array(change(stored(parent[path[-1]])))
+    return edit
 
 
 def set_first_pair(key, value):
-    def edit(params):
-        params["pairs"][0][key] = value
+    def edit(payload):
+        payload["model"]["params"]["pairs"][0][key] = value
     return edit
+
+
+def keep_one_tree(payload):
+    del payload["model"]["params"]["trees"][1:]
+
+
+def repeat_first_class(payload):
+    order = payload["model"]["class_order"]
+    order[1] = order[0]
+
+
+def drop_scaler_and_a_weight_row(payload):
+    payload["scaler"] = None
+    change_array(("weights",), lambda weights: weights[1:])(payload)
+
+
+def nan_first_row(X):
+    X[0] = np.nan
+    return X
 
 
 #: Bundles that loaded before their decoders checked them: a tree whose root
 #: is its own child (scoring never ended), a leaf with no class counts (NaN
 #: scores), SVM pair indexes out of range or reversed (votes went to the last
-#: class), an infinite SVM bias (one side won every vote of its pair) and a
-#: stored kNN row of NaN (never a neighbour).
+#: class), an infinite SVM bias (one side won every vote of its pair), a
+#: stored kNN row of NaN (never a neighbour), gnb variances or priors cut to
+#: one column (they broadcast), fractional kNN labels or tree features (they
+#: were truncated), a forest with fewer trees than ``n_estimators``, a class
+#: order with a repeated class, and a logreg bundle without a scaler whose
+#: weights lost a feature row (``evaluate`` then exited 1, refusing the store).
 CORRUPT_BUNDLES = {
     "forest-tree-cycle": ("forest", loop_root_to_itself),
     "forest-empty-leaf": ("forest", empty_a_leaf),
+    "forest-fractional-feature": ("forest", change_array(("trees", 0, "feature"),
+                                                         lambda feature: np.where(feature >= 0, feature + 0.5, feature))),
+    "forest-one-tree": ("forest", keep_one_tree),
     "svm-pair-index-negative": ("svm", set_first_pair("classes", [0, -1])),
     "svm-pair-reversed": ("svm", set_first_pair("classes", [1, 0])),
     "svm-infinite-bias": ("svm", set_first_pair("bias", np.inf)),
-    "knn-nan-training-row": ("knn", nan_first_row),
+    "knn-nan-training-row": ("knn", change_array(("X",), nan_first_row)),
+    "knn-fractional-label": ("knn", change_array(("y_index",), lambda y_index: y_index + 0.6)),
+    "gnb-var-one-column": ("gnb", change_array(("var",), lambda var: var[:, :1])),
+    "gnb-priors-one": ("gnb", change_array(("priors",), lambda priors: priors[:1])),
+    "gnb-repeated-class": ("gnb", repeat_first_class),
+    "logreg-no-scaler-short-weights": ("logreg", drop_scaler_and_a_weight_row),
 }
 
 #: Seconds a corrupt bundle's ``evaluate`` may take before the test fails.
 TIMEOUT_S = 60
+
+#: The model ``family_bundles`` saves for each family.
+FAMILY_MODELS = {
+    "forest": lambda: RandomForestClassifier(n_estimators=3),
+    "svm": lambda: RbfSvmClassifier(gamma=0.5),
+    "knn": lambda: KnnClassifier(k=3),
+    "gnb": GaussianNbClassifier,
+    "logreg": lambda: SoftmaxRegression(max_iter=50),
+    "mlp": lambda: MlpClassifier(hidden=(4, 4, 4, 4), epochs=5),
+}
 
 
 @pytest.fixture(scope="module")
@@ -348,10 +399,8 @@ def family_bundles(tmp_path_factory):
     X = rng.standard_normal((12, 3)) + 3.0 * (labels == "Veera")[:, None]
     table = FeatureTable([f"s{i}:0" for i in range(12)], labels, X, MfccConfig(n_coeffs=3), DEFAULT_BI_SAMPLE_PLAN)
     write_store(table, folder / "store.csv")
-    models = {"forest": RandomForestClassifier(n_estimators=3), "svm": RbfSvmClassifier(gamma=0.5),
-              "knn": KnnClassifier(k=3)}
-    for family, model in models.items():
-        save_bundle(model, table, folder / f"{family}.json")
+    for family, model in FAMILY_MODELS.items():
+        save_bundle(model(), table, folder / f"{family}.json")
     return folder
 
 
@@ -359,7 +408,7 @@ def family_bundles(tmp_path_factory):
 def test_corrupt_bundle_exits_2_as_corrupt_artifact(family_bundles, tmp_path, name):
     family, edit = CORRUPT_BUNDLES[name]
     payload = json.loads((family_bundles / f"{family}.json").read_text())
-    edit(payload["model"]["params"])
+    edit(payload)
     bundle = tmp_path / "bundle.json"
     bundle.write_text(json.dumps(payload))
     src = Path(raga_moodkit.__file__).resolve().parents[1]
@@ -372,5 +421,36 @@ def test_corrupt_bundle_exits_2_as_corrupt_artifact(family_bundles, tmp_path, na
         env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     assert done.returncode == 2, done.stderr
     assert "bundle.json is corrupt" in done.stderr
+    with pytest.raises(CorruptArtifact):
+        ModelBundle.load(bundle)
+
+
+def stored_array_paths(params) -> list:
+    """The key path of every array stored in a model's parameters: MLP
+    layers, SVM pair arrays and forest tree arrays included."""
+    return [path for path in json_paths(params)
+            if path and isinstance(node := parent_of(params, path)[path[-1]], dict) and "data" in node]
+
+
+@PROPERTY
+@given(st.data())
+def test_a_stored_array_with_one_dimension_changed_is_corrupt(family_bundles, data):
+    family = data.draw(st.sampled_from(sorted(FAMILY_MODELS)))
+    payload = json.loads((family_bundles / f"{family}.json").read_text())
+    params = payload["model"]["params"]
+    path = data.draw(st.sampled_from(stored_array_paths(params)))
+    parent = parent_of(params, path)
+    arr = stored(parent[path[-1]])
+    kind = data.draw(st.sampled_from(["cut", "repeat", "add an axis"]))
+    if kind == "add an axis":
+        changed = np.expand_dims(arr, data.draw(st.integers(0, arr.ndim)))
+    else:
+        axis = data.draw(st.integers(0, arr.ndim - 1))
+        n = arr.shape[axis]
+        size = data.draw(st.integers(0, n - 1) if kind == "cut" else st.integers(n + 1, 2 * n))
+        changed = np.take(arr, np.arange(size) % n, axis=axis)
+    parent[path[-1]] = encode_array(changed)
+    bundle = family_bundles / "changed.json"
+    bundle.write_text(json.dumps(payload))
     with pytest.raises(CorruptArtifact):
         ModelBundle.load(bundle)

@@ -63,6 +63,7 @@ def test_fitted_model_roundtrip(factory):
     envelope = to_envelope(model)
     blob = json.dumps(envelope, sort_keys=True)
     restored = from_envelope(json.loads(blob))
+    assert to_envelope(restored) == envelope
 
     np.testing.assert_allclose(
         model.predict_scores(queries), restored.predict_scores(queries), atol=1e-12

@@ -360,7 +360,7 @@ class TestConvergedFlag:
         assert all(m.converged is True for m in clf.pair_models_.values())
         state = clf._encode_state()
         assert "converged" not in state["pairs"][0]
-        clf._decode_state(state)
+        clf._decode_params({**clf.get_params(), **state})
         assert all(m.converged is None for m in clf.pair_models_.values())
 
 
