@@ -109,10 +109,10 @@ class ModelBundle:
         for key in ("split", "metrics", "config"):
             if not isinstance(payload.get(key, {}), dict):
                 raise ValidationError(f"bundle {key} must be a JSON object")
-        scaler = payload.get("scaler")
+        model, scaler = from_envelope(payload["model"]), payload["scaler"]
         bundle = cls(
-            model=from_envelope(payload["model"]),
-            scaler=FeatureScaler.from_dict(scaler) if scaler else None,
+            model=model,
+            scaler=None if scaler is None else FeatureScaler.from_dict(scaler, {"F": model.n_features_}),
             feature_fingerprint=payload.get("feature_fingerprint", {}),
             split=payload.get("split", {}),
             metrics=payload.get("metrics", {}),
@@ -120,10 +120,8 @@ class ModelBundle:
         )
         if bundle.mfcc is None or bundle.plan is None:
             raise ValidationError("the model bundle records no MFCC settings or no segment plan")
-        scaler_widths = [bundle.scaler.offset_.shape, bundle.scaler.scale_.shape] if bundle.scaler else []
-        widths = [(bundle.mfcc.n_coeffs,), *scaler_widths]
-        if any(width != (bundle.model.n_features_,) for width in widths):
-            raise ValidationError(f"{bundle.model.n_features_} model features, MFCC and scaler widths {widths}")
+        if bundle.mfcc.n_coeffs != model.n_features_:
+            raise ValidationError(f"{model.n_features_} model features, {bundle.mfcc.n_coeffs} MFCC coefficients")
         scores = bundle.predict_scores(np.zeros((1, bundle.model.n_features_)))
         if scores.shape != (1, len(bundle.model.classes_)) or not np.isclose(scores.sum(), 1.0):
             raise ValidationError(

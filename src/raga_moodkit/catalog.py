@@ -23,6 +23,7 @@ from .errors import (
     UnknownRasa,
     ValidationError,
 )
+from .models.serialize import check_array
 
 
 class Rasa(str, enum.Enum):
@@ -289,8 +290,12 @@ class FeatureScaler(ParamsMixin):
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "FeatureScaler":
+    def from_dict(cls, payload: dict, sizes: dict) -> "FeatureScaler":
+        """Load a saved scaler: ``offset`` and ``scale`` are stored arrays of
+        shape ``(F,)``, bound in ``sizes``, and no scale is negative."""
         scaler = cls(kind=payload["kind"])
-        scaler.offset_ = np.asarray(payload["offset"], dtype=np.float64)
-        scaler.scale_ = np.asarray(payload["scale"], dtype=np.float64)
+        scaler.offset_, scaler.scale_ = (
+            check_array(key, np.asarray(payload[key], dtype=np.float64), ("F",), sizes) for key in ("offset", "scale"))
+        if (scaler.scale_ < 0).any():
+            raise ValidationError(f"stored scale holds a negative spread: {scaler.scale_.min()}")
         return scaler

@@ -38,6 +38,7 @@ from .mfcc import MfccConfig, feature_correlation
 from .models import FAMILY_ORDER
 from .recommender import recommend_transition, score_library
 from .store import read_store, write_correlation_csv, write_store
+from .synth import SyntheticSpec, generate_corpus
 
 
 def _parse_scalar(text: str):
@@ -99,8 +100,6 @@ def _print_json(payload: dict) -> None:
 # --- synth -----------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    from .synth import SyntheticSpec, generate_corpus
-
     spec = SyntheticSpec(
         files_per_class=args.files_per_class,
         duration_s=args.duration,
@@ -280,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a labeled synthetic WAV corpus")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--files-per-class", type=int, default=20)
-    p.add_argument("--duration", type=float, default=90.0, help="seconds per file")
+    p.add_argument("--files-per-class", type=int, default=SyntheticSpec.files_per_class)
+    p.add_argument("--duration", type=float, default=SyntheticSpec.duration_s, help="seconds per file")
     p.add_argument("--seed", **seed)
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.set_defaults(handler=cmd_synth)
@@ -309,9 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--report-out", default=None, help="grid report JSON path")
             p.add_argument("--cv", type=int, default=None,
                            help="select by k-fold inside the training split instead of the holdout")
-        p.add_argument("--scaler", default="zscore", choices=SCALER_KINDS)
-        p.add_argument("--split-level", default="file", choices=SPLIT_LEVELS)
-        p.add_argument("--val-fraction", type=float, default=0.2)
+        p.add_argument("--scaler", default=ExperimentConfig.scaler, choices=SCALER_KINDS)
+        p.add_argument("--split-level", default=ExperimentConfig.split_level, choices=SPLIT_LEVELS)
+        p.add_argument("--val-fraction", type=float, default=ExperimentConfig.val_fraction)
         p.add_argument("--split-out", default=None, help="write id,role split CSV")
         p.add_argument("--seed", **seed)
 

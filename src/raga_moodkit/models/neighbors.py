@@ -61,10 +61,17 @@ class KnnClassifier(BaseClassifier):
     _arrays = {"X_": ("N", "F"), "y_index_": Index(("N",), 0, "C")}
 
     def _fit(self, X, y):
-        if self.k > X.shape[0]:
-            raise KTooLarge(f"k={self.k} exceeds the {X.shape[0]} training rows")
-        self.X_ = X
-        self.y_index_ = y
+        self._check_k(len(X))
+        self.X_, self.y_index_ = X, y
+
+    def _decode_state(self, params, sizes):
+        super()._decode_state(params, sizes)
+        self._check_k(sizes["N"])
+
+    def _check_k(self, n_rows: int) -> None:
+        """``k`` neighbours need at least ``k`` stored rows."""
+        if self.k > n_rows:
+            raise KTooLarge(f"k={self.k} exceeds the {n_rows} training rows")
 
     def _scores(self, X):
         distances = pairwise_distances(X, self.X_, self.metric)

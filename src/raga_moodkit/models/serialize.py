@@ -9,7 +9,8 @@ is the class count, bound from ``class_order``; ``F`` the feature count; ``N``
 a length shared within one family's state (kNN rows, one tree's nodes, one
 SVM pair's support vectors). A dimension may also be a fixed size or
 ``"F+1"``. An ``Index`` array also declares a range, such as [0, C), and must
-hold whole numbers in it; only it loads as int64.
+hold whole numbers in it; only it loads as int64. ``check_array`` holds the
+shape-and-finite rule, which also checks a bundle scaler's JSON lists.
 """
 from __future__ import annotations
 
@@ -37,10 +38,7 @@ def encode_array(arr) -> dict:
 
 def decode_array(payload: dict) -> np.ndarray:
     raw = base64.b64decode(payload["data"])
-    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(payload["shape"])
-    if not np.isfinite(arr).all():
-        raise ValidationError("a stored array holds NaN or infinity")
-    return arr
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(payload["shape"])
 
 
 def bind_array(name: str, payload, layout, sizes: dict):
@@ -56,9 +54,16 @@ def bind_array(name: str, payload, layout, sizes: dict):
         if not ((low <= arr) & (arr < high) & (arr == np.floor(arr))).all():
             raise ValidationError(f"stored {name} is not all whole numbers in [{layout.low}, {layout.high})")
         return arr.astype(np.int64)
-    arr = decode_array(payload)
-    if arr.ndim != len(layout) or any(_bind(dim, n, sizes) != n for dim, n in zip(layout, arr.shape)):
-        raise ValidationError(f"stored {name} has shape {arr.shape}, not {layout} with {sizes}")
+    return check_array(name, decode_array(payload), layout, sizes)
+
+
+def check_array(name: str, arr: np.ndarray, shape, sizes: dict) -> np.ndarray:
+    """Refuse a stored array that holds NaN or infinity or is not of
+    ``shape``; a new symbol binds in ``sizes``."""
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"stored {name} holds NaN or infinity")
+    if arr.ndim != len(shape) or any(_bind(dim, n, sizes) != n for dim, n in zip(shape, arr.shape)):
+        raise ValidationError(f"stored {name} has shape {arr.shape}, not {shape} with {sizes}")
     return arr
 
 

@@ -62,17 +62,12 @@ class BinarySvmModel:
         return k @ self.dual_coef + self.bias
 
 
-def smo_train_binary(
-    X,
-    y,
-    C: float = 10.0,
-    gamma: float = 0.1,
-    tol: float = 1e-3,
-    max_passes: int = 10,
-    seed: int = 0,
-    max_sweeps: int = 10000,
-) -> BinarySvmModel:
+def smo_train_binary(X, y, C, gamma, tol, max_passes, seed, max_sweeps=10000) -> BinarySvmModel:
     """Pairwise coordinate ascent on the dual with +-1 labels.
+
+    Takes the input ``RbfSvmClassifier`` has checked: a finite float64
+    matrix, a float64 array of -1 and +1 holding both, and the classifier's
+    hyperparameters.
 
     Sweeps the training set looking for multipliers that violate optimality
     beyond ``tol``; each violator is paired with a random partner (seeded)
@@ -87,16 +82,6 @@ def smo_train_binary(
     dual, so duplicated points with conflicting labels still converge to
     bound multipliers.
     """
-    X = as_float_matrix(X)
-    y = np.asarray(y, dtype=np.float64)
-    if X.shape[0] != len(y):
-        raise ValidationError(f"{X.shape[0]} rows vs {len(y)} labels")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValidationError("labels must be -1 or +1")
-    if len(np.unique(y)) < 2:
-        raise SingleClass("binary training needs both labels present")
-    RbfSvmClassifier._check_params(C=C, gamma=gamma, tol=tol, max_passes=max_passes, seed=seed)
-
     n = X.shape[0]
     gram = rbf_kernel_matrix(X, X, gamma)
     # Scalars come from Python lists, which index faster than arrays.
@@ -303,14 +288,7 @@ class RbfSvmClassifier(BaseClassifier):
             mask = (y == a) | (y == b)
             signs = np.where(y[mask] == a, 1.0, -1.0)
             self.pair_models_[(a, b)] = smo_train_binary(
-                X[mask],
-                signs,
-                C=self.C,
-                gamma=self.gamma,
-                tol=self.tol,
-                max_passes=self.max_passes,
-                seed=int(pair_seed),
-            )
+                X[mask], signs, **{**self.get_params(), "seed": int(pair_seed)})
 
     def _scores(self, X):
         n_classes = len(self.classes_)

@@ -217,7 +217,7 @@ class TestScaler:
 
     def test_serialization_roundtrip(self):
         scaler = FeatureScaler("zscore").fit([[1.0, 2.0], [3.0, 4.0], [5.0, 9.0]])
-        clone = FeatureScaler.from_dict(scaler.to_dict())
+        clone = FeatureScaler.from_dict(scaler.to_dict(), {"F": 2})
         X = [[2.0, 3.0]]
         np.testing.assert_allclose(scaler.transform(X), clone.transform(X))
 

@@ -349,9 +349,7 @@ QUICK_MODELS = {
 @pytest.mark.parametrize("family", list(QUICK_MODELS))
 def test_rows_are_checked_once_per_call(family, method, monkeypatch):
     # the base class checks a call's rows once: a forest's trees and an SVM's
-    # pair machines take them as checked. smo_train_binary, a public
-    # function, checks the rows of each pair it trains, so fit counts the
-    # base class's check alone
+    # pair machines take them as checked
     rng = np.random.default_rng(14)
     X = rng.standard_normal((24, 3))
     y = np.repeat(["a", "b", "c"], 8)
@@ -362,13 +360,13 @@ def test_rows_are_checked_once_per_call(family, method, monkeypatch):
         return as_float_matrix(rows, name)
 
     model = QUICK_MODELS[family]()
+    if method == "predict_scores":
+        model.fit(X, y)
+    monkeypatch.setattr(models_base, "as_float_matrix", counting)
+    monkeypatch.setattr(svm, "as_float_matrix", counting)
     if method == "fit":
-        monkeypatch.setattr(models_base, "as_float_matrix", counting)
         model.fit(X, y)
         assert checked == [24]
     else:
-        model.fit(X, y)
-        monkeypatch.setattr(models_base, "as_float_matrix", counting)
-        monkeypatch.setattr(svm, "as_float_matrix", counting)
         model.predict_scores(rng.standard_normal((7, 3)))
         assert checked == [7]

@@ -12,14 +12,14 @@ from raga_moodkit import audio
 from raga_moodkit.audio import AudioBuffer, write_wav
 from raga_moodkit.bundle import ModelBundle
 from raga_moodkit.catalog import FeatureScaler, Rasa, load_manifest
-from raga_moodkit.cli import main, parse_grid, parse_params
+from raga_moodkit.cli import build_parser, main, parse_grid, parse_params
 from raga_moodkit.errors import CorruptArtifact, ValidationError
 from raga_moodkit.experiments import ExperimentConfig, extract_features
 from raga_moodkit.models import FAMILIES
 from raga_moodkit.models.serialize import decode_array, encode_array
 from raga_moodkit.recommender import recommend_transition, score_library
 from raga_moodkit.store import read_store, sidecar_path
-from raga_moodkit.synth import DEFAULT_RECIPES, synth_signal
+from raga_moodkit.synth import DEFAULT_RECIPES, SyntheticSpec, synth_signal
 
 
 def manifest_with_ghost(small_corpus, tmp_path):
@@ -113,6 +113,16 @@ class TestParsing:
 
     def test_bad_flag_is_validation_error(self, capsys):
         assert main(["train", "--bogus"]) == 1
+
+    def test_option_defaults_are_the_dataclass_defaults(self):
+        parser = build_parser()
+        config, spec = ExperimentConfig(), SyntheticSpec()
+        for command in (["train"], ["tune", "--grid", "k=3"]):
+            args = parser.parse_args([*command, "--features", "f", "--out", "o", "--family", "knn"])
+            assert (args.scaler, args.split_level, args.val_fraction) == (
+                config.scaler, config.split_level, config.val_fraction)
+        args = parser.parse_args(["synth", "--out", "d"])
+        assert (args.files_per_class, args.duration) == (spec.files_per_class, spec.duration_s)
 
 
 class TestExtract:

@@ -350,6 +350,30 @@ def nan_first_row(X):
     return X
 
 
+def set_scaler(scaler):
+    def edit(payload):
+        payload["scaler"] = scaler
+    return edit
+
+
+def change_scale(change):
+    """An edit that passes the scaler's stored ``scale``, a JSON list, through ``change``."""
+    def edit(payload):
+        payload["scaler"]["scale"] = change(np.asarray(payload["scaler"]["scale"])).tolist()
+    return edit
+
+
+def set_params(**values):
+    def edit(payload):
+        payload["model"]["params"].update(values)
+    return edit
+
+
+def nan_first(scale):
+    scale[0] = np.nan
+    return scale
+
+
 #: Bundles that loaded before their decoders checked them: a tree whose root
 #: is its own child (scoring never ended), a leaf with no class counts (NaN
 #: scores), SVM pair indexes out of range or reversed (votes went to the last
@@ -357,8 +381,12 @@ def nan_first_row(X):
 #: stored kNN row of NaN (never a neighbour), gnb variances or priors cut to
 #: one column (they broadcast), fractional kNN labels or tree features (they
 #: were truncated), a forest with fewer trees than ``n_estimators``, a class
-#: order with a repeated class, and a logreg bundle without a scaler whose
-#: weights lost a feature row (``evaluate`` then exited 1, refusing the store).
+#: order with a repeated class, a logreg bundle without a scaler whose
+#: weights lost a feature row (``evaluate`` then exited 1, refusing the store),
+#: a scaler stored as ``{}`` (read as no scaler), a scale holding NaN (that
+#: feature went to 0), infinity (every feature went to 0) or negated spreads,
+#: and a kNN ``k`` above the stored rows with distance weights (uniform
+#: weights no longer sum to 1, so the zero-row probe refuses those).
 CORRUPT_BUNDLES = {
     "forest-tree-cycle": ("forest", loop_root_to_itself),
     "forest-empty-leaf": ("forest", empty_a_leaf),
@@ -374,6 +402,11 @@ CORRUPT_BUNDLES = {
     "gnb-priors-one": ("gnb", change_array(("priors",), lambda priors: priors[:1])),
     "gnb-repeated-class": ("gnb", repeat_first_class),
     "logreg-no-scaler-short-weights": ("logreg", drop_scaler_and_a_weight_row),
+    "scaler-empty": ("svm", set_scaler({})),
+    "scaler-nan-scale": ("svm", change_scale(nan_first)),
+    "scaler-inf-scale": ("svm", change_scale(lambda scale: np.full_like(scale, np.inf))),
+    "scaler-negative-scale": ("svm", change_scale(np.negative)),
+    "knn-k-above-rows": ("knn", set_params(k=1000, weights="distance")),
 }
 
 #: Seconds a corrupt bundle's ``evaluate`` may take before the test fails.
@@ -425,11 +458,13 @@ def test_corrupt_bundle_exits_2_as_corrupt_artifact(family_bundles, tmp_path, na
         ModelBundle.load(bundle)
 
 
-def stored_array_paths(params) -> list:
-    """The key path of every array stored in a model's parameters: MLP
-    layers, SVM pair arrays and forest tree arrays included."""
-    return [path for path in json_paths(params)
-            if path and isinstance(node := parent_of(params, path)[path[-1]], dict) and "data" in node]
+def stored_array_paths(payload) -> list:
+    """The key path of every array stored in a bundle: the scaler's offset
+    and scale, which are JSON lists, and each base64 array of the model's
+    parameters, MLP layers, SVM pair arrays and forest tree arrays included."""
+    return [("scaler", "offset"), ("scaler", "scale")] + [
+        path for path in json_paths(payload)
+        if path and isinstance(node := parent_of(payload, path)[path[-1]], dict) and "data" in node]
 
 
 @PROPERTY
@@ -437,10 +472,10 @@ def stored_array_paths(params) -> list:
 def test_a_stored_array_with_one_dimension_changed_is_corrupt(family_bundles, data):
     family = data.draw(st.sampled_from(sorted(FAMILY_MODELS)))
     payload = json.loads((family_bundles / f"{family}.json").read_text())
-    params = payload["model"]["params"]
-    path = data.draw(st.sampled_from(stored_array_paths(params)))
-    parent = parent_of(params, path)
-    arr = stored(parent[path[-1]])
+    path = data.draw(st.sampled_from(stored_array_paths(payload)))
+    parent = parent_of(payload, path)
+    node = parent[path[-1]]
+    arr = np.asarray(node) if isinstance(node, list) else stored(node)
     kind = data.draw(st.sampled_from(["cut", "repeat", "add an axis"]))
     if kind == "add an axis":
         changed = np.expand_dims(arr, data.draw(st.integers(0, arr.ndim)))
@@ -449,7 +484,7 @@ def test_a_stored_array_with_one_dimension_changed_is_corrupt(family_bundles, da
         n = arr.shape[axis]
         size = data.draw(st.integers(0, n - 1) if kind == "cut" else st.integers(n + 1, 2 * n))
         changed = np.take(arr, np.arange(size) % n, axis=axis)
-    parent[path[-1]] = encode_array(changed)
+    parent[path[-1]] = changed.tolist() if isinstance(node, list) else encode_array(changed)
     bundle = family_bundles / "changed.json"
     bundle.write_text(json.dumps(payload))
     with pytest.raises(CorruptArtifact):

@@ -18,6 +18,11 @@ def separable_blobs(rng, n_per_class=20, separation=6.0):
     return X, y
 
 
+def train_pair(X, y, **params):
+    """``smo_train_binary`` at ``RbfSvmClassifier``'s defaults, overridden by ``params``."""
+    return smo_train_binary(X, y, **{**RbfSvmClassifier().get_params(), **params})
+
+
 class TestKernel:
     def test_same_point(self):
         assert rbf_kernel([1.0, 2.0], [1.0, 2.0], gamma=0.5) == 1.0
@@ -51,12 +56,6 @@ class TestKernel:
 
 
 class TestSmoBinary:
-    @pytest.mark.parametrize("name", ["C", "gamma", "tol"])
-    def test_nan_hyperparameter_rejected(self, name):
-        X = np.array([[0.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(ValidationError):
-            smo_train_binary(X, np.array([1.0, -1.0]), **{name: math.nan})
-
     def test_two_point_analytic_solution(self):
         # alpha* = 1/(1 - K12), b = 0, boundary at the midpoint
         X = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -64,7 +63,7 @@ class TestSmoBinary:
         gamma = 0.1
         k12 = math.exp(-gamma * 1.0)
         expected_alpha = 1.0 / (1.0 - k12)
-        model = smo_train_binary(X, y, C=100.0, gamma=gamma, tol=1e-6, max_passes=20)
+        model = train_pair(X, y, C=100.0, gamma=gamma, tol=1e-6, max_passes=20)
         assert len(model.dual_coef) == 2
         np.testing.assert_allclose(np.abs(model.dual_coef), expected_alpha, rtol=1e-5)
         np.testing.assert_array_equal(np.sign(model.dual_coef), y)
@@ -79,7 +78,7 @@ class TestSmoBinary:
         X = np.array([[2.0, 3.0], [2.0, 3.0]])
         y = np.array([1.0, -1.0])
         C = 4.0
-        model = smo_train_binary(X, y, C=C, gamma=0.1, tol=1e-4, max_passes=20)
+        model = train_pair(X, y, C=C, gamma=0.1, tol=1e-4, max_passes=20)
         gram = rbf_kernel_matrix(X, X, 0.1)
         grid = np.linspace(0.0, C, 401)
         objective = [_dual_objective(np.array([t, t]), y, gram) for t in grid]
@@ -102,7 +101,7 @@ class TestSmoBinary:
     def test_objective_non_decreasing_and_consistent(self):
         rng = np.random.default_rng(3)
         X, y = separable_blobs(rng, n_per_class=15)
-        model = smo_train_binary(X, y, C=10.0, gamma=0.1, seed=1)
+        model = train_pair(X, y, C=10.0, gamma=0.1, seed=1)
         history = np.array(model.objective_history)
         assert history[0] == 0.0
         assert np.all(np.diff(history) >= -1e-9)
@@ -116,7 +115,7 @@ class TestSmoBinary:
         rng = np.random.default_rng(4)
         X, y = separable_blobs(rng)
         tol = 1e-3
-        model = smo_train_binary(X, y, C=10.0, gamma=0.1, tol=tol)
+        model = train_pair(X, y, C=10.0, gamma=0.1, tol=tol)
         alphas = np.abs(model.dual_coef)
         free = (alphas > 1e-9) & (alphas < 10.0 - 1e-9)
         if free.any():
@@ -127,20 +126,12 @@ class TestSmoBinary:
         rng = np.random.default_rng(5)
         X, y = separable_blobs(rng)
         queries = rng.uniform(-2, 8, (40, 2))
-        base = np.sign(smo_train_binary(X, y, C=10.0, gamma=0.1).decision_function(queries))
+        base = np.sign(train_pair(X, y, C=10.0, gamma=0.1).decision_function(queries))
         perm = rng.permutation(len(y))
         shuffled = np.sign(
-            smo_train_binary(X[perm], y[perm], C=10.0, gamma=0.1).decision_function(queries)
+            train_pair(X[perm], y[perm], C=10.0, gamma=0.1).decision_function(queries)
         )
         np.testing.assert_array_equal(base, shuffled)
-
-    def test_single_class_rejected(self):
-        with pytest.raises(SingleClass):
-            smo_train_binary(np.zeros((3, 2)), np.ones(3))
-
-    def test_bad_labels(self):
-        with pytest.raises(ValidationError):
-            smo_train_binary(np.zeros((2, 2)), np.array([0.0, 1.0]))
 
 
 def reference_smo(X, y, C, gamma, tol=1e-3, max_passes=10, seed=0, max_sweeps=10000):
@@ -329,7 +320,7 @@ class TestMatchesReferenceLoop:
         X, y = data(n, seed=n + int(C))
         kwargs = {"C": C, "gamma": gamma, "seed": 7, **extra}
         dual_coef, bias, support, n_sweeps, history = reference_smo(X, y, **kwargs)
-        model = smo_train_binary(X, y, **kwargs)
+        model = train_pair(X, y, **kwargs)
         assert np.array_equal(model.dual_coef, dual_coef)
         assert model.bias == bias
         assert np.array_equal(model.support_indices, support)
@@ -343,13 +334,13 @@ class TestMatchesReferenceLoop:
 class TestConvergedFlag:
     def test_converged_when_conditions_hold(self):
         X, y = separable_blobs(np.random.default_rng(2))
-        model = smo_train_binary(X, y, C=10.0, gamma=0.1, tol=1e-3)
+        model = train_pair(X, y, C=10.0, gamma=0.1, tol=1e-3)
         assert model.converged is True
         assert np.max(kkt_violations(model, X, y)) <= 1e-3
 
     def test_exhausted_budget_is_not_converged(self):
         X, y = _overlapping_blobs(40, seed=3)
-        model = smo_train_binary(X, y, C=100.0, gamma=0.1, tol=1e-3, max_sweeps=1)
+        model = train_pair(X, y, C=100.0, gamma=0.1, tol=1e-3, max_sweeps=1)
         assert model.n_sweeps == 1
         assert model.converged is False
         assert np.max(kkt_violations(model, X, y)) > 1e-3
@@ -448,3 +439,8 @@ class TestOvo:
     def test_single_class_rejected(self):
         with pytest.raises(SingleClass):
             RbfSvmClassifier().fit(np.zeros((4, 2)), ["a"] * 4)
+
+    @pytest.mark.parametrize("name", ["C", "gamma", "tol"])
+    def test_nan_hyperparameter_rejected(self, name):
+        with pytest.raises(ValidationError):
+            RbfSvmClassifier(**{name: math.nan})
