@@ -133,6 +133,16 @@ class TestSmoBinary:
         )
         np.testing.assert_array_equal(base, shuffled)
 
+    def test_single_class_rejected(self, monkeypatch):
+        # The trainer takes both signs as given: a one-label set is refused
+        # by the classifier before any pair is handed to it.
+        calls = []
+        monkeypatch.setattr(
+            "raga_moodkit.models.svm.smo_train_binary", lambda *a, **k: calls.append(a))
+        with pytest.raises(SingleClass):
+            RbfSvmClassifier().fit(np.zeros((3, 2)), np.ones(3))
+        assert calls == []
+
 
 def reference_smo(X, y, C, gamma, tol=1e-3, max_passes=10, seed=0, max_sweeps=10000):
     """The SMO loop as it stood before margins kept ``alphas * y`` between
