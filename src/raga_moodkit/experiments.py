@@ -401,28 +401,6 @@ def extract_features(
     return table, [(record.id, error) for record, error in failed]
 
 
-def _scored_report(predict, X, y, train_idx, val_idx, classes, **report_fields) -> ExperimentReport:
-    """Accuracy on both sides of a split, and the confusion matrix and
-    per-class precision/recall of the validation side, over ``classes``."""
-    train_accuracy = accuracy(predict(X[train_idx]), y[train_idx]) if len(train_idx) else None
-    val_predictions = predict(X[val_idx])
-    confusion = confusion_matrix(val_predictions, y[val_idx], classes=classes)
-    precision, recall = precision_recall(confusion)
-    return ExperimentReport(
-        train_accuracy=train_accuracy,
-        validation_accuracy=accuracy(val_predictions, y[val_idx]),
-        classes=classes,
-        confusion_matrix=confusion.tolist(),
-        per_class={
-            cls: {"precision": float(p), "recall": float(r)}
-            for cls, p, r in zip(classes, precision, recall)
-        },
-        n_train_rows=len(train_idx),
-        n_val_rows=len(val_idx),
-        **report_fields,
-    )
-
-
 def run_on_features(table: FeatureTable, config: ExperimentConfig) -> ExperimentReport:
     """Split, scale, fit (or grid-search) and evaluate on extracted rows.
 
@@ -466,13 +444,9 @@ def run_on_features(table: FeatureTable, config: ExperimentConfig) -> Experiment
 
     described = {**config.get_params(), "params": params, "mfcc": table.mfcc.get_params(),
                  "plan": [list(cut) for cut in table.plan.cuts]}
-    report = _scored_report(
-        model.predict, X, y, train_idx, val_idx, sorted(set(y.tolist())),
-        config=described, family=config.family, params=params, grid_rows=grid_rows,
-    )
     roles = {table.segment_ids[i]: "train" for i in train_idx}
     roles.update((table.segment_ids[i], "val") for i in val_idx)
-    report.bundle = ModelBundle(
+    bundle = ModelBundle(
         model=model,
         scaler=scaler,
         feature_fingerprint=table.mfcc.get_params(),
@@ -482,12 +456,12 @@ def run_on_features(table: FeatureTable, config: ExperimentConfig) -> Experiment
             "seed": config.seed,
             "roles": roles,
         },
-        metrics={
-            "train_accuracy": report.train_accuracy,
-            "validation_accuracy": report.validation_accuracy,
-        },
         config=described,
     )
+    # the stored metrics are the numbers ``evaluate`` gets from this bundle on this table
+    report = evaluate_bundle(bundle, table)
+    bundle.metrics = {key: getattr(report, key) for key in ("train_accuracy", "validation_accuracy")}
+    report.grid_rows = grid_rows
     report.wall_clock_s = time.perf_counter() - started
     return report
 
@@ -514,14 +488,29 @@ def evaluate_bundle(bundle: ModelBundle, table: FeatureTable) -> ExperimentRepor
     if len(val_idx) == 0:
         raise ValidationError("no validation rows to evaluate")
 
-    classes = sorted(set(table.labels.tolist()) | set(str(c) for c in bundle.model.classes_))
-    report = _scored_report(
-        bundle.predict, table.X, table.labels, train_idx, val_idx, classes,
-        config=dict(bundle.config), family=bundle.family,
-        params=bundle.config.get("params", {}), bundle=bundle,
+    X, y = table.X, table.labels
+    classes = sorted(set(y.tolist()) | set(str(c) for c in bundle.model.classes_))
+    train_accuracy = accuracy(bundle.predict(X[train_idx]), y[train_idx]) if len(train_idx) else None
+    val_predictions = bundle.predict(X[val_idx])
+    confusion = confusion_matrix(val_predictions, y[val_idx], classes=classes)
+    precision, recall = precision_recall(confusion)
+    return ExperimentReport(
+        config=dict(bundle.config),
+        family=bundle.family,
+        params=bundle.config.get("params", {}),
+        train_accuracy=train_accuracy,
+        validation_accuracy=accuracy(val_predictions, y[val_idx]),
+        classes=classes,
+        confusion_matrix=confusion.tolist(),
+        per_class={
+            cls: {"precision": float(p), "recall": float(r)}
+            for cls, p, r in zip(classes, precision, recall)
+        },
+        n_train_rows=len(train_idx),
+        n_val_rows=len(val_idx),
+        bundle=bundle,
+        wall_clock_s=time.perf_counter() - started,
     )
-    report.wall_clock_s = time.perf_counter() - started
-    return report
 
 
 # --- final-model policy ----------------------------------------------------------

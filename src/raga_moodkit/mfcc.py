@@ -6,9 +6,9 @@ vector is the per-coefficient mean over its frames.
 
 The DFT is numpy's real FFT (pocketfft); the filterbank and the unscaled
 type-II cosine transform are written against their defining sums.
-``mfcc_frames`` composes ``log_mel_energies`` and ``dct_ii`` over batches of
-frames, and its output is checked frame by frame against a brute-force DFT
-fed through ``power_spectrum`` and those same stages.
+``mfcc_frames`` composes ``power_spectrum``, ``log_mel_energies`` and
+``dct_ii`` over batches of frames, and its output is checked frame by frame
+against a brute-force DFT fed through those same stages.
 """
 from __future__ import annotations
 
@@ -94,11 +94,12 @@ class MelFilterbank:
 
 # --- power spectrum ----------------------------------------------------------
 
-def power_spectrum(spectrum) -> np.ndarray:
-    """|X[k]|^2 for k = 0..N/2 from a full-length spectrum."""
-    arr = np.asarray(spectrum)
-    bins = arr[..., : arr.shape[-1] // 2 + 1]
-    return bins.real**2 + bins.imag**2
+def power_spectrum(spectrum, out=None) -> np.ndarray:
+    """|X[k]|^2 = re^2 + im^2 per bin k = 0..N/2 of a half spectrum, into ``out``
+    when given. The spectrum is used up: its parts are squared in place, uncopied."""
+    parts = np.asarray(spectrum, dtype=np.complex128).view(np.float64)
+    np.square(parts, out=parts)
+    return np.add(parts[..., 0::2], parts[..., 1::2], out=out)
 
 
 # --- mel scale and filterbank -------------------------------------------------
@@ -159,7 +160,7 @@ def build_filterbank(config: MfccConfig) -> MelFilterbank:
     return MelFilterbank(boundaries=bounds, weights=weights, spans=tuple(spans))
 
 
-def log_mel_energies(power, bank: MelFilterbank, log_floor: float = 1e-10) -> np.ndarray:
+def log_mel_energies(power, bank: MelFilterbank, log_floor: float = MfccConfig.log_floor) -> np.ndarray:
     """S[m] = ln(max(sum_k power[k] * H[m, k], floor)) per filter.
 
     Each filter's sum is one product over its own span of bins, so only
@@ -259,8 +260,6 @@ def mfcc_frames(segment: AudioBuffer, config: MfccConfig) -> np.ndarray:
     window, bank = _frame_constants(config)
     windowed = np.empty((min(n_frames, _FFT_FRAMES), size))
     spectrum = np.empty((len(windowed), size // 2 + 1), np.complex128)
-    # re and im side by side; squared in place, their sums are re^2 + im^2
-    parts = spectrum.view(np.float64)
     power = np.empty((min(n_frames, _CHUNK_FRAMES), size // 2 + 1))
 
     out = np.empty((n_frames, config.n_coeffs))
@@ -274,8 +273,7 @@ def mfcc_frames(segment: AudioBuffer, config: MfccConfig) -> np.ndarray:
             np.multiply(padded[first + split - n_whole : first + count - n_whole], window,
                         out=windowed[split:count])
             np.fft.rfft(windowed[:count], out=spectrum[:count])
-            np.square(parts[:count], out=parts[:count])
-            np.add(parts[:count, 0::2], parts[:count, 1::2], out=power[first - start : first - start + count])
+            power_spectrum(spectrum[:count], out=power[first - start : first - start + count])
         energies = log_mel_energies(power[: stop - start], bank, config.log_floor)
         out[start:stop] = dct_ii(energies, config.n_coeffs)
     return out

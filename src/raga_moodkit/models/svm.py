@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..base import FiniteNonNegativeFloat, FinitePositiveFloat, NonNegativeInt, PositiveInt, as_float_matrix
+from ..base import FiniteNonNegativeFloat, FinitePositiveFloat, NonNegativeInt, PositiveInt
 from ..errors import SingleClass, ValidationError
 from .base import BaseClassifier
 from .linear import softmax
@@ -50,12 +50,9 @@ class BinarySvmModel:
     n_sweeps: int = 0
     converged: bool | None = None
 
-    def decision_function(self, X) -> np.ndarray:
-        return self._decision_values(as_float_matrix(X))
-
-    def _decision_values(self, X: np.ndarray) -> np.ndarray:
-        """``decision_function`` on rows already checked to be a finite
-        float64 matrix."""
+    def decision_function(self, X: np.ndarray) -> np.ndarray:
+        """sum_i dual_coef[i] * K(x, support_vectors[i]) + bias per row x of a
+        matrix already checked to be finite float64, as ``RbfSvmClassifier`` checks it."""
         if len(self.support_vectors) == 0:
             return np.full(X.shape[0], self.bias)
         k = rbf_kernel_matrix(X, self.support_vectors, self.gamma)
@@ -295,7 +292,7 @@ class RbfSvmClassifier(BaseClassifier):
         votes = np.zeros((X.shape[0], n_classes))
         decision_sums = np.zeros((X.shape[0], n_classes))
         for (a, b), model in self.pair_models_.items():
-            values = model._decision_values(X)
+            values = model.decision_function(X)
             wins_a = values >= 0.0
             votes[:, a] += wins_a
             votes[:, b] += ~wins_a

@@ -8,6 +8,7 @@ mismatched features.
 """
 from __future__ import annotations
 
+import collections
 import csv
 import itertools
 import json
@@ -44,6 +45,10 @@ class FeatureTable:
     def __post_init__(self):
         if len(self.segment_ids) != len(self.labels) or len(self.labels) != self.X.shape[0]:
             raise ValidationError("segment ids, labels and rows must align")
+        # a split records each row's side by its id, so an id names one row
+        if len(set(self.segment_ids)) != len(self.segment_ids):
+            repeated = next(s for s, n in collections.Counter(self.segment_ids).items() if n > 1)
+            raise ValidationError(f"segment id {repeated!r} names more than one row")
 
     def __len__(self) -> int:
         return self.X.shape[0]

@@ -69,7 +69,8 @@ def test_c01_fft_matches_naive_dft():
             frames = np.vstack([padded[i * hop : i * hop + size] for i in range(n_frames)]) * window
             n = np.arange(size)
             naive = frames @ np.exp(-2j * np.pi * np.outer(n, n) / size)
-            energies = log_mel_energies(power_spectrum(naive), build_filterbank(config), config.log_floor)
+            energies = log_mel_energies(power_spectrum(naive[:, : size // 2 + 1]), build_filterbank(config),
+                                        config.log_floor)
             for frame, expected in zip(ours, dct_ii(energies, config.n_coeffs)):
                 assert np.max(np.abs(frame - expected)) / np.max(np.abs(expected)) < 1e-9
         elapsed = time.perf_counter() - started

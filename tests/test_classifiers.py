@@ -24,7 +24,6 @@ from raga_moodkit.models import (
     SoftmaxRegression,
 )
 from raga_moodkit.models import base as models_base
-from raga_moodkit.models import svm
 from raga_moodkit.models.linear import _loss_and_grad
 from raga_moodkit.models.neighbors import METRICS, WEIGHTS
 from raga_moodkit.models.tree import DecisionTreeClassifier
@@ -363,10 +362,26 @@ def test_rows_are_checked_once_per_call(family, method, monkeypatch):
     if method == "predict_scores":
         model.fit(X, y)
     monkeypatch.setattr(models_base, "as_float_matrix", counting)
-    monkeypatch.setattr(svm, "as_float_matrix", counting)
     if method == "fit":
         model.fit(X, y)
         assert checked == [24]
     else:
         model.predict_scores(rng.standard_normal((7, 3)))
         assert checked == [7]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("method", ["fit", "predict_scores"])
+@pytest.mark.parametrize("family", list(QUICK_MODELS))
+def test_non_finite_rows_are_refused(family, method, value):
+    # the one row check: no family's own code ever sees a NaN or an infinity
+    rng = np.random.default_rng(15)
+    X = rng.standard_normal((24, 3))
+    y = np.repeat(["a", "b", "c"], 8)
+    model = QUICK_MODELS[family]()
+    if method == "predict_scores":
+        model.fit(X, y)
+        X = rng.standard_normal((7, 3))
+    X[4, 1] = value
+    with pytest.raises(ValidationError, match="non-finite"):
+        model.fit(X, y) if method == "fit" else model.predict_scores(X)

@@ -281,8 +281,8 @@ class TestTrainEvaluate:
         assert code == 0
         report = json.loads(report_path.read_text())
         stored = json.loads(trained.read_text())["metrics"]
-        assert report["train_accuracy"] == pytest.approx(stored["train_accuracy"])
-        assert report["validation_accuracy"] == pytest.approx(stored["validation_accuracy"])
+        assert report["train_accuracy"] == stored["train_accuracy"]
+        assert report["validation_accuracy"] == stored["validation_accuracy"]
 
     def test_tune_reports_every_grid_point(self, extracted, tmp_path, capsys):
         model = tmp_path / "tuned.json"
@@ -775,6 +775,24 @@ class TestCorruptInputs:
         bare.write_bytes(extracted.read_bytes())
         code = main(["evaluate", "--features", str(bare), "--model", str(trained)])
         assert "missing sidecar" in self.assert_data_error(code, capsys, expected_code=1)
+
+    def test_repeated_segment_id(self, extracted, trained, tmp_path, capsys):
+        # a split records each row's side by its segment id, so a store that
+        # repeats an id cannot be split or scored by its recorded sides
+        store = tmp_path / "features.csv"
+        lines = extracted.read_text(encoding="utf-8").splitlines()
+        store.write_text("\n".join(lines + [lines[1]]) + "\n", encoding="utf-8")
+        meta = json.loads(sidecar_path(extracted).read_text(encoding="utf-8"))
+        meta["n_rows"] += 1
+        sidecar_path(store).write_text(json.dumps(meta), encoding="utf-8")
+        repeated = lines[1].split(",")[0]
+        for argv in (
+            ["train", "--family", "knn", "--out", str(tmp_path / "m.json")],
+            ["evaluate", "--model", str(trained)],
+        ):
+            err = self.assert_data_error(main(argv + ["--features", str(store)]), capsys)
+            assert f"segment id {repeated!r} names more than one row" in err
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_store_value(self, extracted, trained, tmp_path, capsys, value):

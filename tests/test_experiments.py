@@ -274,13 +274,29 @@ class TestRunOnFeatures:
         assert "Validation Classification Accuracy" in markdown
         assert "2 Segments - 0s-60s and 20s-80s" in markdown
 
+    @staticmethod
+    def assert_scored_alike(report, evaluated):
+        # the stored metrics and the report come from the path evaluate runs
+        assert evaluated.train_accuracy == report.train_accuracy == report.bundle.metrics["train_accuracy"]
+        assert (evaluated.validation_accuracy == report.validation_accuracy
+                == report.bundle.metrics["validation_accuracy"])
+        assert evaluated.confusion_matrix == report.confusion_matrix
+        assert evaluated.per_class == report.per_class
+        assert (evaluated.n_train_rows, evaluated.n_val_rows) == (report.n_train_rows, report.n_val_rows)
+
     def test_evaluate_bundle_consistency(self):
         table = synthetic_table()
         config = ExperimentConfig(family="gnb", seed=4)
         report = run_on_features(table, config)
-        evaluated = evaluate_bundle(report.bundle, table)
-        assert evaluated.train_accuracy == pytest.approx(report.train_accuracy)
-        assert evaluated.validation_accuracy == pytest.approx(report.validation_accuracy)
+        self.assert_scored_alike(report, evaluate_bundle(report.bundle, table))
+
+    def test_evaluate_bundle_consistency_taller_than_one_block(self):
+        # 1,080 training rows are scored in two 1,024-row blocks
+        table = synthetic_table(n_songs_per_class=300, n_coeffs=6)
+        config = ExperimentConfig(family="knn", params={"k": 5}, val_fraction=0.1, seed=4)
+        report = run_on_features(table, config)
+        assert (report.n_train_rows, report.n_val_rows) == (1080, 120)
+        self.assert_scored_alike(report, evaluate_bundle(report.bundle, table))
 
     def test_evaluate_bundle_fresh_store_is_all_validation(self):
         table = synthetic_table()

@@ -92,18 +92,18 @@ class TestDft:
 
 class TestPowerSpectrum:
     def test_all_ones(self):
-        np.testing.assert_allclose(power_spectrum(np.ones(8, dtype=complex)), np.ones(5))
+        np.testing.assert_allclose(power_spectrum(np.ones(5, dtype=complex)), np.ones(5))
 
     def test_magnitude_squared(self):
-        spectrum = np.zeros(8, dtype=complex)
+        spectrum = np.zeros(5, dtype=complex)
         spectrum[3] = 3 + 4j
         assert power_spectrum(spectrum)[3] == pytest.approx(25.0)
 
     def test_impulse_power_flat(self):
-        assert np.allclose(power_spectrum(naive_dft([1, 0, 0, 0])), 1.0)
+        assert np.allclose(power_spectrum(naive_dft([1, 0, 0, 0])[:3]), 1.0)
 
     def test_length(self):
-        assert power_spectrum(np.ones(2048, dtype=complex)).shape == (1025,)
+        assert power_spectrum(np.fft.rfft(np.ones(2048))).shape == (1025,)
 
 
 class TestMelScale:
@@ -250,7 +250,7 @@ class TestLogMelEnergies:
         freq = target_bin * config.sample_rate / config.fft_size
         t = np.arange(config.fft_size) / config.sample_rate
         frame = np.sin(2 * np.pi * freq * t)
-        power = power_spectrum(np.fft.fft(frame))
+        power = power_spectrum(np.fft.rfft(frame))
         energies = log_mel_energies(power, bank, config.log_floor)
         expected = int(np.argmin(np.abs(bank.boundaries[1:-1] - target_bin)))
         assert int(np.argmax(energies)) == expected
@@ -334,7 +334,7 @@ class TestFrames:
         padded[:n_samples] = segment.samples
         for i in range(n_frames):
             frame = padded[i * 64 : i * 64 + n] * window
-            power = power_spectrum(naive_dft(frame))
+            power = power_spectrum(naive_dft(frame)[: n // 2 + 1])
             energies = np.log(np.maximum(power @ bank.weights.T, config.log_floor))
             np.testing.assert_allclose(frames[i], dct_ii(energies, 8), atol=1e-9)
 
@@ -352,7 +352,7 @@ class TestFrames:
         for freq in (500.0, 1000.0, 2000.0):
             segment = AudioBuffer(samples=0.5 * np.sin(2 * np.pi * freq * t), sample_rate=22050)
             bank = build_filterbank(config)
-            power = power_spectrum(np.fft.fft(segment.samples[:2048] * np.hanning(2048)))
+            power = power_spectrum(np.fft.rfft(segment.samples[:2048] * np.hanning(2048)))
             energies = log_mel_energies(power, bank, config.log_floor)
             peaks.append(int(np.argmax(energies)))
         assert peaks[0] < peaks[1] < peaks[2]

@@ -439,13 +439,6 @@ class TestOvo:
             model.predict(queries), model.classes_[np.argmax(scores, axis=1)]
         )
 
-    def test_pair_machines_refuse_non_finite_rows(self):
-        rng = np.random.default_rng(12)
-        X, y = self._blob_data(rng, list("abc"))
-        model = RbfSvmClassifier(C=10.0, gamma=0.1).fit(X, y)
-        with pytest.raises(ValidationError, match="non-finite"):
-            model.pair_models_[(0, 1)].decision_function(np.array([[0.0, math.nan]]))
-
     def test_single_class_rejected(self):
         with pytest.raises(SingleClass):
             RbfSvmClassifier().fit(np.zeros((4, 2)), ["a"] * 4)
