@@ -17,14 +17,7 @@ from typing import Annotated
 import numpy as np
 
 from .base import CheckedFields, FiniteNonNegativeFloat, FinitePositiveFloat
-from .errors import (
-    MalformedHeader,
-    NonFiniteSample,
-    StartBeyondEnd,
-    TruncatedData,
-    UnsupportedEncoding,
-    ValidationError,
-)
+from .errors import DataError, ValidationError
 
 #: Canonical internal sample rate; all feature math downstream assumes it.
 CANONICAL_RATE = 22050
@@ -143,10 +136,10 @@ def decode_wav(data: bytes) -> AudioBuffer:
     dropped. ``read_wav`` decodes a file by the same code, from the file.
 
     Raises:
-        MalformedHeader: not a RIFF/WAVE stream or required chunks missing.
-        UnsupportedEncoding: codec other than PCM8/16/24/32 or float32.
-        TruncatedData: a chunk declares more bytes than are present.
-        NonFiniteSample: float32 data holds NaN or infinity.
+        DataError: not a RIFF/WAVE stream or required chunks missing, a
+            codec other than PCM8/16/24/32 or float32, a chunk declaring
+            more bytes than are present, or float32 data holding NaN or
+            infinity.
     """
     return _decode_stream(io.BytesIO(data))
 
@@ -155,7 +148,7 @@ def _decode_stream(stream) -> AudioBuffer:
     """``decode_wav`` of a seekable binary stream, read into one reused block buffer."""
     head = stream.read(12)
     if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
-        raise MalformedHeader("not a RIFF/WAVE stream")
+        raise DataError("not a RIFF/WAVE stream")
 
     fmt = None
     data_span = None
@@ -166,29 +159,29 @@ def _decode_stream(stream) -> AudioBuffer:
         if chunk_id == b"fmt ":
             body = stream.read(40)
             if size < 16 or len(body) < 16:
-                raise MalformedHeader("fmt chunk too small")
+                raise DataError("fmt chunk too small")
             fmt = struct.unpack_from("<HHIIHH", body)
             subformat = None
             if fmt[0] == _FORMAT_EXTENSIBLE:
                 if size < 40 or len(body) < 40:
-                    raise MalformedHeader("extensible fmt chunk shorter than 40 bytes")
+                    raise DataError("extensible fmt chunk shorter than 40 bytes")
                 subformat = body[24:40]
         elif chunk_id == b"data":
             available = stream.seek(0, io.SEEK_END) - body_start
             if size > available:
-                raise TruncatedData(f"data chunk declares {size} bytes, {available} available")
+                raise DataError(f"data chunk declares {size} bytes, {available} available")
             data_span = (body_start, size)
         offset = stream.seek(body_start + size + (size & 1))
 
     if fmt is None or data_span is None:
-        raise MalformedHeader("missing fmt or data chunk")
+        raise DataError("missing fmt or data chunk")
 
     format_tag, channels, sample_rate, _byte_rate, _block_align, bits = fmt
     if channels < 1 or sample_rate <= 0:
-        raise MalformedHeader(f"invalid fmt fields: channels={channels} rate={sample_rate}")
+        raise DataError(f"invalid fmt fields: channels={channels} rate={sample_rate}")
     if subformat is not None:
         if subformat[2:] != _SUBFORMAT_GUID_TAIL:
-            raise UnsupportedEncoding(f"extensible sub-format GUID {subformat.hex()}")
+            raise DataError(f"extensible sub-format GUID {subformat.hex()}")
         (format_tag,) = struct.unpack_from("<H", subformat)
 
     if format_tag == _FORMAT_PCM and bits in _PCM_CODECS:
@@ -196,7 +189,7 @@ def _decode_stream(stream) -> AudioBuffer:
     elif format_tag == _FORMAT_IEEE_FLOAT and bits == 32:
         dtype, code_offset, scale = "<f4", 0, None
     else:
-        raise UnsupportedEncoding(f"format tag {format_tag:#06x} with {bits}-bit samples")
+        raise DataError(f"format tag {format_tag:#06x} with {bits}-bit samples")
 
     start, size = data_span
     width = bits // 8
@@ -213,12 +206,12 @@ def _decode_stream(stream) -> AudioBuffer:
     for first in range(0, n_frames, _BLOCK):
         count = min(_BLOCK, n_frames - first)
         if stream.readinto(memoryview(buffer)[pad : pad + count * frame_bytes]) != count * frame_bytes:
-            raise TruncatedData(f"stream ended inside the data chunk, {size} bytes declared")
+            raise DataError(f"stream ended inside the data chunk, {size} bytes declared")
         block = codes[:count]
         out = mono[first : first + count]
         if scale is None:
             if not np.isfinite(block).all():
-                raise NonFiniteSample("float32 data holds NaN or infinite samples")
+                raise DataError("float32 data holds NaN or infinite samples")
             wide = np.clip(block, -1.0, 1.0, dtype=np.float64)
         else:
             wide = (block >> 8 if bits == 24 else block).astype(np.float64)
@@ -370,7 +363,9 @@ def extract_segment(buffer: AudioBuffer, start_s: float, duration_s: float) -> A
     A file ending early yields the available tail with ``short=True``.
 
     Raises:
-        StartBeyondEnd: ``start_s`` is at or past the end of the buffer.
+        ValidationError: ``start_s`` is negative or not finite, or
+            ``duration_s`` is not positive or not finite.
+        DataError: ``start_s`` is at or past the end of the buffer.
     """
     if not 0 <= start_s < np.inf:
         raise ValidationError(f"start_s must be finite and >= 0, got {start_s}")
@@ -382,7 +377,7 @@ def extract_segment(buffer: AudioBuffer, start_s: float, duration_s: float) -> A
     n = buffer.n_frames
     start = int(round(min(start_s * buffer.sample_rate, n)))
     if start >= n:
-        raise StartBeyondEnd(
+        raise DataError(
             f"segment start {start_s:g}s is beyond the {buffer.duration_s:.3f}s buffer"
         )
     stop = start + int(round(min(duration_s * buffer.sample_rate, n + 1)))

@@ -11,7 +11,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .errors import NotFitted, ValidationError
+from .errors import ValidationError
 
 # Field annotations carrying a range rule: (text for errors, test). Every
 # test is a comparison that NaN fails; the float ones fail infinity too.
@@ -145,4 +145,4 @@ def as_label_array(y, n_rows=None, name="y"):
 
 def check_fitted(estimator, attribute):
     if not hasattr(estimator, attribute):
-        raise NotFitted(f"{type(estimator).__name__} is not fitted; call fit first")
+        raise ValidationError(f"{type(estimator).__name__} is not fitted; call fit first")

@@ -10,7 +10,7 @@ import numpy as np
 
 from .audio import SegmentPlan
 from .catalog import FeatureScaler
-from .errors import MALFORMED_CONTENT, CorruptArtifact, ScalerMismatch, ValidationError
+from .errors import MALFORMED_CONTENT, CorruptArtifact, DataError, ValidationError
 from .mfcc import MfccConfig
 from .models.base import BaseClassifier
 from .models.serialize import from_envelope, to_envelope
@@ -47,14 +47,14 @@ class ModelBundle:
         segment plan than the model's training rows; a bundle that records
         neither takes no rows."""
         if self.mfcc is None or self.plan is None:
-            raise ScalerMismatch("the model bundle records no MFCC settings or no segment plan")
+            raise DataError("the model bundle records no MFCC settings or no segment plan")
         if table.mfcc != self.mfcc:
-            raise ScalerMismatch(
+            raise DataError(
                 "feature configuration differs from the one the model was trained on; "
                 f"model={self.feature_fingerprint} features={table.mfcc.get_params()}"
             )
         if table.plan != self.plan:
-            raise ScalerMismatch(
+            raise DataError(
                 f"features cut by segment plan {table.plan.describe()}; the model's is {self.plan.describe()}"
             )
 
@@ -100,8 +100,10 @@ class ModelBundle:
     def from_dict(cls, payload: dict) -> "ModelBundle":
         """Decode a bundle and check that its parts agree: the feature setup
         is recorded and passes its dataclasses' checks, the model's ``F``
-        features are the MFCC coefficients and the scaler's width, and the
-        model scores one row over its whole class order."""
+        features are the MFCC coefficients and the scaler's width, the split
+        records each row as ``"train"`` or ``"val"`` with at least one
+        ``"val"`` (or records no rows), and the model scores one row over its
+        whole class order."""
         if payload.get("format_version") != BUNDLE_FORMAT_VERSION:
             raise ValidationError(
                 f"unsupported bundle format_version {payload.get('format_version')!r}"
@@ -109,6 +111,12 @@ class ModelBundle:
         for key in ("split", "metrics", "config"):
             if not isinstance(payload.get(key, {}), dict):
                 raise ValidationError(f"bundle {key} must be a JSON object")
+        roles = payload.get("split", {}).get("roles", {})
+        sides = list(roles.values()) if isinstance(roles, dict) else [None]
+        if not all(side in ("train", "val") for side in sides) or (sides and "val" not in sides):
+            raise ValidationError(
+                'bundle split roles must map row ids to "train" or "val", with at least one "val"'
+            )
         model, scaler = from_envelope(payload["model"]), payload["scaler"]
         bundle = cls(
             model=model,

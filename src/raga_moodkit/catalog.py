@@ -15,14 +15,7 @@ from typing import Literal
 import numpy as np
 
 from .base import ParamsMixin, as_float_matrix, check_fitted
-from .errors import (
-    BadGenre,
-    DataError,
-    DuplicateId,
-    UnknownRaga,
-    UnknownRasa,
-    ValidationError,
-)
+from .errors import DataError, ValidationError
 from .models.serialize import check_array
 
 
@@ -60,7 +53,7 @@ def parse_rasa(name: str) -> Rasa:
             return rasa
     if key in _RASA_ALIASES:
         return _RASA_ALIASES[key]
-    raise UnknownRasa(f"unknown rasa {name!r}; expected one of {', '.join(RASAS)}")
+    raise ValidationError(f"unknown rasa {name!r}; expected one of {', '.join(RASAS)}")
 
 
 # Traditional raga/rasa associations. Entries written "A/B" or "A - B" carry
@@ -145,7 +138,7 @@ class RagaTable:
     def canonical_name(self, name: str) -> str:
         key = _normalize(name)
         if key not in self._lookup:
-            raise UnknownRaga(f"raga {name!r} is not in the association table")
+            raise DataError(f"raga {name!r} is not in the association table")
         return self._lookup[key]
 
     def rasa_for_raga(self, name: str) -> Rasa:
@@ -211,18 +204,18 @@ def load_manifest(path) -> list[SongRecord]:
             if not song_id:
                 raise ValidationError(f"{path.name}:{line}: empty id")
             if song_id in seen:
-                raise DuplicateId(f"{path.name}:{line}: duplicate id {song_id!r}")
+                raise DataError(f"{path.name}:{line}: duplicate id {song_id!r}")
             seen.add(song_id)
             genre = (row["genre"] or "").strip()
             if genre not in GENRES:
-                raise BadGenre(
+                raise DataError(
                     f"{path.name}:{line} (id={song_id}): genre {genre!r} not in {GENRES}"
                 )
             raga = (row["raga"] or "").strip()
             try:
                 rasa = DEFAULT_RAGA_TABLE.rasa_for_raga(raga)
-            except UnknownRaga as exc:
-                raise UnknownRaga(f"{path.name}:{line} (id={song_id}): {exc}") from exc
+            except DataError as exc:
+                raise DataError(f"{path.name}:{line} (id={song_id}): {exc}") from exc
             records.append(
                 SongRecord(
                     id=song_id,

@@ -171,7 +171,9 @@ def _run_training(args, grid: dict | None) -> int:
         "out": str(args.out),
         **config.get_params(),
     }
-    report.bundle.config = {**report.bundle.config, **echo, "params": report.params}
+    # the report records the bundle's config, as ``evaluate``'s report of this bundle does
+    report.bundle.config.update(echo, params=report.params)
+    report.config = dict(report.bundle.config)
     report.bundle.save(args.out)
     if args.split_out:
         roles = report.bundle.split["roles"]

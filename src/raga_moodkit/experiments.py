@@ -25,15 +25,7 @@ from .audio import DEFAULT_BI_SAMPLE_PLAN, AudioBuffer, SegmentPlan, bi_sample, 
 from .base import CheckedFields, NonNegativeInt
 from .bundle import ModelBundle
 from .catalog import RASAS, FeatureScaler, ScalerKind, SongRecord
-from .errors import (
-    ClassTooSmall,
-    DataError,
-    EmptyInput,
-    MoodkitError,
-    NoEligibleModel,
-    StartBeyondEnd,
-    ValidationError,
-)
+from .errors import DataError, MoodkitError, ValidationError
 from .mfcc import MfccConfig, segment_features
 from .models import FAMILY_ORDER, make_classifier
 from .store import FeatureTable, segment_id
@@ -51,7 +43,7 @@ def _paired(predictions, labels, metric: str) -> tuple[np.ndarray, np.ndarray]:
     predictions = np.asarray(predictions, dtype=str)
     labels = np.asarray(labels, dtype=str)
     if len(predictions) == 0:
-        raise EmptyInput(f"{metric} over zero predictions")
+        raise ValidationError(f"{metric} over zero predictions")
     if len(predictions) != len(labels):
         raise ValidationError(f"{len(predictions)} predictions vs {len(labels)} labels")
     return predictions, labels
@@ -164,8 +156,8 @@ def _shuffled_classes(labels, seed: int, need: int) -> typing.Iterator[np.ndarra
     for cls in sorted(set(labels.tolist())):
         members = np.flatnonzero(labels == cls)
         if len(members) < need:
-            raise ClassTooSmall(f"class {cls!r} has {len(members)} member(s) to split (songs at split level "
-                                f"'file', rows at 'segment'); need at least {need}")
+            raise ValidationError(f"class {cls!r} has {len(members)} member(s) to split (songs at split level "
+                                  f"'file', rows at 'segment'); need at least {need}")
         yield rng.permutation(members)
 
 
@@ -291,10 +283,11 @@ class ExperimentReport:
         start = f"{plan.cuts[0][0]:g}" if len(plan.cuts) == 1 else plan.describe()
         duration = f"{sum(d for _, d in plan.cuts):g}"
         params = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items())) or "defaults"
-        scaler = self.config.get("scaler", "un")
+        scaler = self.config.get("scaler", "none")
+        scaling = "unscaled" if scaler == "none" else f"{scaler} scaled"
         return (
             f"| 1 | {self.family} | {start} | {duration} "
-            f"| {self.validation_accuracy:.4f} | {scaler} scaled, {params} |"
+            f"| {self.validation_accuracy:.4f} | {scaling}, {params} |"
         )
 
     def to_markdown(self) -> str:
@@ -327,7 +320,7 @@ def song_features(
     if partial:
         cuts = tuple((s, d) for s, d in plan.cuts if s < buffer.duration_s)
         if not cuts:
-            raise StartBeyondEnd(
+            raise DataError(
                 f"file of {buffer.duration_s:.1f}s is shorter than every planned cut"
             )
         plan = SegmentPlan(cuts)
@@ -481,7 +474,7 @@ def evaluate_bundle(bundle: ModelBundle, table: FeatureTable) -> ExperimentRepor
     ids = table.segment_ids
     if roles and all(seg in roles for seg in ids):
         train_idx = np.array([i for i, seg in enumerate(ids) if roles[seg] == "train"], dtype=np.int64)
-        val_idx = np.array([i for i, seg in enumerate(ids) if roles[seg] != "train"], dtype=np.int64)
+        val_idx = np.array([i for i, seg in enumerate(ids) if roles[seg] == "val"], dtype=np.int64)
     else:
         train_idx = np.empty(0, dtype=np.int64)
         val_idx = np.arange(len(ids), dtype=np.int64)
@@ -533,7 +526,7 @@ def select_final_model(reports: list[ExperimentReport]) -> ExperimentReport:
         raise ValidationError("no reports to select from")
     eligible = [r for r in reports if _is_eligible(r)]
     if not eligible:
-        raise NoEligibleModel("all candidates are single-neighbour lookups")
+        raise ValidationError("all candidates are single-neighbour lookups")
 
     def rank(report: ExperimentReport):
         family_rank = (

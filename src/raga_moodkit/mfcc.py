@@ -21,13 +21,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .audio import CANONICAL_RATE, AudioBuffer
 from .base import CheckedFields, FiniteNonNegativeFloat, FinitePositiveFloat, PositiveInt
-from .errors import (
-    DegenerateBank,
-    EmptySegment,
-    LengthMismatch,
-    ValidationError,
-    ZeroVariance,
-)
+from .errors import DataError, ValidationError
 
 _BOUNDARY_MIN_GAP = 1e-9
 
@@ -132,7 +126,7 @@ def filterbank_boundaries(config: MfccConfig) -> np.ndarray:
     hz = mel_inv(lo + m * (hi - lo) / (config.n_filters + 1))
     bins = (config.fft_size / config.sample_rate) * hz
     if np.any(np.diff(bins) <= _BOUNDARY_MIN_GAP):
-        raise DegenerateBank(
+        raise ValidationError(
             f"adjacent filter boundaries closer than {_BOUNDARY_MIN_GAP} bins; "
             f"reduce n_filters or widen [f_low, f_high]"
         )
@@ -172,7 +166,7 @@ def log_mel_energies(power, bank: MelFilterbank, log_floor: float = MfccConfig.l
     """
     arr = np.asarray(power, dtype=np.float64)
     if arr.shape[-1] != bank.weights.shape[1]:
-        raise LengthMismatch(
+        raise ValidationError(
             f"power spectrum has {arr.shape[-1]} bins, filterbank expects {bank.weights.shape[1]}"
         )
     energies = np.empty((len(bank.spans),) + arr.shape[:-1])
@@ -236,7 +230,8 @@ def mfcc_frames(segment: AudioBuffer, config: MfccConfig) -> np.ndarray:
     from the segment; only the padded tail is copied.
 
     Raises:
-        EmptySegment: segment shorter than one hop.
+        ValidationError: the segment is not mono or not at the config's rate.
+        DataError: segment shorter than one hop.
     """
     if segment.samples.ndim != 1:
         raise ValidationError("mfcc_frames expects mono audio, as read_wav and decode_wav return it")
@@ -246,7 +241,7 @@ def mfcc_frames(segment: AudioBuffer, config: MfccConfig) -> np.ndarray:
         )
     signal = np.asarray(segment.samples, dtype=np.float64)
     if len(signal) < config.hop:
-        raise EmptySegment(f"segment of {len(signal)} samples is shorter than one hop ({config.hop})")
+        raise DataError(f"segment of {len(signal)} samples is shorter than one hop ({config.hop})")
 
     hop, size = config.hop, config.fft_size
     n_frames = -(-len(signal) // hop)
@@ -296,7 +291,8 @@ def feature_correlation(features) -> np.ndarray:
     """Pearson correlation matrix across the columns of a row matrix.
 
     Raises:
-        ZeroVariance: some feature column is constant.
+        ValidationError: fewer than two feature rows.
+        DataError: some feature column is constant.
     """
     matrix = np.asarray(features, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] < 2:
@@ -304,5 +300,5 @@ def feature_correlation(features) -> np.ndarray:
     stds = matrix.std(axis=0)
     degenerate = np.flatnonzero(stds == 0)
     if degenerate.size:
-        raise ZeroVariance(f"constant feature columns: {degenerate.tolist()}")
+        raise DataError(f"constant feature columns: {degenerate.tolist()}")
     return np.corrcoef(matrix, rowvar=False)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..base import ParamsMixin, as_float_matrix, as_label_array, check_fitted
-from ..errors import EmptyData, ValidationError
+from ..errors import ValidationError
 from .serialize import bind_array, encode_array
 
 
@@ -28,7 +28,7 @@ class BaseClassifier(ParamsMixin):
     def fit(self, X, y):
         X = as_float_matrix(X)
         if X.shape[0] == 0:
-            raise EmptyData("fit requires at least one row")
+            raise ValidationError("fit requires at least one row")
         y = as_label_array(y, n_rows=X.shape[0])
         self.classes_, y_index = np.unique(y, return_inverse=True)
         self.n_features_ = X.shape[1]

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..base import FinitePositiveFloat, NonNegativeInt
-from ..errors import DivergenceDetected
+from ..errors import DataError
 from .base import BaseClassifier
 
 
@@ -51,14 +51,14 @@ class SoftmaxRegression(BaseClassifier):
             for _ in range(self.max_iter):
                 loss, grad = _loss_and_grad(self.weights_, X_bias, onehot)
                 if not np.isfinite(loss):
-                    raise DivergenceDetected(
+                    raise DataError(
                         f"loss became non-finite after {len(self.loss_curve_)} steps"
                     )
                 self.loss_curve_.append(loss)
                 self.weights_ -= self.learning_rate * grad
             final_loss, _ = _loss_and_grad(self.weights_, X_bias, onehot)
         if not np.isfinite(final_loss):
-            raise DivergenceDetected("loss became non-finite at the final iterate")
+            raise DataError("loss became non-finite at the final iterate")
         self.loss_curve_.append(final_loss)
 
     def _scores(self, X):

@@ -8,7 +8,7 @@ from typing import Annotated
 import numpy as np
 
 from ..base import FinitePositiveFloat, NonNegativeInt, PositiveInt
-from ..errors import DivergenceDetected
+from ..errors import DataError
 from .base import BaseClassifier
 from .linear import softmax
 
@@ -94,7 +94,7 @@ class MlpClassifier(BaseClassifier):
                         self.biases_[layer] -= self.learning_rate * grad_b[layer]
                 epoch_loss, _, _ = loss_and_grads(self.weights_, self.biases_, X, onehot)
                 if not np.isfinite(epoch_loss):
-                    raise DivergenceDetected(f"loss became non-finite at epoch {epoch}")
+                    raise DataError(f"loss became non-finite at epoch {epoch}")
                 self.loss_curve_.append(epoch_loss)
 
     def _scores(self, X):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..base import FinitePositiveFloat
-from ..errors import ClassTooSmall
+from ..errors import ValidationError
 from .base import BaseClassifier
 from .linear import softmax
 
@@ -32,7 +32,7 @@ class GaussianNbClassifier(BaseClassifier):
         for i, cls in enumerate(self.classes_):
             rows = X[y == i]
             if rows.shape[0] < 2:
-                raise ClassTooSmall(f"class {cls!r} has {rows.shape[0]} row(s); need at least 2")
+                raise ValidationError(f"class {cls!r} has {rows.shape[0]} row(s); need at least 2")
             self.theta_[i] = rows.mean(axis=0)
             self.var_[i] = np.maximum(rows.var(axis=0), self.var_floor)
             self.priors_[i] = rows.shape[0] / X.shape[0]

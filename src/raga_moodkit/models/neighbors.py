@@ -8,7 +8,7 @@ from typing import Literal
 import numpy as np
 
 from ..base import PositiveInt
-from ..errors import KTooLarge
+from ..errors import ValidationError
 from .base import BaseClassifier
 from .serialize import Index
 
@@ -71,7 +71,7 @@ class KnnClassifier(BaseClassifier):
     def _check_k(self, n_rows: int) -> None:
         """``k`` neighbours need at least ``k`` stored rows."""
         if self.k > n_rows:
-            raise KTooLarge(f"k={self.k} exceeds the {n_rows} training rows")
+            raise ValidationError(f"k={self.k} exceeds the {n_rows} training rows")
 
     def _scores(self, X):
         distances = pairwise_distances(X, self.X_, self.metric)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..base import FiniteNonNegativeFloat, FinitePositiveFloat, NonNegativeInt, PositiveInt
-from ..errors import SingleClass, ValidationError
+from ..errors import ValidationError
 from .base import BaseClassifier
 from .linear import softmax
 from .serialize import bind_array, encode_array
@@ -277,7 +277,7 @@ class RbfSvmClassifier(BaseClassifier):
 
     def _fit(self, X, y):
         if len(self.classes_) < 2:
-            raise SingleClass("need at least two classes")
+            raise ValidationError("need at least two classes")
         pairs = list(itertools.combinations(range(len(self.classes_)), 2))
         seeds = np.random.default_rng(self.seed).integers(0, 2**63 - 1, size=len(pairs))
         self.pair_models_ = {}

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bundle import ModelBundle
 from .catalog import RASAS, parse_rasa
-from .errors import EmptyLibrary, ValidationError
+from .errors import ValidationError
 from .store import FeatureTable, song_id_of
 
 _SCORE_SUM_TOL = 1e-9
@@ -112,7 +112,7 @@ def recommend_transition(library: ScoredLibrary, current, aspired, length: int) 
     current = parse_rasa(current)
     aspired = parse_rasa(aspired)
     if len(library) == 0:
-        raise EmptyLibrary("cannot recommend from an empty library")
+        raise ValidationError("cannot recommend from an empty library")
     weights = slot_weights(length)
     current_scores = library.column(current)
     aspired_scores = library.column(aspired)

@@ -14,7 +14,7 @@ import pytest
 
 from raga_moodkit.catalog import RASAS, rasa_for_raga
 from raga_moodkit.cli import main
-from raga_moodkit.errors import NoEligibleModel, UnknownRaga
+from raga_moodkit.errors import DataError, ValidationError
 from raga_moodkit.experiments import (
     ExperimentConfig,
     ExperimentReport,
@@ -155,7 +155,7 @@ def test_c05_raga_table_exhaustive():
         ]:
             assert rasa_for_raga(alias).value == rasa_name, alias
         for unknown in ("Todi", "Bhairavi", "Darbari Kanada junk", ""):
-            with pytest.raises(UnknownRaga):
+            with pytest.raises(DataError, match="is not in the association table"):
                 rasa_for_raga(unknown)
 
 
@@ -377,7 +377,7 @@ def test_c11_final_model_policy():
         svm = _policy_report("svm", {"C": 10, "gamma": 0.1}, 0.77)
         assert select_final_model([knn, svm]) is svm
         assert select_final_model([svm, knn]) is svm
-        with pytest.raises(NoEligibleModel):
+        with pytest.raises(ValidationError, match="all candidates are single-neighbour lookups"):
             select_final_model([knn])
 
 

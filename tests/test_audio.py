@@ -29,14 +29,7 @@ from raga_moodkit.audio import (
     to_mono,
     write_wav,
 )
-from raga_moodkit.errors import (
-    MalformedHeader,
-    NonFiniteSample,
-    StartBeyondEnd,
-    TruncatedData,
-    UnsupportedEncoding,
-    ValidationError,
-)
+from raga_moodkit.errors import DataError, ValidationError
 
 
 def mono_reference(samples: np.ndarray) -> np.ndarray:
@@ -70,17 +63,17 @@ class TestDecode:
         np.testing.assert_array_equal(buffer.samples, [0.0, 0.5, -0.5])
 
     def test_header_only_is_malformed(self):
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(DataError, match="not a RIFF/WAVE stream"):
             decode_wav(b"RIFF")
 
     def test_not_riff(self):
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(DataError, match="not a RIFF/WAVE stream"):
             decode_wav(b"OggS" + b"\x00" * 64)
 
     def test_missing_data_chunk(self):
         fmt = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)
         blob = b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt)) + b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(DataError, match="missing fmt or data chunk"):
             decode_wav(blob)
 
     def test_stereo_roundtrip_sample_exact(self):
@@ -132,12 +125,12 @@ class TestDecode:
             + b"fmt " + struct.pack("<I", len(fmt)) + fmt
             + b"data" + struct.pack("<I", 2) + b"\x00\x00"
         )
-        with pytest.raises(UnsupportedEncoding):
+        with pytest.raises(DataError, match="format tag 0x0007 with 8-bit samples"):
             decode_wav(blob)
 
     def test_truncated_data(self):
         good = reference_wav_bytes([1, 2, 3, 4], 8000)
-        with pytest.raises(TruncatedData):
+        with pytest.raises(DataError, match="data chunk declares 8 bytes, 4 available"):
             decode_wav(good[:-4])
 
 
@@ -212,17 +205,17 @@ class TestExtensible:
 
     def test_unknown_guid_rejected(self):
         plain = encode_wav(AudioBuffer(samples=np.zeros(8), sample_rate=8000), "pcm16")
-        with pytest.raises(UnsupportedEncoding):
+        with pytest.raises(DataError, match="extensible sub-format GUID"):
             decode_wav(extensible_twin(plain, guid_tail=bytes(14)))
 
     def test_non_pcm_sub_format_rejected(self):
         plain = encode_wav(AudioBuffer(samples=np.zeros(8), sample_rate=8000), "pcm16")
-        with pytest.raises(UnsupportedEncoding):
+        with pytest.raises(DataError, match="format tag 0x0007 with 16-bit samples"):
             decode_wav(extensible_twin(plain, guid_code=7))  # mu-law
 
     def test_short_extensible_fmt_is_malformed(self):
         fmt = struct.pack("<HHIIHH", 0xFFFE, 1, 8000, 16000, 2, 16)
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(DataError, match="extensible fmt chunk shorter than 40 bytes"):
             decode_wav(wav_with(fmt, b"\x00\x00"))
 
 
@@ -232,7 +225,7 @@ class TestNonFinite:
         samples = np.sin(np.arange(64) / 5.0) * 0.5
         samples[17] = bad
         blob = encode_wav(AudioBuffer(samples=samples, sample_rate=8000), "float32")
-        with pytest.raises(NonFiniteSample):
+        with pytest.raises(DataError, match="float32 data holds NaN or infinite samples"):
             decode_wav(blob)
 
     def test_float32_out_of_range_is_clipped(self):
@@ -465,7 +458,7 @@ class TestSegments:
         assert segment.n_frames == 10 * 100
 
     def test_start_beyond_end(self):
-        with pytest.raises(StartBeyondEnd):
+        with pytest.raises(DataError, match="segment start 30s is beyond the 30.000s buffer"):
             extract_segment(self._buffer(30), 30, 10)
 
     def test_bi_sample_default_plan(self):
@@ -486,7 +479,7 @@ class TestSegments:
     def test_huge_finite_cut(self):
         # start and duration times the rate overflow to inf; the cut does not
         buffer = self._buffer(30, rate=22050)
-        with pytest.raises(StartBeyondEnd):
+        with pytest.raises(DataError, match="segment start 1e[+]305s is beyond"):
             extract_segment(buffer, 1e305, 1)
         tail = extract_segment(buffer, 0, 1e305)
         same = extract_segment(buffer, 0, 1000)
@@ -675,10 +668,11 @@ class TestBlockKernels:
 # --- the streaming decoder against the whole-stream decoder -------------------------
 
 def decode_wav_whole(data: bytes) -> AudioBuffer:
-    """``decode_wav`` as it stood before it streamed, copied verbatim: the
-    whole stream is one ``bytes`` object, and the codes are views into it."""
+    """``decode_wav`` as it stood before it streamed, copied verbatim but for
+    the one ``DataError`` class it now raises: the whole stream is one
+    ``bytes`` object, and the codes are views into it."""
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise MalformedHeader("not a RIFF/WAVE stream")
+        raise DataError("not a RIFF/WAVE stream")
 
     fmt = None
     data_span = None
@@ -689,30 +683,30 @@ def decode_wav_whole(data: bytes) -> AudioBuffer:
         body_start = offset + 8
         if chunk_id == b"fmt ":
             if size < 16 or body_start + 16 > len(data):
-                raise MalformedHeader("fmt chunk too small")
+                raise DataError("fmt chunk too small")
             fmt = struct.unpack_from("<HHIIHH", data, body_start)
             subformat = None
             if fmt[0] == _FORMAT_EXTENSIBLE:
                 if size < 40 or body_start + 40 > len(data):
-                    raise MalformedHeader("extensible fmt chunk shorter than 40 bytes")
+                    raise DataError("extensible fmt chunk shorter than 40 bytes")
                 subformat = data[body_start + 24 : body_start + 40]
         elif chunk_id == b"data":
             if body_start + size > len(data):
-                raise TruncatedData(
+                raise DataError(
                     f"data chunk declares {size} bytes, {len(data) - body_start} available"
                 )
             data_span = (body_start, size)
         offset = body_start + size + (size & 1)
 
     if fmt is None or data_span is None:
-        raise MalformedHeader("missing fmt or data chunk")
+        raise DataError("missing fmt or data chunk")
 
     format_tag, channels, sample_rate, _byte_rate, _block_align, bits = fmt
     if channels < 1 or sample_rate <= 0:
-        raise MalformedHeader(f"invalid fmt fields: channels={channels} rate={sample_rate}")
+        raise DataError(f"invalid fmt fields: channels={channels} rate={sample_rate}")
     if subformat is not None:
         if subformat[2:] != _SUBFORMAT_GUID_TAIL:
-            raise UnsupportedEncoding(f"extensible sub-format GUID {subformat.hex()}")
+            raise DataError(f"extensible sub-format GUID {subformat.hex()}")
         (format_tag,) = struct.unpack_from("<H", subformat)
 
     if format_tag == _FORMAT_PCM and bits in _PCM_CODECS:
@@ -720,7 +714,7 @@ def decode_wav_whole(data: bytes) -> AudioBuffer:
     elif format_tag == _FORMAT_IEEE_FLOAT and bits == 32:
         dtype, code_offset, scale = "<f4", 0, None
     else:
-        raise UnsupportedEncoding(f"format tag {format_tag:#06x} with {bits}-bit samples")
+        raise DataError(f"format tag {format_tag:#06x} with {bits}-bit samples")
 
     start, size = data_span
     width = bits // 8
@@ -738,7 +732,7 @@ def decode_wav_whole(data: bytes) -> AudioBuffer:
         out = mono[first : first + _BLOCK]
         if scale is None:
             if not np.isfinite(block).all():
-                raise NonFiniteSample("float32 data holds NaN or infinite samples")
+                raise DataError("float32 data holds NaN or infinite samples")
             wide = np.clip(block, -1.0, 1.0, dtype=np.float64)
         else:
             wide = (block >> 8 if bits == 24 else block).astype(np.float64)
@@ -794,13 +788,13 @@ class TestStreamingDecode:
 
     def test_empty_file_is_malformed(self, tmp_path):
         (tmp_path / "empty.wav").write_bytes(b"")
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(DataError, match="not a RIFF/WAVE stream"):
             read_wav(tmp_path / "empty.wav")
 
     def test_data_chunk_longer_than_the_file(self, tmp_path):
         payload, _ = random_payload("pcm16", 100, 2, seed=1)
         (tmp_path / "cut.wav").write_bytes(wav_with(fmt_chunk("pcm16", 2), payload)[:-4])
-        with pytest.raises(TruncatedData, match="declares 400 bytes, 396 available"):
+        with pytest.raises(DataError, match="declares 400 bytes, 396 available"):
             read_wav(tmp_path / "cut.wav")
 
     def test_file_cut_short_while_it_is_read(self, tmp_path, monkeypatch):
@@ -820,7 +814,7 @@ class TestStreamingDecode:
 
         monkeypatch.setattr(audio, "open", lambda name, mode: ShrinksWhenRead(io.FileIO(name, mode)),
                             raising=False)
-        with pytest.raises(TruncatedData, match="stream ended inside the data chunk"):
+        with pytest.raises(DataError, match="stream ended inside the data chunk"):
             read_wav(path)
         assert reads == [4 * _BLOCK, 10]
 

@@ -301,6 +301,16 @@ class TestTrainEvaluate:
         out = capsys.readouterr().out
         assert out.count("grid {") == 4
 
+    def test_tune_and_evaluate_reports_record_the_bundle_config(self, extracted, tmp_path):
+        model, tuned, evaluated = tmp_path / "tuned.json", tmp_path / "tuned_report.json", tmp_path / "evaluated.json"
+        assert main(["tune", "--features", str(extracted), "--out", str(model), "--family", "knn",
+                     "--grid", "k=1,3", "--seed", "0", "--report-out", str(tuned)]) == 0
+        assert main(["evaluate", "--features", str(extracted), "--model", str(model), "--out", str(evaluated)]) == 0
+        config = json.loads(model.read_text())["config"]
+        assert {"command": "tune", "features": str(extracted), "out": str(model)}.items() <= config.items()
+        assert json.loads(tuned.read_text())["config"] == config
+        assert json.loads(evaluated.read_text())["config"] == config
+
     def test_tune_with_cross_validated_selection(self, extracted, tmp_path):
         model = tmp_path / "cv.json"
         code = main(

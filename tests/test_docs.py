@@ -1,6 +1,7 @@
 """The README's library example imports names that exist, from the modules
-that define them; the package's top level holds only its version, and
-``raga_moodkit.models`` only the family registry."""
+that define them; the package's top level holds only its version,
+``raga_moodkit.models`` only the family registry, and ``raga_moodkit.errors``
+only the error kinds the exit codes tell apart."""
 import ast
 import importlib
 import inspect
@@ -8,7 +9,7 @@ import re
 from pathlib import Path
 
 import raga_moodkit
-from raga_moodkit import models
+from raga_moodkit import errors, models
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -43,3 +44,12 @@ def test_models_package_holds_only_the_family_registry():
     families = {cls.__name__ for cls in models.FAMILIES.values()}
     assert len(families) == 6
     assert public - own_imports == {"FAMILIES", "FAMILY_ORDER", "make_classifier"} | families
+
+
+def test_errors_module_holds_only_the_kinds_the_exit_codes_tell_apart():
+    public = {name for name, value in vars(errors).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == {"MoodkitError", "ValidationError", "DataError", "CorruptArtifact", "MALFORMED_CONTENT"}
+    assert issubclass(errors.ValidationError, errors.MoodkitError)
+    assert issubclass(errors.DataError, errors.MoodkitError)
+    assert issubclass(errors.CorruptArtifact, errors.DataError)

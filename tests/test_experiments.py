@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from raga_moodkit.audio import DEFAULT_BI_SAMPLE_PLAN, SegmentPlan
-from raga_moodkit.errors import (
-    EmptyInput,
-    MoodkitError,
-    NoEligibleModel,
-    ValidationError,
-)
-from raga_moodkit.errors import ClassTooSmall
+from raga_moodkit.errors import MoodkitError, ValidationError
 from raga_moodkit.experiments import (
     ExperimentConfig,
     ExperimentReport,
@@ -44,7 +38,7 @@ class TestAccuracy:
         assert accuracy(["a", "b", "a", "a"], ["a", "b", "a", "b"]) == 0.75
 
     def test_empty(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ValidationError, match="accuracy over zero predictions"):
             accuracy([], [])
 
     def test_length_mismatch(self):
@@ -269,10 +263,12 @@ class TestRunOnFeatures:
 
     def test_markdown_table_shape(self):
         table = synthetic_table()
-        config = ExperimentConfig(family="knn", params={"k": 3}, seed=1)
-        markdown = run_on_features(table, config).to_markdown()
-        assert "Validation Classification Accuracy" in markdown
-        assert "2 Segments - 0s-60s and 20s-80s" in markdown
+        for scaler, architecture in (("zscore", "zscore scaled, k=3"), ("none", "unscaled, k=3")):
+            config = ExperimentConfig(family="knn", params={"k": 3}, scaler=scaler, seed=1)
+            markdown = run_on_features(table, config).to_markdown()
+            assert "Validation Classification Accuracy" in markdown
+            assert "2 Segments - 0s-60s and 20s-80s" in markdown
+            assert markdown.endswith(f"| {architecture} |\n")
 
     @staticmethod
     def assert_scored_alike(report, evaluated):
@@ -335,7 +331,7 @@ class TestKFold:
             np.testing.assert_array_equal(v1, v2)
 
     def test_class_too_small(self):
-        with pytest.raises(ClassTooSmall):
+        with pytest.raises(ValidationError, match="class 'a' has 2 member[(]s[)] to split"):
             kfold_indices(["a", "a", "b", "b", "b"], 3, seed=0)
 
     def test_bad_fold_count(self):
@@ -558,7 +554,7 @@ class TestSelectFinalModel:
         assert select_final_model([only]) is only
 
     def test_all_k1_raises(self):
-        with pytest.raises(NoEligibleModel):
+        with pytest.raises(ValidationError, match="all candidates are single-neighbour lookups"):
             select_final_model([_report("knn", {"k": 1}, 0.9), _report("knn", {"k": 1}, 0.8)])
 
     def test_knn_with_larger_k_is_eligible(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from raga_moodkit.errors import DivergenceDetected, ValidationError
+from raga_moodkit.errors import DataError, ValidationError
 from raga_moodkit.experiments import accuracy
 from raga_moodkit.models import MlpClassifier
 from raga_moodkit.models.mlp import forward, loss_and_grads
@@ -111,7 +111,7 @@ class TestMlp:
         rng = np.random.default_rng(7)
         X = rng.standard_normal((20, 3)) * 1e120
         y = rng.choice(["a", "b"], 20)
-        with pytest.raises(DivergenceDetected):
+        with pytest.raises(DataError, match="loss became non-finite at epoch"):
             MlpClassifier(hidden=(8, 8, 8, 8), epochs=10, learning_rate=1e30, seed=0).fit(X, y)
 
     def test_full_batch_loss_non_increasing_small_rate(self):

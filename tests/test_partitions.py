@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from raga_moodkit import experiments
 from raga_moodkit.audio import DEFAULT_BI_SAMPLE_PLAN
-from raga_moodkit.errors import ClassTooSmall, ValidationError
+from raga_moodkit.errors import ValidationError
 from raga_moodkit.experiments import (
     ExperimentConfig,
     kfold_indices,
@@ -42,7 +42,7 @@ def reference_stratified_indices(labels, val_fraction, seed):
     for cls in sorted(set(labels.tolist())):
         members = np.flatnonzero(labels == cls)
         if len(members) < 2:
-            raise ClassTooSmall(f"class {cls!r} has {len(members)} row(s); need at least 2")
+            raise ValidationError(f"class {cls!r} has {len(members)} row(s); need at least 2")
         n_val = min(int(round(val_fraction * len(members))), len(members) - 1)
         perm = rng.permutation(members)
         val.extend(perm[:n_val].tolist())
@@ -59,7 +59,7 @@ def reference_kfold_indices(labels, n_folds, seed):
     for cls in sorted(set(labels.tolist())):
         members = np.flatnonzero(labels == cls)
         if len(members) < n_folds:
-            raise ClassTooSmall(f"class {cls!r} has {len(members)} row(s); need at least {n_folds}")
+            raise ValidationError(f"class {cls!r} has {len(members)} row(s); need at least {n_folds}")
         for slot, row in enumerate(rng.permutation(members)):
             fold_members[slot % n_folds].append(int(row))
     folds = []
@@ -180,8 +180,8 @@ def test_label_partitions_equal_the_reference(labels, val_fraction, seed, n_fold
                                       (kfold_indices, reference_kfold_indices, n_folds)):
         try:
             expected = reference(labels, argument, seed)
-        except ClassTooSmall:
-            with pytest.raises(ClassTooSmall):
+        except ValidationError as refusal:
+            with pytest.raises(ValidationError, match=re.escape(str(refusal).split("row(s)")[0])):
                 mine(labels, argument, seed)
             continue
         got = mine(labels, argument, seed)
@@ -199,7 +199,7 @@ def test_holdout_keeps_songs_whole_and_equals_the_reference(case):
         _, first = np.unique(groups, return_index=True)
         group_labels = table.labels[first]
         if min(np.unique(group_labels, return_counts=True)[1]) < 2:
-            with pytest.raises(ClassTooSmall, match="need at least 2"):
+            with pytest.raises(ValidationError, match="need at least 2"):
                 split_table(table, level, val_fraction, seed)
             continue
         train_idx, val_idx = split_table(table, level, val_fraction, seed)
@@ -219,7 +219,9 @@ def test_cv_folds_keep_songs_whole_inside_the_train_side(case):
     for level in ("file", "segment"):
         try:
             train_idx, val_idx = split_table(table, level, val_fraction, seed)
-        except ClassTooSmall:
+        except ValidationError as refusal:
+            if "member(s) to split" not in str(refusal):
+                raise
             continue
         if len(val_idx) == 0:
             with pytest.raises(ValidationError, match="validation side"):
@@ -232,7 +234,7 @@ def test_cv_folds_keep_songs_whole_inside_the_train_side(case):
         if too_small:
             # at the file level a class counts its training songs, not their rows
             first = too_small[0]
-            with pytest.raises(ClassTooSmall, match=re.escape(f"class {first!r} has {train_groups[first]} ")):
+            with pytest.raises(ValidationError, match=re.escape(f"class {first!r} has {train_groups[first]} ")):
                 cv_folds(table, level, val_fraction, seed, n_folds)
             continue
         folds = cv_folds(table, level, val_fraction, seed, n_folds)

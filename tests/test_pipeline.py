@@ -8,7 +8,7 @@ import pytest
 from raga_moodkit.audio import SegmentPlan, parse_plan
 from raga_moodkit.bundle import ModelBundle
 from raga_moodkit.cli import main
-from raga_moodkit.errors import DataError, ScalerMismatch
+from raga_moodkit.errors import DataError
 from raga_moodkit.experiments import ExperimentConfig, evaluate_bundle, extract_features, run_on_features
 from raga_moodkit.mfcc import MfccConfig
 from raga_moodkit.models import MlpClassifier, SoftmaxRegression
@@ -131,7 +131,7 @@ class TestScoreLibrary:
         trained = self._bundle(small_store)
         bare = ModelBundle(model=trained.model, scaler=trained.scaler, feature_fingerprint={})
         for reader in (score_library, evaluate_bundle):
-            with pytest.raises(ScalerMismatch, match="records no MFCC settings or no segment plan"):
+            with pytest.raises(DataError, match="records no MFCC settings or no segment plan"):
                 reader(bare, small_store)
 
     @pytest.mark.parametrize("setting", ["mfcc", "plan"])
@@ -139,9 +139,11 @@ class TestScoreLibrary:
         bundle = self._bundle(small_store)
         other = {"mfcc": MfccConfig(n_filters=40, n_coeffs=40, log_floor=1e-8),
                  "plan": parse_plan("first60")}
+        refusal = {"mfcc": "feature configuration differs from the one the model was trained on",
+                   "plan": "features cut by segment plan"}
         table = dataclasses.replace(small_store, **{setting: other[setting]})
         for reader in (score_library, evaluate_bundle):
-            with pytest.raises(ScalerMismatch):
+            with pytest.raises(DataError, match=refusal[setting]):
                 reader(bundle, table)
 
 

@@ -374,6 +374,16 @@ def nan_first(scale):
     return scale
 
 
+#: A split of the ``family_bundles`` store's 12 rows: they alternate between the sides.
+SPLIT_ROLES = {f"s{i}:0": ("train", "val")[i % 2] for i in range(12)}
+
+
+def set_roles(roles):
+    def edit(payload):
+        payload["split"] = {"roles": roles}
+    return edit
+
+
 #: Bundles that loaded before their decoders checked them: a tree whose root
 #: is its own child (scoring never ended), a leaf with no class counts (NaN
 #: scores), SVM pair indexes out of range or reversed (votes went to the last
@@ -385,8 +395,11 @@ def nan_first(scale):
 #: weights lost a feature row (``evaluate`` then exited 1, refusing the store),
 #: a scaler stored as ``{}`` (read as no scaler), a scale holding NaN (that
 #: feature went to 0), infinity (every feature went to 0) or negated spreads,
-#: and a kNN ``k`` above the stored rows with distance weights (uniform
-#: weights no longer sum to 1, so the zero-row probe refuses those).
+#: a kNN ``k`` above the stored rows with distance weights (uniform
+#: weights no longer sum to 1, so the zero-row probe refuses those), and
+#: split roles with one role neither "train" nor "val" (scored as
+#: validation), with every role "train" (``evaluate`` exited 1) or stored as
+#: a list (every row counted as validation).
 CORRUPT_BUNDLES = {
     "forest-tree-cycle": ("forest", loop_root_to_itself),
     "forest-empty-leaf": ("forest", empty_a_leaf),
@@ -407,6 +420,9 @@ CORRUPT_BUNDLES = {
     "scaler-inf-scale": ("svm", change_scale(lambda scale: np.full_like(scale, np.inf))),
     "scaler-negative-scale": ("svm", change_scale(np.negative)),
     "knn-k-above-rows": ("knn", set_params(k=1000, weights="distance")),
+    "split-role-unknown": ("knn", set_roles({**SPLIT_ROLES, "s0:0": "bogus"})),
+    "split-roles-all-train": ("knn", set_roles(dict.fromkeys(SPLIT_ROLES, "train"))),
+    "split-roles-list": ("knn", set_roles(list(SPLIT_ROLES.items()))),
 }
 
 #: Seconds a corrupt bundle's ``evaluate`` may take before the test fails.

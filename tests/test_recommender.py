@@ -6,7 +6,7 @@ import pytest
 from raga_moodkit.audio import DEFAULT_BI_SAMPLE_PLAN
 from raga_moodkit.bundle import _BLOCK_ROWS, ModelBundle
 from raga_moodkit.catalog import RASAS, FeatureScaler, Rasa
-from raga_moodkit.errors import EmptyLibrary, UnknownRasa, ValidationError
+from raga_moodkit.errors import ValidationError
 from raga_moodkit.mfcc import MfccConfig
 from raga_moodkit.models import GaussianNbClassifier, RbfSvmClassifier
 from raga_moodkit.recommender import (
@@ -201,13 +201,13 @@ class TestRecommend:
 
     def test_empty_library(self):
         library = ScoredLibrary(song_ids=(), scores=np.empty((0, 6)))
-        with pytest.raises(EmptyLibrary):
+        with pytest.raises(ValidationError, match="cannot recommend from an empty library"):
             recommend_transition(library, "Karuna", "Veera", 3)
 
     def test_unknown_rasa(self):
         rng = np.random.default_rng(6)
         library = random_library(rng, 3)
-        with pytest.raises(UnknownRasa):
+        with pytest.raises(ValidationError, match="unknown rasa 'Raudra'"):
             recommend_transition(library, "Raudra", "Veera", 2)
 
     def test_json_shape(self):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from raga_moodkit.errors import SingleClass, ValidationError
+from raga_moodkit.errors import ValidationError
 from raga_moodkit.models.svm import RbfSvmClassifier, rbf_kernel_matrix, smo_train_binary
 from svm_oracles import _dual_objective, kkt_violations, rbf_kernel
 
@@ -139,7 +139,7 @@ class TestSmoBinary:
         calls = []
         monkeypatch.setattr(
             "raga_moodkit.models.svm.smo_train_binary", lambda *a, **k: calls.append(a))
-        with pytest.raises(SingleClass):
+        with pytest.raises(ValidationError, match="need at least two classes"):
             RbfSvmClassifier().fit(np.zeros((3, 2)), np.ones(3))
         assert calls == []
 
@@ -440,7 +440,7 @@ class TestOvo:
         )
 
     def test_single_class_rejected(self):
-        with pytest.raises(SingleClass):
+        with pytest.raises(ValidationError, match="need at least two classes"):
             RbfSvmClassifier().fit(np.zeros((4, 2)), ["a"] * 4)
 
     @pytest.mark.parametrize("name", ["C", "gamma", "tol"])
