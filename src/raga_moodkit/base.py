@@ -4,8 +4,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
-import math
+import json
 import numbers
+import reprlib
+import sys
 import typing
 from typing import Annotated
 
@@ -14,20 +16,28 @@ import numpy as np
 from .errors import ValidationError
 
 # Field annotations carrying a range rule: (text for errors, test). Every
-# test is a comparison that NaN fails; the float ones fail infinity too.
+# test is a comparison that NaN fails; the float ones fail infinity, and an
+# integer too large for a float, too.
+_MAX = sys.float_info.max
 PositiveInt = Annotated[int, (">= 1", lambda v: v >= 1)]
 NonNegativeInt = Annotated[int, (">= 0", lambda v: v >= 0)]
-FinitePositiveFloat = Annotated[float, ("finite and > 0", lambda v: 0 < v < math.inf)]
-FiniteNonNegativeFloat = Annotated[float, ("finite and >= 0", lambda v: 0 <= v < math.inf)]
+FiniteFloat = Annotated[float, ("finite", lambda v: -_MAX <= v <= _MAX)]
+FinitePositiveFloat = Annotated[float, ("finite and > 0", lambda v: 0 < v <= _MAX)]
+FiniteNonNegativeFloat = Annotated[float, ("finite and >= 0", lambda v: 0 <= v <= _MAX)]
+_NUMERIC = {int: numbers.Integral, float: numbers.Real}
 
 
 def _has_type(value, annotation) -> bool:
     """Whether ``value`` fits a field annotation: ``int``, ``float`` (which
     takes an int too; neither takes a bool), ``str``, ``dict``, a ``Literal``
-    of strings, a union of those with ``None``, ``tuple[T, ...]`` or
+    of strings or ints, a union of those with ``None``, ``tuple[T, ...]`` or
     ``tuple[A, B]`` (a list or tuple of ``T``, or of one ``A`` and one ``B``),
     or any of these under ``Annotated`` with rules the value passes."""
+    if annotation is int or annotation is float:  # the most frequent case: a stored shape's or a scaler's values
+        return isinstance(value, _NUMERIC[annotation]) and not isinstance(value, bool)
     origin = typing.get_origin(annotation)
+    if origin is None:  # a plain class: str, dict, list
+        return isinstance(value, annotation)
     args = typing.get_args(annotation)
     if origin is Annotated:
         return _has_type(value, args[0]) and all(test(value) for _, test in args[1:])
@@ -37,14 +47,9 @@ def _has_type(value, annotation) -> bool:
         items = args[:1] * len(value) if args[-1] is Ellipsis else args
         return len(value) == len(items) and all(map(_has_type, value, items))
     if origin is typing.Literal:
-        return isinstance(value, str) and value in args
-    numeric = {int: numbers.Integral, float: numbers.Real}
-    return any(
-        isinstance(value, numeric[option]) and not isinstance(value, bool)
-        if option in numeric
-        else isinstance(value, option)
-        for option in args or (annotation,)
-    )
+        return isinstance(value, (str, int)) and not isinstance(value, bool) and value in args
+    return any(_has_type(value, option) if option in _NUMERIC else isinstance(value, option)
+               for option in args or (annotation,))
 
 
 def _describe(annotation) -> str:
@@ -60,6 +65,35 @@ def _describe(annotation) -> str:
     return inspect.formatannotation(annotation)
 
 
+def check_value(value, kind, path: str = "") -> None:
+    """Check parsed JSON against ``kind``: a record (each key's kind; a key ending in ``?`` may be absent, and
+    keys it does not name are ignored), ``[kind]`` (a list of that kind) or an annotation ``_has_type`` takes.
+    A fault raises ``ValidationError`` naming its path, as in ``scaler.kind: missing``."""
+    container = type(kind) if isinstance(kind, (dict, list)) else None
+    if not (isinstance(value, container) if container else _has_type(value, kind)):
+        words = {dict: "an object", list: "a list"}
+        raise ValidationError(f"{path or 'top level'}: expected {words.get(container) or _describe(kind)}, "
+                              f"got {container and words.get(type(value)) or reprlib.repr(value)}")
+    for key, child in kind.items() if container is dict else ():
+        name = key.rstrip("?")
+        where = f"{path}.{name}" if path else name
+        if name in value:
+            if isinstance(child, (dict, list)) or not _has_type(value[name], child):  # a passing leaf needs no call
+                check_value(value[name], child, where)
+        elif name == key:
+            raise ValidationError(f"{where}: missing")
+    for i, item in enumerate(value) if container is list else ():
+        check_value(item, kind[0], f"{path}[{i}]")
+
+
+def read_json(path):
+    """A JSON file's content; text that is not UTF-8 JSON raises ``ValidationError``."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, Python's int digit limit
+        raise ValidationError(f"{path.name} is not UTF-8 JSON text: {exc}") from exc
+
+
 class CheckedFields:
     """A dataclass whose field list is its whole contract: names, types,
     closed choices as ``Literal`` and numeric ranges as ``Annotated`` rules.
@@ -71,8 +105,7 @@ class CheckedFields:
     """
 
     def __post_init__(self):
-        for name, value in self._check_params(**self.get_params()).items():
-            object.__setattr__(self, name, value)
+        self._set_checked(self._check_params(**self.get_params()))
 
     @classmethod
     @functools.cache
@@ -83,26 +116,18 @@ class CheckedFields:
 
     @classmethod
     def _check_params(cls, **params) -> dict:
-        """Refuse unknown names, wrong types and values outside a range rule;
-        return the values with lists stored as tuples."""
+        """Refuse unknown names and values outside their annotations; return ``params``."""
         types = cls._param_types()
-        checked = {}
+        if unknown := sorted(params.keys() - types.keys()):
+            raise ValidationError(
+                f"unknown parameter {unknown[0]!r} for {cls.__name__}; valid parameters: {sorted(types)}")
+        check_value(params, {name: types[name] for name in params}, cls.__name__)
+        return params
+
+    def _set_checked(self, params: dict) -> None:
+        """Set values that passed their annotations, lists stored as tuples."""
         for name, value in params.items():
-            if name not in types:
-                raise ValidationError(
-                    f"unknown parameter {name!r} for {cls.__name__}; valid parameters: {sorted(types)}"
-                )
-            hint = types[name]
-            annotation, *rules = typing.get_args(hint) if typing.get_origin(hint) is Annotated else (hint,)
-            if not _has_type(value, annotation):
-                raise ValidationError(
-                    f"{cls.__name__} parameter {name}={value!r} must be {_describe(annotation)}"
-                )
-            for text, test in rules:
-                if not test(value):
-                    raise ValidationError(f"{cls.__name__} parameter {name}={value!r} must be {text}")
-            checked[name] = tuple(value) if isinstance(value, list) else value
-        return checked
+            object.__setattr__(self, name, tuple(value) if isinstance(value, list) else value)
 
     def get_params(self) -> dict:
         return {name: getattr(self, name) for name in self._param_types()}
@@ -116,8 +141,7 @@ class ParamsMixin(CheckedFields):
 
     def set_params(self, **params):
         """Set parameters by name; nothing is set unless every value passes."""
-        for name, value in self._check_params(**params).items():
-            setattr(self, name, value)
+        self._set_checked(self._check_params(**params))
         return self
 
 

@@ -5,12 +5,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Annotated, Literal
 
 import numpy as np
 
 from .audio import SegmentPlan
+from .base import check_value, read_json
 from .catalog import FeatureScaler
-from .errors import MALFORMED_CONTENT, CorruptArtifact, DataError, ValidationError
+from .errors import CorruptArtifact, DataError, ValidationError
 from .mfcc import MfccConfig
 from .models.base import BaseClassifier
 from .models.serialize import from_envelope, to_envelope
@@ -21,6 +23,10 @@ BUNDLE_FORMAT_VERSION = 1
 #: copy and the model's per-row temporaries (an SVM's kernel rows, a kNN's
 #: distance rows) whatever the height of the table.
 _BLOCK_ROWS = 1024
+
+#: A split's ``roles``: each recorded row id's side, with at least one "val" where any row is recorded.
+_ROLES = Annotated[dict, ('"train" or "val" per row id, with at least one "val"', lambda roles: all(
+    side in ("train", "val") for side in roles.values()) and (not roles or "val" in roles.values()))]
 
 
 @dataclass
@@ -91,6 +97,11 @@ class ModelBundle:
             "config": self.config,
         }
 
+    #: The record ``to_dict`` writes; ``model`` and ``scaler`` are checked by their own decoders.
+    _RECORD = {"format_version": Literal[BUNDLE_FORMAT_VERSION], "model": {}, "scaler": dict | None, "metrics?": {},
+               "feature_fingerprint?": MfccConfig._param_types(), "split?": {"roles?": _ROLES},
+               "config?": {"plan?": SegmentPlan._param_types()["cuts"]}}
+
     def save(self, path) -> None:
         Path(path).write_text(
             json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -98,36 +109,18 @@ class ModelBundle:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelBundle":
-        """Decode a bundle and check that its parts agree: the feature setup
-        is recorded and passes its dataclasses' checks, the model's ``F``
-        features are the MFCC coefficients and the scaler's width, the split
-        records each row as ``"train"`` or ``"val"`` with at least one
-        ``"val"`` (or records no rows), and the model scores one row over its
-        whole class order."""
-        if payload.get("format_version") != BUNDLE_FORMAT_VERSION:
-            raise ValidationError(
-                f"unsupported bundle format_version {payload.get('format_version')!r}"
-            )
-        for key in ("split", "metrics", "config"):
-            if not isinstance(payload.get(key, {}), dict):
-                raise ValidationError(f"bundle {key} must be a JSON object")
-        roles = payload.get("split", {}).get("roles", {})
-        sides = list(roles.values()) if isinstance(roles, dict) else [None]
-        if not all(side in ("train", "val") for side in sides) or (sides and "val" not in sides):
-            raise ValidationError(
-                'bundle split roles must map row ids to "train" or "val", with at least one "val"'
-            )
-        model, scaler = from_envelope(payload["model"]), payload["scaler"]
-        bundle = cls(
-            model=model,
-            scaler=None if scaler is None else FeatureScaler.from_dict(scaler, {"F": model.n_features_}),
-            feature_fingerprint=payload.get("feature_fingerprint", {}),
-            split=payload.get("split", {}),
-            metrics=payload.get("metrics", {}),
-            config=payload.get("config", {}),
-        )
+        """Decode a bundle that passes ``_RECORD`` and check that its parts
+        agree: the feature setup is recorded, the model's ``F`` features are
+        the MFCC coefficients and the scaler's width, and the model scores
+        one row over its whole class order."""
+        check_value(payload, cls._RECORD)
+        model, scaler = from_envelope(payload["model"], "model"), payload["scaler"]
+        scaler = None if scaler is None else FeatureScaler.from_dict(scaler, {"F": model.n_features_}, "scaler")
+        optional = {key: payload.get(key, {}) for key in ("feature_fingerprint", "split", "metrics", "config")}
+        bundle = cls(model, scaler, **optional)
         if bundle.mfcc is None or bundle.plan is None:
-            raise ValidationError("the model bundle records no MFCC settings or no segment plan")
+            raise ValidationError(
+                "the model bundle records no MFCC settings (feature_fingerprint) or no segment plan (config.plan)")
         if bundle.mfcc.n_coeffs != model.n_features_:
             raise ValidationError(f"{model.n_features_} model features, {bundle.mfcc.n_coeffs} MFCC coefficients")
         scores = bundle.predict_scores(np.zeros((1, bundle.model.n_features_)))
@@ -141,6 +134,6 @@ class ModelBundle:
     @classmethod
     def load(cls, path) -> "ModelBundle":
         try:
-            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-        except (*MALFORMED_CONTENT, ValidationError) as exc:
-            raise CorruptArtifact(f"bundle {Path(path).name} is corrupt: {exc!r}") from exc
+            return cls.from_dict(read_json(Path(path)))
+        except (OverflowError, ValidationError) as exc:
+            raise CorruptArtifact(f"bundle {Path(path).name} is corrupt: {exc}") from exc

@@ -14,7 +14,7 @@ from typing import Literal
 
 import numpy as np
 
-from .base import ParamsMixin, as_float_matrix, check_fitted
+from .base import FiniteFloat, FiniteNonNegativeFloat, ParamsMixin, as_float_matrix, check_fitted, check_value
 from .errors import DataError, ValidationError
 from .models.serialize import check_array
 
@@ -283,12 +283,13 @@ class FeatureScaler(ParamsMixin):
         }
 
     @classmethod
-    def from_dict(cls, payload: dict, sizes: dict) -> "FeatureScaler":
-        """Load a saved scaler: ``offset`` and ``scale`` are stored arrays of
-        shape ``(F,)``, bound in ``sizes``, and no scale is negative."""
-        scaler = cls(kind=payload["kind"])
+    def from_dict(cls, payload: dict, sizes: dict, path: str = "") -> "FeatureScaler":
+        """Load the record ``to_dict`` writes, found at ``path`` of its JSON file: ``offset`` and ``scale``
+        are stored arrays of shape ``(F,)``, bound in ``sizes``, and no scale is negative."""
+        check_value(payload, {**cls._param_types(), "offset": tuple[FiniteFloat, ...],
+                              "scale": tuple[FiniteNonNegativeFloat, ...]}, path)
+        scaler = cls()
+        scaler._set_checked({"kind": payload["kind"]})
         scaler.offset_, scaler.scale_ = (
             check_array(key, np.asarray(payload[key], dtype=np.float64), ("F",), sizes) for key in ("offset", "scale"))
-        if (scaler.scale_ < 0).any():
-            raise ValidationError(f"stored scale holds a negative spread: {scaler.scale_.min()}")
         return scaler

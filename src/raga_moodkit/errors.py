@@ -3,7 +3,7 @@
 The CLI maps these onto its exit-code contract: ``ValidationError`` means the
 request itself was invalid (exit 1), ``DataError`` means the request was fine
 but the data could not be processed (exit 2). Each raise site's message names
-the fault.
+the fault; a corrupt store or bundle names the JSON path, as ``scaler.kind: missing`` does.
 """
 
 
@@ -21,10 +21,3 @@ class DataError(MoodkitError):
 
 class CorruptArtifact(DataError):
     """A feature store or model bundle file cannot be parsed."""
-
-
-#: What decoding a corrupt file's parsed content can raise before a check
-#: names the fault: among others, a JSON integer too large for ``float``
-#: overflows and deeply nested JSON exhausts the recursion limit. The readers
-#: report these as ``CorruptArtifact``.
-MALFORMED_CONTENT = (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError, ValueError)

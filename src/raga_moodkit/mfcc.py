@@ -62,9 +62,12 @@ class MfccConfig(CheckedFields):
     def from_record(cls, params: dict) -> "MfccConfig":
         """The settings a store sidecar or model bundle records. Files written
         while the window was a setting record ``"window": "hann"``, the window
-        every frame uses, which is dropped; any other window is refused."""
+        every frame uses, which is dropped; any other window, and any name
+        that is not a field, is refused."""
         if params.get("window", "hann") != "hann":
             raise ValidationError(f"recorded window {params['window']!r}; only the Hann window is computed")
+        if unknown := sorted(params.keys() - {"window", *cls._param_types()}):
+            raise ValidationError(f"unknown MFCC settings {unknown}")
         return cls(**{name: value for name, value in params.items() if name != "window"})
 
 

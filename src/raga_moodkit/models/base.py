@@ -14,7 +14,7 @@ import numpy as np
 
 from ..base import ParamsMixin, as_float_matrix, as_label_array, check_fitted
 from ..errors import ValidationError
-from .serialize import bind_array, encode_array
+from .serialize import ARRAY_RECORD, bind_array, encode_array
 
 
 class BaseClassifier(ParamsMixin):
@@ -60,8 +60,14 @@ class BaseClassifier(ParamsMixin):
         """The constructor parameters plus the family's fitted state."""
         return {**self.get_params(), **self._encode_state()}
 
+    def _params_record(self) -> dict:
+        """The record ``_encode_params`` writes: each constructor parameter's annotation, then the fitted state."""
+        return {**self._param_types(), **{name[:-1]: [ARRAY_RECORD] if isinstance(layout, list) else ARRAY_RECORD
+                                          for name, layout in self._arrays.items()}}
+
     def _decode_params(self, params: dict) -> None:
-        self.set_params(**{name: params[name] for name in self._param_types()})
+        """Load ``params`` that passed ``_params_record``; no value is checked again."""
+        self._set_checked({name: params[name] for name in self._param_types()})
         sizes = {"C": len(self.classes_)}
         self._decode_state(params, sizes)
         self.n_features_ = sizes["F"]

@@ -40,6 +40,9 @@ class RandomForestClassifier(TreeParams, BaseClassifier):
             total += tree._scores(X)
         return total / len(self.trees_)
 
+    def _params_record(self) -> dict:
+        return {**super()._params_record(), "trees": [DecisionTreeClassifier()._params_record()]}
+
     def _encode_state(self) -> dict:
         return {"trees": [tree._encode_params() for tree in self.trees_]}
 

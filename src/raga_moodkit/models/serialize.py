@@ -15,10 +15,14 @@ shape-and-finite rule, which also checks a bundle scaler's JSON lists.
 from __future__ import annotations
 
 import base64
+import binascii
+import math
 from collections import namedtuple
+from typing import Annotated, Literal
 
 import numpy as np
 
+from ..base import NonNegativeInt, check_fitted, check_value
 from ..errors import ValidationError
 
 FORMAT_VERSION = 1
@@ -36,8 +40,20 @@ def encode_array(arr) -> dict:
     }
 
 
-def decode_array(payload: dict) -> np.ndarray:
-    raw = base64.b64decode(payload["data"])
+#: The record ``encode_array`` writes: base64 text and a shape numpy can hold.
+ARRAY_RECORD = {"data": Annotated[str, ("ASCII", str.isascii)], "shape": Annotated[tuple[NonNegativeInt, ...], (
+    "at most 32 sizes whose nonzero product is < 2**59", lambda shape: len(shape) <= 32 and math.prod(
+        filter(None, shape)) < 2**59)]}
+
+
+def decode_array(payload: dict, name: str = "array") -> np.ndarray:
+    """The array of an ``ARRAY_RECORD``, whose data must be base64 of 8 bytes per element."""
+    try:
+        raw = base64.b64decode(payload["data"], validate=True)
+    except binascii.Error as exc:
+        raise ValidationError(f"stored {name} is not base64 text: {exc}") from exc
+    if len(raw) != 8 * math.prod(payload["shape"]):
+        raise ValidationError(f"stored {name} holds {len(raw)} bytes, not 8 per element of shape {payload['shape']}")
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(payload["shape"])
 
 
@@ -45,7 +61,7 @@ def bind_array(name: str, payload, layout, sizes: dict):
     """Decode the stored array ``name`` and check it against ``layout`` (a
     shape, an ``Index`` or a list of shapes); a new symbol binds in ``sizes``."""
     if isinstance(layout, list):
-        if not isinstance(payload, list) or len(payload) != len(layout):
+        if len(payload) != len(layout):
             raise ValidationError(f"stored {name} is not a list of {len(layout)} arrays")
         return [bind_array(f"{name}[{i}]", *entry, sizes) for i, entry in enumerate(zip(payload, layout))]
     if isinstance(layout, Index):
@@ -54,7 +70,7 @@ def bind_array(name: str, payload, layout, sizes: dict):
         if not ((low <= arr) & (arr < high) & (arr == np.floor(arr))).all():
             raise ValidationError(f"stored {name} is not all whole numbers in [{layout.low}, {layout.high})")
         return arr.astype(np.int64)
-    return check_array(name, decode_array(payload), layout, sizes)
+    return check_array(name, decode_array(payload, name), layout, sizes)
 
 
 def check_array(name: str, arr: np.ndarray, shape, sizes: dict) -> np.ndarray:
@@ -76,8 +92,6 @@ def _bind(dim, n: int, sizes: dict) -> int:
 
 
 def to_envelope(model) -> dict:
-    from ..base import check_fitted
-
     check_fitted(model, "classes_")
     return {
         "format_version": FORMAT_VERSION,
@@ -87,19 +101,14 @@ def to_envelope(model) -> dict:
     }
 
 
-def from_envelope(envelope: dict):
+def from_envelope(envelope: dict, path: str = ""):
+    """The model in an envelope ``to_envelope`` wrote, found at ``path`` of its JSON file."""
     from . import FAMILIES
 
-    version = envelope.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValidationError(f"unsupported model format_version {version!r}")
-    family = envelope.get("family")
-    if family not in FAMILIES:
-        raise ValidationError(f"unknown model family {family!r}")
-    order = envelope["class_order"]
-    if not (isinstance(order, list) and all(isinstance(c, str) for c in order) and order == sorted(set(order))):
-        raise ValidationError(f"class_order {order!r} is not distinct labels in sorted order")
-    model = FAMILIES[family]()
-    model.classes_ = np.asarray(order, dtype=str)
+    check_value(envelope, {"format_version": Literal[FORMAT_VERSION], "family": Literal[tuple(FAMILIES)]}, path)
+    model = FAMILIES[envelope["family"]]()
+    check_value(envelope, {"params": model._params_record(), "class_order": Annotated[tuple[str, ...], (
+        "distinct labels in sorted order", lambda order: list(order) == sorted(set(order)))]}, path)
+    model.classes_ = np.asarray(envelope["class_order"], dtype=str)
     model._decode_params(envelope["params"])
     return model

@@ -7,11 +7,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..base import FiniteNonNegativeFloat, FinitePositiveFloat, NonNegativeInt, PositiveInt
+from ..base import FiniteFloat, FiniteNonNegativeFloat, FinitePositiveFloat, NonNegativeInt, PositiveInt
 from ..errors import ValidationError
 from .base import BaseClassifier
 from .linear import softmax
-from .serialize import bind_array, encode_array
+from .serialize import ARRAY_RECORD, bind_array, encode_array
 
 
 def rbf_kernel_matrix(A, B, gamma: float) -> np.ndarray:
@@ -300,6 +300,10 @@ class RbfSvmClassifier(BaseClassifier):
             decision_sums[:, b] -= values
         return softmax(votes + _sigmoid(decision_sums))
 
+    def _params_record(self) -> dict:
+        pair = {"classes": tuple[int, int], "bias": FiniteFloat, **dict.fromkeys(self._pair_arrays, ARRAY_RECORD)}
+        return {**super()._params_record(), "pairs": [pair]}
+
     def _encode_state(self) -> dict:
         return {"pairs": [{"classes": [int(a), int(b)], "bias": model.bias,
                            **{key: encode_array(getattr(model, key)) for key in self._pair_arrays}}
@@ -314,7 +318,4 @@ class RbfSvmClassifier(BaseClassifier):
         for (a, b), pair in zip(stored, params["pairs"]):
             sizes.pop("N", None)  # each pair binds its own N; F is shared
             arrays = {key: bind_array(key, pair[key], layout, sizes) for key, layout in self._pair_arrays.items()}
-            model = BinarySvmModel(**arrays, bias=float(pair["bias"]), gamma=self.gamma, C=self.C)
-            if not np.isfinite(model.bias):
-                raise ValidationError(f"pair {a}-{b} stores a bias of {model.bias}")
-            self.pair_models_[(int(a), int(b))] = model
+            self.pair_models_[(a, b)] = BinarySvmModel(**arrays, bias=pair["bias"], gamma=self.gamma, C=self.C)

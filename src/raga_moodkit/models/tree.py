@@ -157,6 +157,9 @@ class DecisionTreeClassifier(TreeParams, BaseClassifier):
         leaf_counts = self.counts_[self._leaf_for(X)]
         return leaf_counts / leaf_counts.sum(axis=1, keepdims=True)
 
+    def _params_record(self) -> dict:
+        return {**super()._params_record(), "n_features": NonNegativeInt}
+
     def _encode_state(self) -> dict:
         return {**super()._encode_state(), "n_features": self.n_features_}
 
@@ -164,8 +167,6 @@ class DecisionTreeClassifier(TreeParams, BaseClassifier):
         """Bind ``F`` to the stored feature count, load the node arrays and check
         that they form a tree: an internal node's children are later nodes, so
         every path ends at a leaf; class counts are non-negative, summing > 0."""
-        if type(params["n_features"]) is not int:
-            raise ValidationError(f"stored n_features {params['n_features']!r} is not an int")
         sizes["F"] = params["n_features"]
         super()._decode_state(params, sizes)
         internal = np.flatnonzero(self.feature_ != _LEAF)

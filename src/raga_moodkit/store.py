@@ -14,11 +14,13 @@ import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Annotated, Literal
 
 import numpy as np
 
 from .audio import SegmentPlan
-from .errors import MALFORMED_CONTENT, CorruptArtifact, ValidationError
+from .base import check_value, read_json
+from .errors import CorruptArtifact, ValidationError
 from .mfcc import MfccConfig
 
 STORE_FORMAT_VERSION = 1
@@ -83,6 +85,12 @@ def write_store(table: FeatureTable, path, extra_meta: dict | None = None) -> No
     sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+#: The sidecar record ``write_store`` writes; ``extra_meta`` keys are not read back.
+_SIDECAR_RECORD = {"format_version": Literal[STORE_FORMAT_VERSION], "mfcc": MfccConfig._param_types(),
+                   "segment_plan": SegmentPlan._param_types()["cuts"],
+                   "n_rows": Annotated[int, ("a count >= 1 of the rows its sidecar records", lambda n: n >= 1)]}
+
+
 def sidecar_path(store_path) -> Path:
     return Path(str(store_path) + ".meta.json")
 
@@ -96,15 +104,15 @@ def read_store(path) -> FeatureTable:
     if not meta_file.exists():
         raise ValidationError(f"missing sidecar {meta_file.name}; the store is not self-describing")
     try:
-        meta = json.loads(meta_file.read_text(encoding="utf-8"))
-        if meta.get("format_version") != STORE_FORMAT_VERSION:
-            raise ValidationError(f"unsupported store format_version {meta.get('format_version')!r}")
-        config = MfccConfig.from_record(meta["mfcc"])
-        plan = SegmentPlan(meta["segment_plan"])
-        n_rows = meta["n_rows"]
-        # a row takes at least two bytes per coefficient: the sidecar cannot size X past the file
-        if type(n_rows) is not int or not 0 < n_rows <= path.stat().st_size // (2 * config.n_coeffs + 1):
-            raise CorruptArtifact(f"{path.name} cannot hold the {n_rows!r} rows its sidecar records")
+        meta = read_json(meta_file)
+        check_value(meta, _SIDECAR_RECORD)
+        config, plan, n_rows = MfccConfig.from_record(meta["mfcc"]), SegmentPlan(meta["segment_plan"]), meta["n_rows"]
+    except (OverflowError, ValidationError) as exc:
+        raise CorruptArtifact(f"sidecar {meta_file.name} is corrupt: {exc}") from exc
+    # a row takes at least two bytes per coefficient: the sidecar cannot size X past the file
+    if n_rows > path.stat().st_size // (2 * config.n_coeffs + 1):
+        raise CorruptArtifact(f"{path.name} cannot hold the {n_rows} rows its sidecar records")
+    try:
         segment_ids: list[str] = []
         labels: list[str] = []
         X = np.empty((n_rows, config.n_coeffs))  # filled row by row; no lists of floats are kept
@@ -140,10 +148,10 @@ def read_store(path) -> FeatureTable:
             plan=plan,
         )
     except UnicodeDecodeError as exc:
-        # the files are decoded in blocks, so the failing line is not known here
-        raise CorruptArtifact(f"{path.name} or its sidecar is not UTF-8 text ({exc.reason})") from exc
-    except (*MALFORMED_CONTENT, csv.Error, ValidationError) as exc:
-        raise CorruptArtifact(f"store {path.name} is corrupt: {exc!r}") from exc
+        # the file is decoded in blocks, so the failing line is not known here
+        raise CorruptArtifact(f"{path.name} is not UTF-8 text ({exc.reason})") from exc
+    except (csv.Error, ValidationError) as exc:
+        raise CorruptArtifact(f"store {path.name} is corrupt: {exc}") from exc
 
 
 def write_correlation_csv(matrix, path) -> None:

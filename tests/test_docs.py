@@ -49,7 +49,7 @@ def test_models_package_holds_only_the_family_registry():
 def test_errors_module_holds_only_the_kinds_the_exit_codes_tell_apart():
     public = {name for name, value in vars(errors).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
-    assert public == {"MoodkitError", "ValidationError", "DataError", "CorruptArtifact", "MALFORMED_CONTENT"}
+    assert public == {"MoodkitError", "ValidationError", "DataError", "CorruptArtifact"}
     assert issubclass(errors.ValidationError, errors.MoodkitError)
     assert issubclass(errors.DataError, errors.MoodkitError)
     assert issubclass(errors.CorruptArtifact, errors.DataError)

@@ -7,6 +7,7 @@ command line."""
 import base64
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -22,6 +23,7 @@ import raga_moodkit
 from raga_moodkit.audio import DEFAULT_BI_SAMPLE_PLAN, AudioBuffer, decode_wav, encode_wav
 from raga_moodkit.bundle import ModelBundle
 from raga_moodkit.catalog import MANIFEST_FIELDS, FeatureScaler, load_manifest
+from raga_moodkit.cli import main
 from raga_moodkit.errors import CorruptArtifact, MoodkitError
 from raga_moodkit.mfcc import MfccConfig
 from raga_moodkit.models import (
@@ -241,6 +243,44 @@ def test_store_sidecar_reads_or_raises_a_moodkit_error(artifacts, data):
         st.binary(max_size=300) | mutated_bytes(sidecar) | mutated_json(sidecar)))
 
 
+def json_path_text(path: tuple) -> str:
+    """A key path as the readers name it: ``model.params.pairs[0].bias``."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+
+
+@pytest.mark.parametrize("name", ["sidecar", "bundle"])
+def test_a_dropped_key_is_named_by_its_json_path(artifacts, name):
+    """Each key of the sidecar and of the bundle, dropped in turn: the file
+    still reads, or the refusal names the key's JSON path and no exception
+    class of Python's."""
+    originals, read = artifacts
+    document = json.loads(originals[name])
+    keys = [path for path in json_paths(document) if path and isinstance(path[-1], str)]
+    for path in keys:
+        edited = json.loads(originals[name])
+        del parent_of(edited, path)[path[-1]]
+        try:
+            read(name, json.dumps(edited).encode())
+        except CorruptArtifact as exc:
+            assert json_path_text(path) in str(exc) and "KeyError" not in str(exc), (path, str(exc))
+
+
+@pytest.mark.parametrize("name, step", [("bundle", (FeatureScaler, "from_dict")),
+                                        ("sidecar", (MfccConfig, "from_record"))])
+def test_a_bug_in_a_reader_is_not_reported_as_a_corrupt_file(artifacts, monkeypatch, name, step):
+    """An ``AttributeError`` inside a reader, as a renamed attribute would
+    raise, reaches the caller as itself: only faults of the file are
+    ``CorruptArtifact``."""
+    originals, read = artifacts
+
+    def slip(*args, **kwargs):
+        raise AttributeError("a renamed attribute")
+
+    monkeypatch.setattr(*step, classmethod(slip))
+    with pytest.raises(AttributeError, match="a renamed attribute"):
+        read(name, originals[name])
+
+
 @PROPERTY
 @given(st.data())
 def test_manifest_reads_or_raises_a_moodkit_error(artifacts, data):
@@ -325,6 +365,14 @@ def change_array(path, change):
     return edit
 
 
+def change_data(key, change):
+    """An edit that passes the base64 text of the model's stored array ``key`` through ``change``."""
+    def edit(payload):
+        array = payload["model"]["params"][key]
+        array["data"] = change(array["data"])
+    return edit
+
+
 def set_first_pair(key, value):
     def edit(payload):
         payload["model"]["params"]["pairs"][0][key] = value
@@ -399,7 +447,9 @@ def set_roles(roles):
 #: weights no longer sum to 1, so the zero-row probe refuses those), and
 #: split roles with one role neither "train" nor "val" (scored as
 #: validation), with every role "train" (``evaluate`` exited 1) or stored as
-#: a list (every row counted as validation).
+#: a list (every row counted as validation). Two more were refused only as a
+#: Python exception's repr: base64 text cut short (binascii's ``Error('Incorrect
+#: padding')``) and data one element short of its shape (numpy's ``ValueError``).
 CORRUPT_BUNDLES = {
     "forest-tree-cycle": ("forest", loop_root_to_itself),
     "forest-empty-leaf": ("forest", empty_a_leaf),
@@ -423,6 +473,9 @@ CORRUPT_BUNDLES = {
     "split-role-unknown": ("knn", set_roles({**SPLIT_ROLES, "s0:0": "bogus"})),
     "split-roles-all-train": ("knn", set_roles(dict.fromkeys(SPLIT_ROLES, "train"))),
     "split-roles-list": ("knn", set_roles(list(SPLIT_ROLES.items()))),
+    "knn-array-base64-cut-short": ("knn", change_data("X", lambda data: data[:-1])),
+    "knn-array-one-element-short": ("knn", change_data(
+        "X", lambda data: base64.b64encode(base64.b64decode(data)[:-8]).decode("ascii"))),
 }
 
 #: Seconds a corrupt bundle's ``evaluate`` may take before the test fails.
@@ -472,6 +525,56 @@ def test_corrupt_bundle_exits_2_as_corrupt_artifact(family_bundles, tmp_path, na
     assert "bundle.json is corrupt" in done.stderr
     with pytest.raises(CorruptArtifact):
         ModelBundle.load(bundle)
+
+
+def drop(*path):
+    """An edit that drops the key at ``path``."""
+    def edit(document):
+        del parent_of(document, path)[path[-1]]
+        return document
+    return edit
+
+
+def put(path, value):
+    """An edit that sets the value at ``path``."""
+    def edit(document):
+        parent_of(document, path)[path[-1]] = value
+        return document
+    return edit
+
+
+#: Hand edits of the SVM bundle or of the store's sidecar that once printed
+#: a Python exception's repr (``KeyError('kind')``, ``AttributeError("'list'
+#: object has no attribute 'get'")``), each with the start of the refusal that
+#: now names the JSON path.
+HAND_EDITS = {
+    "no-scaler": ("bundle", drop("scaler"), "scaler: missing"),
+    "no-scaler-kind": ("bundle", drop("scaler", "kind"), "scaler.kind: missing"),
+    "scaler-empty": ("bundle", put(("scaler",), {}), "scaler.kind: missing"),
+    "no-params": ("bundle", drop("model", "params"), "model.params: missing"),
+    "no-class-order": ("bundle", drop("model", "class_order"), "model.class_order: missing"),
+    "model-a-list": ("bundle", put(("model",), []), "model: expected an object, got a list"),
+    "fingerprint-a-string": ("bundle", put(("feature_fingerprint",), "mfcc"), "feature_fingerprint: expected an object"),
+    "unknown-family": ("bundle", put(("model", "family"), "hmm"), "model.family: expected one of"),
+    "pair-without-bias": ("bundle", drop("model", "params", "pairs", 0, "bias"), "model.params.pairs[0].bias: missing"),
+    "sidecar-a-list": ("sidecar", lambda document: [document], "top level: expected an object, got a list"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_EDITS))
+def test_a_hand_edited_file_exits_2_naming_its_json_path(family_bundles, tmp_path, capsys, name):
+    target, edit, named = HAND_EDITS[name]
+    store, bundle = tmp_path / "store.csv", tmp_path / "svm.json"
+    store.write_bytes((family_bundles / "store.csv").read_bytes())
+    for role, source, copy in [("sidecar", sidecar_path(family_bundles / "store.csv"), sidecar_path(store)),
+                               ("bundle", family_bundles / "svm.json", bundle)]:
+        document = json.loads(source.read_text(encoding="utf-8"))
+        copy.write_text(json.dumps(edit(document) if role == target else document), encoding="utf-8")
+    assert main(["evaluate", "--features", str(store), "--model", str(bundle)]) == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+    assert named in stderr, stderr
+    assert not re.search(r"[A-Za-z]*Error\b|Traceback|object has no attribute", stderr), stderr
 
 
 def stored_array_paths(payload) -> list:
