@@ -1,6 +1,7 @@
 """Estimator plumbing: parameter contracts and input validation helpers."""
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
 import inspect
@@ -13,7 +14,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CorruptArtifact, ValidationError
 
 # Field annotations carrying a range rule: (text for errors, test). Every
 # test is a comparison that NaN fails; the float ones fail infinity, and an
@@ -25,6 +26,11 @@ FiniteFloat = Annotated[float, ("finite", lambda v: -_MAX <= v <= _MAX)]
 FinitePositiveFloat = Annotated[float, ("finite and > 0", lambda v: 0 < v <= _MAX)]
 FiniteNonNegativeFloat = Annotated[float, ("finite and >= 0", lambda v: 0 <= v <= _MAX)]
 _NUMERIC = {int: numbers.Integral, float: numbers.Real}
+
+
+def int_in(low: int, high: int):
+    """An ``int`` annotation whose rule keeps it in [low, high]."""
+    return Annotated[int, (f"in [{low}, {high}]", lambda v: low <= v <= high)]
 
 
 def _has_type(value, annotation) -> bool:
@@ -92,6 +98,30 @@ def read_json(path):
         return json.loads(path.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, Python's int digit limit
         raise ValidationError(f"{path.name} is not UTF-8 JSON text: {exc}") from exc
+
+
+def read_csv(path):
+    """Each record of a CSV file with the number of the line it ends on, the
+    file read one line of bytes at a time (a line ends in LF, CR LF or CR).
+    A line that is not UTF-8, or text the ``csv`` module refuses (a field
+    past its size limit, say), raises ``CorruptArtifact`` naming ``file:line``."""
+    with path.open("rb") as handle:
+        reader = csv.reader(line.decode("utf-8") for raw in handle for line in raw.splitlines(keepends=True))
+        try:
+            for fields in reader:
+                yield reader.line_num, fields
+        except UnicodeDecodeError as exc:  # raised while ``reader`` fetched the line after its last
+            raise CorruptArtifact(f"{path.name}:{reader.line_num + 1}: not UTF-8 text ({exc.reason})") from exc
+        except csv.Error as exc:
+            raise CorruptArtifact(f"{path.name}:{reader.line_num}: not CSV text ({exc})") from exc
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` as UTF-8 CSV, as ``read_csv`` reads it."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 class CheckedFields:

@@ -135,5 +135,5 @@ class ModelBundle:
     def load(cls, path) -> "ModelBundle":
         try:
             return cls.from_dict(read_json(Path(path)))
-        except (OverflowError, ValidationError) as exc:
+        except ValidationError as exc:
             raise CorruptArtifact(f"bundle {Path(path).name} is corrupt: {exc}") from exc

@@ -5,16 +5,16 @@ rasa is always derived from its raga and never stored in the manifest.
 """
 from __future__ import annotations
 
-import csv
+import contextlib
 import enum
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
 
 import numpy as np
 
-from .base import FiniteFloat, FiniteNonNegativeFloat, ParamsMixin, as_float_matrix, check_fitted, check_value
+from .base import (FiniteFloat, FiniteNonNegativeFloat, ParamsMixin, as_float_matrix, check_fitted, check_value,
+                   read_csv, write_csv)
 from .errors import DataError, ValidationError
 from .models.serialize import check_array
 
@@ -175,67 +175,41 @@ class SongRecord:
 def load_manifest(path) -> list[SongRecord]:
     """Read and validate a song manifest CSV.
 
-    The header must be exactly ``id,path,title,raga,language,genre``; the
-    rasa column does not exist on disk and is derived from the raga here.
-    Bytes that are not UTF-8 raise ``DataError`` naming the line.
+    The header must be exactly ``id,path,title,raga,language,genre``, and
+    every other line but a blank one holds those six fields; the rasa
+    column does not exist on disk and is derived from the raga here.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path.name}:{line}: not UTF-8 text ({exc.reason})") from exc
-    with io.StringIO(text, newline="") as handle:
-        reader = csv.DictReader(handle)
-        try:
-            rows = list(reader)
-        except csv.Error as exc:  # a field past the csv module's size limit, say
-            raise DataError(f"{path.name}:{reader.line_num}: not CSV text ({exc})") from exc
-        if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_FIELDS:
-            raise ValidationError(
-                f"manifest header must be {','.join(MANIFEST_FIELDS)}, "
-                f"got {reader.fieldnames}"
-            )
+    with contextlib.closing(read_csv(path)) as rows:
+        _, header = next(rows, (None, None))
+        if header is None or tuple(header) != MANIFEST_FIELDS:
+            raise ValidationError(f"manifest header must be {','.join(MANIFEST_FIELDS)}, got {header}")
         records: list[SongRecord] = []
         seen: set[str] = set()
-        for line, row in enumerate(rows, start=2):
-            song_id = (row["id"] or "").strip()
+        for line, fields in rows:
+            if not fields:
+                continue
+            if len(fields) != len(MANIFEST_FIELDS):
+                raise DataError(f"{path.name}:{line}: {len(fields)} fields, expected {len(MANIFEST_FIELDS)}")
+            song_id, song_path, title, raga, language, genre = (field.strip() for field in fields)
             if not song_id:
                 raise ValidationError(f"{path.name}:{line}: empty id")
             if song_id in seen:
                 raise DataError(f"{path.name}:{line}: duplicate id {song_id!r}")
             seen.add(song_id)
-            genre = (row["genre"] or "").strip()
             if genre not in GENRES:
-                raise DataError(
-                    f"{path.name}:{line} (id={song_id}): genre {genre!r} not in {GENRES}"
-                )
-            raga = (row["raga"] or "").strip()
+                raise DataError(f"{path.name}:{line} (id={song_id}): genre {genre!r} not in {GENRES}")
             try:
                 rasa = DEFAULT_RAGA_TABLE.rasa_for_raga(raga)
             except DataError as exc:
                 raise DataError(f"{path.name}:{line} (id={song_id}): {exc}") from exc
-            records.append(
-                SongRecord(
-                    id=song_id,
-                    path=(row["path"] or "").strip(),
-                    title=(row["title"] or "").strip(),
-                    raga=raga,
-                    language=(row["language"] or "").strip(),
-                    genre=genre,
-                    rasa=rasa,
-                )
-            )
+            records.append(SongRecord(song_id, song_path, title, raga, language, genre, rasa))
     return records
 
 
 def write_manifest(path, records) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(MANIFEST_FIELDS)
-        for rec in records:
-            writer.writerow([rec.id, rec.path, rec.title, rec.raga, rec.language, rec.genre])
+    write_csv(path, MANIFEST_FIELDS, ([rec.id, rec.path, rec.title, rec.raga, rec.language, rec.genre]
+                                      for rec in records))
 
 
 ScalerKind = Literal["zscore", "minmax"]

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import parse_plan, read_wav
+from .base import write_csv
 from .bundle import ModelBundle
 from .catalog import load_manifest, parse_rasa
 from .errors import DataError, MoodkitError, ValidationError
@@ -177,10 +178,7 @@ def _run_training(args, grid: dict | None) -> int:
     report.bundle.save(args.out)
     if args.split_out:
         roles = report.bundle.split["roles"]
-        with Path(args.split_out).open("w", encoding="utf-8") as handle:
-            handle.write("id,role\n")
-            for seg in table.segment_ids:
-                handle.write(f"{seg},{roles[seg]}\n")
+        write_csv(args.split_out, ["id", "role"], ([seg, roles[seg]] for seg in table.segment_ids))
     if getattr(args, "report_out", None):
         Path(args.report_out).write_text(report.to_json(), encoding="utf-8")
     print(report.to_markdown(), end="")

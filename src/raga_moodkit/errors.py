@@ -20,4 +20,4 @@ class DataError(MoodkitError):
 
 
 class CorruptArtifact(DataError):
-    """A feature store or model bundle file cannot be parsed."""
+    """A feature store, model bundle or manifest file cannot be parsed."""

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .audio import CANONICAL_RATE, AudioBuffer
-from .base import CheckedFields, FiniteNonNegativeFloat, FinitePositiveFloat, PositiveInt
+from .base import CheckedFields, FiniteNonNegativeFloat, FinitePositiveFloat, PositiveInt, int_in
 from .errors import DataError, ValidationError
 
 _BOUNDARY_MIN_GAP = 1e-9
@@ -30,16 +30,21 @@ _BOUNDARY_MIN_GAP = 1e-9
 class MfccConfig(CheckedFields):
     """Framing, filterbank and transform parameters.
 
-    ``f_high`` defaults to the Nyquist frequency of ``sample_rate``.
+    ``f_high`` defaults to the Nyquist frequency of ``sample_rate``. The
+    upper bounds of ``fft_size`` and ``n_filters`` keep a config's Hann
+    window, mel filterbank and ``mfcc_frames`` buffers under 40 MiB (the
+    filterbank's weights and the power buffer hold 256 x 8,193 floats, 16 MiB,
+    each; building the filterbank peaks at 64 MiB). ``sample_rate`` stops at
+    384 kHz, the highest common audio rate, so no recorded rate overflows a float.
     """
 
-    fft_size: Annotated[int, ("a power of two >= 2", lambda n: n >= 2 and n & (n - 1) == 0)] = 2048
+    fft_size: Annotated[int_in(2, 2**14), ("a power of two", lambda n: n & (n - 1) == 0)] = 2048
     hop: PositiveInt = 512
-    n_filters: PositiveInt = 40
+    n_filters: int_in(1, 256) = 40
     n_coeffs: PositiveInt = 40
     f_low: FiniteNonNegativeFloat = 0.0
     f_high: float | None = None
-    sample_rate: PositiveInt = CANONICAL_RATE
+    sample_rate: int_in(1, 384_000) = CANONICAL_RATE
     log_floor: FinitePositiveFloat = 1e-10
 
     def __post_init__(self):

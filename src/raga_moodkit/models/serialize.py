@@ -45,6 +45,10 @@ ARRAY_RECORD = {"data": Annotated[str, ("ASCII", str.isascii)], "shape": Annotat
     "at most 32 sizes whose nonzero product is < 2**59", lambda shape: len(shape) <= 32 and math.prod(
         filter(None, shape)) < 2**59)]}
 
+#: An envelope's ``class_order``, as ``fit`` writes it.
+_CLASS_ORDER = Annotated[tuple[str, ...], (
+    "distinct labels in sorted order", lambda order: list(order) == sorted(set(order)))]
+
 
 def decode_array(payload: dict, name: str = "array") -> np.ndarray:
     """The array of an ``ARRAY_RECORD``, whose data must be base64 of 8 bytes per element."""
@@ -107,8 +111,7 @@ def from_envelope(envelope: dict, path: str = ""):
 
     check_value(envelope, {"format_version": Literal[FORMAT_VERSION], "family": Literal[tuple(FAMILIES)]}, path)
     model = FAMILIES[envelope["family"]]()
-    check_value(envelope, {"params": model._params_record(), "class_order": Annotated[tuple[str, ...], (
-        "distinct labels in sorted order", lambda order: list(order) == sorted(set(order)))]}, path)
+    check_value(envelope, {"params": model._params_record(), "class_order": _CLASS_ORDER}, path)
     model.classes_ = np.asarray(envelope["class_order"], dtype=str)
     model._decode_params(envelope["params"])
     return model

@@ -6,7 +6,7 @@ from typing import Annotated, Literal
 
 import numpy as np
 
-from ..base import NonNegativeInt, ParamsMixin, PositiveInt
+from ..base import NonNegativeInt, ParamsMixin, PositiveInt, int_in
 from ..errors import ValidationError
 from .base import BaseClassifier
 from .serialize import Index
@@ -158,7 +158,8 @@ class DecisionTreeClassifier(TreeParams, BaseClassifier):
         return leaf_counts / leaf_counts.sum(axis=1, keepdims=True)
 
     def _params_record(self) -> dict:
-        return {**super()._params_record(), "n_features": NonNegativeInt}
+        # the bound of a stored shape's sizes, so numpy can compare feature indexes with it
+        return {**super()._params_record(), "n_features": int_in(0, 2**59)}
 
     def _encode_state(self) -> dict:
         return {**super()._encode_state(), "n_features": self.n_features_}

@@ -98,13 +98,15 @@ def score_library(bundle: ModelBundle, table: FeatureTable) -> ScoredLibrary:
     return ScoredLibrary(song_ids=ids, scores=sums / np.bincount(song_of_row)[:, None], classes=classes)
 
 
-def slot_weights(length: int) -> np.ndarray:
-    """Blend weights per slot: 0 at the current-mood end, 1 at the aspired end."""
+def slot_weights(length: int, count: int | None = None) -> np.ndarray:
+    """Blend weights of the first ``count`` (by default all) of ``length``
+    slots: i / (length - 1), 0 at the current-mood end and 1 at the aspired
+    end, divided as Python divides integers, so no length overflows."""
     if length < 1:
         raise ValidationError(f"playlist length must be >= 1, got {length}")
     if length == 1:
         return np.array([1.0])
-    return np.arange(length) / (length - 1)
+    return np.array([i / (length - 1) for i in range(length if count is None else min(length, count))])
 
 
 def recommend_transition(library: ScoredLibrary, current, aspired, length: int) -> Playlist:
@@ -113,15 +115,13 @@ def recommend_transition(library: ScoredLibrary, current, aspired, length: int) 
     aspired = parse_rasa(aspired)
     if len(library) == 0:
         raise ValidationError("cannot recommend from an empty library")
-    weights = slot_weights(length)
+    weights = slot_weights(length, len(library))
     current_scores = library.column(current)
     aspired_scores = library.column(aspired)
 
     remaining = set(range(len(library)))
     slots = []
     for rank, weight in enumerate(weights):
-        if not remaining:
-            break
         blended = (1.0 - weight) * current_scores + weight * aspired_scores
         best = min(remaining, key=lambda i: (-blended[i], library.song_ids[i]))
         remaining.discard(best)

@@ -9,7 +9,7 @@ mismatched features.
 from __future__ import annotations
 
 import collections
-import csv
+import contextlib
 import itertools
 import json
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ from typing import Annotated, Literal
 import numpy as np
 
 from .audio import SegmentPlan
-from .base import check_value, read_json
+from .base import check_value, read_csv, read_json, write_csv
 from .errors import CorruptArtifact, ValidationError
 from .mfcc import MfccConfig
 
@@ -68,12 +68,9 @@ class FeatureTable:
 
 def write_store(table: FeatureTable, path, extra_meta: dict | None = None) -> None:
     path = Path(path)
-    n_coeffs = table.X.shape[1]
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["segment_id", "rasa"] + [f"c{i}" for i in range(n_coeffs)])
-        for seg, label, row in zip(table.segment_ids, table.labels, table.X):
-            writer.writerow([seg, str(label)] + [repr(float(v)) for v in row])
+    write_csv(path, ["segment_id", "rasa"] + [f"c{i}" for i in range(table.X.shape[1])],
+              ([seg, str(label)] + [repr(float(v)) for v in row]
+               for seg, label, row in zip(table.segment_ids, table.labels, table.X)))
     meta = {
         "format_version": STORE_FORMAT_VERSION,
         "mfcc": table.mfcc.get_params(),
@@ -107,50 +104,40 @@ def read_store(path) -> FeatureTable:
         meta = read_json(meta_file)
         check_value(meta, _SIDECAR_RECORD)
         config, plan, n_rows = MfccConfig.from_record(meta["mfcc"]), SegmentPlan(meta["segment_plan"]), meta["n_rows"]
-    except (OverflowError, ValidationError) as exc:
+    except ValidationError as exc:
         raise CorruptArtifact(f"sidecar {meta_file.name} is corrupt: {exc}") from exc
     # a row takes at least two bytes per coefficient: the sidecar cannot size X past the file
     if n_rows > path.stat().st_size // (2 * config.n_coeffs + 1):
         raise CorruptArtifact(f"{path.name} cannot hold the {n_rows} rows its sidecar records")
+    expected = ["segment_id", "rasa"] + [f"c{i}" for i in range(config.n_coeffs)]
+    segment_ids: list[str] = []
+    labels: list[str] = []
+    lines: list[int] = []
+    X = np.empty((n_rows, config.n_coeffs))  # filled row by row; no lists of floats are kept
+    with contextlib.closing(read_csv(path)) as rows:
+        _, header = next(rows, (None, None))
+        if header != expected:
+            raise CorruptArtifact(f"{path.name}:1: header {header}, expected {expected[:3]}...")
+        for row, (line, fields) in enumerate(itertools.islice(rows, n_rows)):
+            if len(fields) != len(expected):
+                raise CorruptArtifact(f"{path.name}:{line}: {len(fields)} fields, expected {len(expected)}")
+            try:
+                X[row] = list(map(float, fields[2:]))
+            except ValueError as exc:
+                raise CorruptArtifact(f"{path.name}:{line}: {exc}") from exc
+            segment_ids.append(fields[0])
+            labels.append(fields[1])
+            lines.append(line)
+        # a cut-off store would silently drop songs from what is fit or scored
+        if len(segment_ids) < n_rows or next(rows, None) is not None:
+            raise CorruptArtifact(f"{path.name} does not hold the {n_rows} rows its sidecar records")
+    finite = np.isfinite(X)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise CorruptArtifact(f"{path.name}:{lines[row]}: c{col} is {float(X[row, col])}")
     try:
-        segment_ids: list[str] = []
-        labels: list[str] = []
-        X = np.empty((n_rows, config.n_coeffs))  # filled row by row; no lists of floats are kept
-        expected = ["segment_id", "rasa"] + [f"c{i}" for i in range(config.n_coeffs)]
-        with path.open(newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != expected:
-                raise ValidationError(f"store header mismatch: expected {expected[:3]}..., got {header}")
-            for line_no, line in enumerate(itertools.islice(reader, n_rows), start=2):
-                if len(line) != len(expected):
-                    raise CorruptArtifact(
-                        f"{path.name} line {line_no}: {len(line)} fields, expected {len(expected)}"
-                    )
-                try:
-                    X[line_no - 2] = list(map(float, line[2:]))
-                except ValueError as exc:
-                    raise CorruptArtifact(f"{path.name} line {line_no}: {exc}") from exc
-                segment_ids.append(line[0])
-                labels.append(line[1])
-            # a cut-off store would silently drop songs from what is fit or scored
-            if len(segment_ids) < n_rows or next(reader, None) is not None:
-                raise CorruptArtifact(f"{path.name} does not hold the {n_rows} rows its sidecar records")
-        finite = np.isfinite(X)
-        if not finite.all():
-            row, col = np.argwhere(~finite)[0]
-            raise CorruptArtifact(f"{path.name} line {row + 2}: c{col} is {float(X[row, col])}")
-        return FeatureTable(
-            segment_ids=segment_ids,
-            labels=np.asarray(labels, dtype=str),
-            X=X,
-            mfcc=config,
-            plan=plan,
-        )
-    except UnicodeDecodeError as exc:
-        # the file is decoded in blocks, so the failing line is not known here
-        raise CorruptArtifact(f"{path.name} is not UTF-8 text ({exc.reason})") from exc
-    except (csv.Error, ValidationError) as exc:
+        return FeatureTable(segment_ids, np.asarray(labels, dtype=str), X, config, plan)
+    except ValidationError as exc:
         raise CorruptArtifact(f"store {path.name} is corrupt: {exc}") from exc
 
 
@@ -158,8 +145,4 @@ def write_correlation_csv(matrix, path) -> None:
     """Emit a coefficient-by-coefficient correlation matrix with labels."""
     matrix = np.asarray(matrix)
     names = [f"c{i}" for i in range(matrix.shape[0])]
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([""] + names)
-        for name, row in zip(names, matrix):
-            writer.writerow([name] + [repr(float(v)) for v in row])
+    write_csv(path, [""] + names, ([name] + [repr(float(v)) for v in row] for name, row in zip(names, matrix)))

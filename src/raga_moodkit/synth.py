@@ -15,7 +15,7 @@ from typing import Annotated
 import numpy as np
 
 from .audio import _BLOCK, CANONICAL_RATE, AudioBuffer, write_wav
-from .base import CheckedFields, FinitePositiveFloat, NonNegativeInt, PositiveInt
+from .base import CheckedFields, FinitePositiveFloat, NonNegativeInt, int_in
 from .catalog import DEFAULT_RAGA_TABLE, Rasa, SongRecord, write_manifest
 from .errors import ValidationError
 from .experiments import _pool_calls
@@ -46,9 +46,12 @@ DEFAULT_RECIPES: dict[Rasa, RasaRecipe] = {
 }
 
 
-#: A render length in seconds that holds at least one sample.
+#: A render length in seconds of at most ten minutes (a file is rendered whole:
+#: 13.2 M float64 samples, 106 MB) that holds at least one sample. The upper
+#: bound is tested first, so no render length overflows the sample count.
 RenderableDuration = Annotated[
     FinitePositiveFloat,
+    ("<= 600", lambda v: v <= 600),
     (f"at least one sample at {CANONICAL_RATE} Hz", lambda v: round(v * CANONICAL_RATE) >= 1),
 ]
 
@@ -58,7 +61,7 @@ class SyntheticSpec(CheckedFields):
     """Corpus size and seed; every file is rendered at ``CANONICAL_RATE``
     from ``DEFAULT_RECIPES``."""
 
-    files_per_class: PositiveInt = 20
+    files_per_class: int_in(1, 10_000) = 20
     duration_s: RenderableDuration = 90.0
     seed: NonNegativeInt = 0
 

@@ -97,6 +97,24 @@ class TestManifest:
         with pytest.raises(DataError, match="manifest.csv:2 [(]id=s9[)]: raga 'Todi' is not in the association table"):
             load_manifest(path)
 
+    def test_a_row_of_another_field_count_is_refused(self, tmp_path):
+        path = manifest_file(tmp_path, ["s1,a.wav,A,Kalyani,Tamil,Movie", "s2,b.wav,B,Mohana,Tamil,Movie,"])
+        with pytest.raises(DataError, match="manifest.csv:3: 7 fields, expected 6"):
+            load_manifest(path)
+
+    def test_blank_lines_are_skipped_and_lines_are_counted_in_the_file(self, tmp_path):
+        # a quoted title spans lines 3 and 4, so the row after it is on line 6
+        path = manifest_file(tmp_path, ["", 's1,a.wav,"Two', 'lines",Kalyani,Tamil,Movie', "",
+                                        "s2,b.wav,B,Kalyani,Tamil,Podcast"])
+        with pytest.raises(DataError, match="manifest.csv:6 [(]id=s2[)]: genre 'Podcast'"):
+            load_manifest(path)
+
+    def test_lines_may_end_in_lf_cr_lf_or_cr(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_bytes(b"id,path,title,raga,language,genre\rs1,a.wav,A,Kalyani,Tamil,Movie\r\n"
+                         b"s2,b.wav,B,Mohana,Tamil,Movie\n")
+        assert [record.id for record in load_manifest(path)] == ["s1", "s2"]
+
     def test_bad_header(self, tmp_path):
         path = manifest_file(tmp_path, ["s1,a.wav,A,Kalyani,Tamil,Movie"], header="id,file,raga")
         with pytest.raises(ValidationError):

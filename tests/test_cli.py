@@ -18,7 +18,7 @@ from raga_moodkit.experiments import ExperimentConfig, extract_features
 from raga_moodkit.models import FAMILIES
 from raga_moodkit.models.serialize import decode_array, encode_array
 from raga_moodkit.recommender import recommend_transition, score_library
-from raga_moodkit.store import read_store, sidecar_path
+from raga_moodkit.store import read_store, sidecar_path, song_id_of
 from raga_moodkit.synth import DEFAULT_RECIPES, SyntheticSpec, synth_signal
 
 
@@ -381,6 +381,17 @@ class TestClassifyRecommend:
         assert len(ids) == 5
         assert len(set(ids)) == 5
 
+    @pytest.mark.parametrize("length", [10**13, 2**63], ids=["10_to_the_13", "one_past_int64"])
+    def test_recommend_length_past_the_library(self, extracted, trained, tmp_path, capsys, length):
+        # weights are made only for the slots the library fills, each i / (length - 1)
+        out = tmp_path / "playlist.json"
+        code = main(["recommend", "--model", str(trained), "--features", str(extracted),
+                     "--from", "Karuna", "--to", "Shantha", "--length", str(length), "--out", str(out)])
+        assert code == 0 and "Traceback" not in capsys.readouterr().err
+        slots = json.loads(out.read_text())["slots"]
+        assert len(slots) == len(set(song_id_of(s) for s in read_store(extracted).segment_ids))
+        assert [slot["weight"] for slot in slots] == [i / (length - 1) for i in range(len(slots))]
+
     def test_recommend_unknown_rasa(self, trained, extracted):
         code = main(
             [
@@ -663,11 +674,18 @@ class TestCorruptInputs:
             (["train", "--family", "knn"], "-1"),
             (["recommend", "--length", "0"], None),
             (["recommend", "--length", "-3"], None),
+            (["extract", "--fft-size", "1099511627776"], None),
+            (["extract", "--n-filters", "1000000000000"], None),
+            (["extract", "--sample-rate", "1000000000000"], None),
+            (["synth", "--duration", "1e300"], None),
+            (["synth", "--duration", "1e308"], None),
         ],
         ids=["plan_start_nan", "plan_duration_inf", "log_floor_nan", "log_floor_inf", "jobs_zero",
              "jobs_negative", "train_seed_negative", "tune_cv_one", "synth_seed_negative",
              "synth_duration_nan", "synth_duration_tiny", "env_seed_text", "env_seed_negative",
-             "recommend_length_zero", "recommend_length_negative"],
+             "recommend_length_zero", "recommend_length_negative", "extract_fft_size_2_to_the_40",
+             "extract_n_filters_10_to_the_12", "extract_sample_rate_10_to_the_12", "synth_duration_1e300",
+             "synth_duration_1e308"],
     )
     def test_bad_settings_are_validation_errors(
         self, small_corpus, extracted, trained, tmp_path, capsys, monkeypatch, argv, env_seed
@@ -749,6 +767,35 @@ class TestCorruptInputs:
         err = self.assert_data_error(code, capsys)
         assert "manifest.csv:3" in err
 
+    @pytest.mark.parametrize("fault, text", [(b"\xff\xfe", "not UTF-8 text"),
+                                             (b"x" * 200_000, "not CSV text (field larger than field limit")],
+                             ids=["non_utf8_byte", "field_past_the_csv_limit"])
+    @pytest.mark.parametrize("kind", ["store", "manifest"])
+    def test_csv_fault_names_its_line(self, small_corpus, extracted, tmp_path, capsys, kind, fault, text):
+        source = extracted if kind == "store" else small_corpus.manifest_path
+        damaged = tmp_path / source.name
+        lines = source.read_bytes().split(b"\n")
+        lines[3] = fault + lines[3]
+        damaged.write_bytes(b"\n".join(lines))
+        if kind == "store":
+            sidecar_path(damaged).write_bytes(sidecar_path(extracted).read_bytes())
+            argv = ["train", "--features", str(damaged), "--family", "knn"]
+        else:
+            argv = ["extract", "--manifest", str(damaged)]
+        err = self.assert_data_error(main(argv + ["--out", str(tmp_path / "out")]), capsys)
+        assert f"error: {source.name}:4: {text}" in err and err.count("\n") == 1
+
+    def test_bundle_recording_a_huge_fft_size(self, small_corpus, trained, tmp_path, capsys):
+        # refused by its declared bound before any window or filterbank is sized from it
+        model = tmp_path / "model.json"
+        payload = json.loads(trained.read_text(encoding="utf-8"))
+        payload["feature_fingerprint"]["fft_size"] = 2**40
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CorruptArtifact, match=r"feature_fingerprint\.fft_size: expected int \(in \[2, 16384\]"):
+            ModelBundle.load(model)
+        wav = small_corpus.base_dir / small_corpus.records[0].path
+        self.assert_data_error(main(["classify", "--model", str(model), "--wav", str(wav)]), capsys)
+
     def test_nan_float32_wav(self, trained, tmp_path, capsys):
         samples = 0.5 * np.sin(np.arange(22050) / 7.0)
         samples[100] = np.nan
@@ -813,7 +860,7 @@ class TestCorruptInputs:
         lines[3] = ",".join(fields)
         store.write_text("\n".join(lines) + "\n", encoding="utf-8")
         sidecar_path(store).write_bytes(sidecar_path(extracted).read_bytes())
-        with pytest.raises(CorruptArtifact, match=f"features.csv line 4: c5 is {value}$"):
+        with pytest.raises(CorruptArtifact, match=f"features.csv:4: c5 is {value}$"):
             read_store(store)
         for argv in (
             ["tune", "--family", "knn", "--grid", "k=3", "--out", str(tmp_path / "m.json")],
@@ -821,7 +868,7 @@ class TestCorruptInputs:
             ["recommend", "--model", str(trained), "--from", "Karuna", "--to", "Shantha"],
         ):
             err = self.assert_data_error(main(argv + ["--features", str(store)]), capsys)
-            assert "features.csv line 4" in err
+            assert "features.csv:4: " in err
 
 
 class TestFilesRecordingTheWindow:

@@ -481,6 +481,9 @@ INVALID_SETTINGS = [
     (MfccConfig, {"sample_rate": 22050.5}),
     (MfccConfig, {"fft_size": 2048.0}),
     (MfccConfig, {"fft_size": 1000}),
+    (MfccConfig, {"fft_size": 2**40}),
+    (MfccConfig, {"n_filters": 10**12}),
+    (MfccConfig, {"sample_rate": 10**400}),
     (MfccConfig, {"f_low": NAN}),
     (MfccConfig, {"f_low": 12000.0}),
     (MfccConfig, {"log_floor": 0.0}),
@@ -495,8 +498,11 @@ INVALID_SETTINGS = [
     (SegmentPlan, {"cuts": "abc"}),
     (SyntheticSpec, {"files_per_class": True}),
     (SyntheticSpec, {"files_per_class": 0}),
+    (SyntheticSpec, {"files_per_class": 10**13}),
     (SyntheticSpec, {"duration_s": INF}),
     (SyntheticSpec, {"duration_s": 1e-9}),
+    (SyntheticSpec, {"duration_s": 1e300}),
+    (SyntheticSpec, {"duration_s": 1e308}),
     (SyntheticSpec, {"seed": -1}),
     (ExperimentConfig, {"seed": 1.5}),
     (ExperimentConfig, {"seed": True}),

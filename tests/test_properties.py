@@ -335,6 +335,16 @@ def test_former_escapes_raise_a_moodkit_error(artifacts, name):
         read(target, data)
 
 
+def test_a_sample_rate_too_large_for_float_is_named_by_its_json_path(artifacts):
+    """The declared bound refuses it before any division by it could overflow."""
+    originals, read = artifacts
+    document = json.loads(originals["sidecar"])
+    document["mfcc"]["sample_rate"] = 10**400
+    with pytest.raises(CorruptArtifact, match=r"^sidecar store\.csv\.meta\.json is corrupt: mfcc\.sample_rate: "
+                                              r"expected int \(in \[1, 384000\]\)"):
+        read("sidecar", json.dumps(document).encode())
+
+
 # --- corrupt bundles that once loaded -------------------------------------------------
 
 def stored(payload: dict) -> np.ndarray:
@@ -476,6 +486,9 @@ CORRUPT_BUNDLES = {
     "knn-array-base64-cut-short": ("knn", change_data("X", lambda data: data[:-1])),
     "knn-array-one-element-short": ("knn", change_data(
         "X", lambda data: base64.b64encode(base64.b64decode(data)[:-8]).decode("ascii"))),
+    # a size past its declared bound, refused before numpy compares feature indexes with it
+    "forest-feature-count-too-large-for-float": ("forest", lambda payload: payload["model"]["params"]["trees"][0]
+                                                 .update(n_features=10**400)),
 }
 
 #: Seconds a corrupt bundle's ``evaluate`` may take before the test fails.

@@ -59,6 +59,18 @@ class TestSlotWeights:
         with pytest.raises(ValidationError):
             slot_weights(0)
 
+    @pytest.mark.parametrize("length", [5, 10**13, 2**63, 10**400])
+    def test_only_the_slots_asked_for(self, length):
+        weights = slot_weights(length, 3)
+        assert weights.dtype == np.float64
+        assert weights.tolist() == [0.0, 1 / (length - 1), 2 / (length - 1)]
+
+    def test_a_length_past_the_library_fills_every_song(self):
+        library = random_library(np.random.default_rng(3), 7)
+        playlist = recommend_transition(library, "Karuna", "Veera", 10**13)
+        assert sorted(playlist.song_ids()) == list(library.song_ids)
+        assert [slot.weight for slot in playlist.slots] == [i / (10**13 - 1) for i in range(7)]
+
 
 class TestScoredLibrary:
     def test_rows_must_sum_to_one(self):

@@ -88,7 +88,17 @@ def test_corrupt_row_is_typed_data_error(tmp_path, mangle):
     lines = path.read_text().splitlines()
     lines[2] = mangle(lines[2])
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CorruptArtifact, match="line 3"):
+    with pytest.raises(CorruptArtifact, match="features.csv:3: "):
+        read_store(path)
+
+
+@pytest.mark.parametrize("fault, text", [(b"\xff", "not UTF-8 text"), (b"x" * 200_000, "not CSV text")],
+                         ids=["non_utf8_byte", "field_past_the_csv_limit"])
+def test_csv_fault_in_the_header_names_line_1(tmp_path, fault, text):
+    path = tmp_path / "features.csv"
+    write_store(sample_table(), path)
+    path.write_bytes(fault + path.read_bytes())
+    with pytest.raises(CorruptArtifact, match=f"^features.csv:1: {text}"):
         read_store(path)
 
 
